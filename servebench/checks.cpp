@@ -40,7 +40,7 @@ ownSampledPrediction(ServingEngine &engine, const InferenceRequest &q,
 bool
 checkFullPassReplies(ServingEngine &engine,
                      const std::vector<const PhaseResult *> &phases,
-                     bool exact, std::ostream &log)
+                     std::ostream &log)
 {
     std::map<std::tuple<std::string, std::string, int>,
              std::shared_ptr<const Matrix>>
@@ -55,14 +55,9 @@ checkFullPassReplies(ServingEngine &engine,
             if (m == nullptr)
                 m = engine.peekLogits(engine.keyFor(q.dataset, q.model),
                                       c.reply.executedBits);
-            bool ok = m != nullptr && c.reply.prediction >= 0 &&
-                      c.reply.prediction < m->cols();
-            // Under a live update stream the reply may come from an
-            // earlier epoch than the final logits; only its range is
-            // checkable per reply (the epochs are checked below).
-            if (ok && exact)
-                ok = c.reply.prediction ==
-                     argmaxRow(*m, foldedRow(q.node, m->rows()));
+            bool ok = m != nullptr &&
+                      c.reply.prediction ==
+                          argmaxRow(*m, foldedRow(q.node, m->rows()));
             if (!ok && wrong++ < 5)
                 log << "wrong prediction " << c.reply.prediction << " for "
                     << q.dataset << "/" << q.model << " node " << q.node
@@ -71,43 +66,40 @@ checkFullPassReplies(ServingEngine &engine,
     return wrong == 0;
 }
 
-/** Resident logits equal a fresh forward over the resident bundle. */
+/** Resident logits of @p key equal a fresh forward over its bundle. */
 bool
-checkResidentLogits(ServingEngine &engine, const Workload &w,
+checkResidentLogits(ServingEngine &engine,
+                    const gcod::serve::ArtifactKey &key,
                     const std::vector<int> &precisions, bool stored,
                     std::ostream &log)
 {
+    auto bundle = engine.cache().peek(key);
+    if (bundle == nullptr || !bundle->hasHostExec()) {
+        log << "no resident host execution for " << key.toString() << "\n";
+        return false;
+    }
     bool ok = true;
-    for (const auto &[dataset, family] : w.artifacts()) {
-        gcod::serve::ArtifactKey key = engine.keyFor(dataset, family);
-        auto bundle = engine.cache().peek(key);
-        if (bundle == nullptr || !bundle->hasHostExec()) {
-            log << "no resident host execution for " << key.toString()
-                << "\n";
-            ok = false;
-            continue;
+    for (int bits : precisions) {
+        Matrix fresh =
+            bits == 32 ? gcod::referenceForward(bundle->hostRecipe,
+                                                bundle->hostFeatures)
+                       : gcod::quantizedForwardMixed(
+                             bundle->quantized.at(bits),
+                             bundle->hostFeatures);
+        bool same;
+        if (stored) {
+            auto it = bundle->storedLogits.find(bits);
+            same = it != bundle->storedLogits.end() &&
+                   sameBytes(it->second, fresh);
+        } else {
+            auto served = engine.peekLogits(key, bits);
+            same = served != nullptr && sameBytes(*served, fresh);
         }
-        for (int bits : precisions) {
-            Matrix fresh =
-                bits == 32 ? gcod::referenceForward(bundle->hostRecipe,
-                                                    bundle->hostFeatures)
-                           : gcod::quantizedForwardMixed(
-                                 bundle->quantized.at(bits),
-                                 bundle->hostFeatures);
-            bool same;
-            if (stored) {
-                auto it = bundle->storedLogits.find(bits);
-                same = it != bundle->storedLogits.end() &&
-                       sameBytes(it->second, fresh);
-            } else {
-                auto served = engine.peekLogits(key, bits);
-                same = served != nullptr && sameBytes(*served, fresh);
-            }
-            if (!same) {
-                log << "resident logits of " << key.toString() << " at "
-                    << bits << " bits differ from a fresh forward\n";
-                ok = false;
-            }
+        if (!same) {
+            log << (stored ? "stored" : "served") << " logits of "
+                << key.toString() << " at " << bits
+                << " bits differ from a fresh forward\n";
+            ok = false;
         }
     }
     return ok;
@@ -167,16 +159,24 @@ checkOutputs(ServingEngine &engine, const Workload &w,
              const std::vector<const PhaseResult *> &phases, uint64_t seed,
              std::ostream &log)
 {
+    if (w.sampleFanout > 0)
+        return checkSampledReplays(engine, phases, seed, log);
+    bool ok = checkFullPassReplies(engine, phases, log);
+    for (const auto &[dataset, family] : w.artifacts())
+        ok = checkResidentLogits(engine, engine.keyFor(dataset, family), {32},
+                                 false, log) &&
+             ok;
+    return ok;
+}
+
+bool
+checkUpdatedLogits(ServingEngine &engine,
+                   const gcod::serve::ArtifactKey &key, std::ostream &log)
+{
     std::vector<int> precisions = {32};
     for (int b : engine.quantBits())
         precisions.push_back(b);
-    if (w.sampleFanout > 0)
-        return checkSampledReplays(engine, phases, seed, log);
-    bool updates = w.updatesPerSecond > 0.0;
-    bool ok = checkFullPassReplies(engine, phases, !updates, log);
-    if (updates)
-        return checkResidentLogits(engine, w, precisions, true, log) && ok;
-    return checkResidentLogits(engine, w, {32}, false, log) && ok;
+    return checkResidentLogits(engine, key, precisions, true, log);
 }
 
 } // namespace servebench

@@ -23,14 +23,20 @@ namespace servebench {
  *    over the resident bundle;
  *  - sampled mixes: a seeded subset is replayed; the replay and the
  *    original must match the benchmark's own sampled execution at the
- *    reply's executed bits;
- *  - update streams: every artifact's stored logits are byte-identical
- *    to a fresh forward over the final bundle.
+ *    reply's executed bits.
  * Reasons for a failure go to @p log.
  */
 bool checkOutputs(ServingEngine &engine, const Workload &w,
                   const std::vector<const PhaseResult *> &phases,
                   uint64_t seed, std::ostream &log);
+
+/**
+ * After updates to @p key: the logits the engine stored for every served
+ * precision are byte-identical to a fresh forward over the final bundle.
+ */
+bool checkUpdatedLogits(ServingEngine &engine,
+                        const gcod::serve::ArtifactKey &key,
+                        std::ostream &log);
 
 } // namespace servebench
 

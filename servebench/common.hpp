@@ -43,10 +43,10 @@ struct Workload
     size_t latencyClients = 0;
     /** Requests the closed-loop capacity phase keeps outstanding. */
     size_t closedWindow = 16;
-    /** > 0: a writer calls applyUpdate() at this rate during the open loop. */
-    double updatesPerSecond = 0.0;
     /** Fresh engines built per untraced run; setup_s is their median. */
     int setupReps = 1;
+    /** Rounds of the update probe; each call reports its median round. */
+    int probeRounds = 3;
 
     /** Every (dataset, family) artifact the mix touches. */
     std::vector<std::pair<std::string, std::string>> artifacts() const;

@@ -5,24 +5,28 @@
  * workload and prints its metrics, the last stdout line being the JSON
  * result.
  *
- *   servebench --workload <warm_mix|sampled_point|update_churn>
+ *   servebench --workload <warm_mix|sampled_point>
  *              --seed <n> --seconds <s> --trace <0|1>
  *
  * --trace 0 measures the end-to-end metrics with tracing off: set-up
- * (median of the workload's set-up repetitions), a latency phase (80% of
- * --seconds) and a closed-loop capacity phase (20%), then the output
- * checks. --trace 1 measures the per-layer metrics: an untraced latency
- * window, the same seeded traffic again with engine tracing at level 2
- * and the kernel profiler on, then the layer probes. Exits 1 when an
- * output is wrong, 2 on bad arguments. Metric definitions, workload
- * parameters and what each layer metric should move are in LEDGER.md.
+ * (median of the workload's set-up repetitions), a latency phase (75% of
+ * --seconds) and a closed-loop capacity phase (25%), then the output
+ * checks. --trace 1 measures the per-layer metrics:
+ * the update probe, an untraced latency window, the same seeded traffic
+ * again with engine tracing at level 2 and the kernel profiler on, then
+ * the layer probes.
+ * Exits 1 when an output is wrong, 2 on bad arguments. Metric
+ * definitions, workload parameters and what each layer metric should
+ * move are in LEDGER.md.
  */
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "checks.hpp"
 #include "layers.hpp"
@@ -33,22 +37,22 @@ using gcod::serve::ArtifactKey;
 
 namespace {
 
-/** Seed of the deltas that bootstrap update state during set-up: fixed,
- *  so set-up does identical work on every run. */
-constexpr uint64_t kSetupSeed = 0x5e7u;
-/** Timed updates of the post-window probe on mixes without a writer. */
-constexpr int kProbeUpdates = 30;
+/** Seed of the probe's deltas: fixed, so every run does the same work. */
+constexpr uint64_t kProbeSeed = 0x5e7u;
+/** Deltas of the update probe, each applied and undone once a round. */
+constexpr int kProbeDeltas = 8;
 /** Share of --seconds the untraced run spends in the latency phase. */
-constexpr double kLatencyShare = 0.8;
+constexpr double kLatencyShare = 0.75;
 /** Latency windows per phase, and the fewest completions one may hold. */
-constexpr size_t kLatencyWindows = 9;
+constexpr size_t kLatencyWindows = 16;
 constexpr size_t kWindowSamples = 1000;
 /**
  * Requests a traced window may carry. The engine's span buffer is split
- * into per-thread shards; this keeps each worker's shard well inside its
- * share, so no span is dropped.
+ * into per-thread shards of 64Ki spans, and both workers may land in one
+ * shard; at about six spans per request this keeps it inside its share,
+ * so no span is dropped.
  */
-constexpr double kTracedRequests = 25000.0;
+constexpr double kTracedRequests = 10000.0;
 
 struct Args
 {
@@ -108,15 +112,6 @@ findWorkload(const std::string &name)
     usage("unknown workload '" + name + "'");
 }
 
-std::vector<ArtifactKey>
-keysOf(const ServingEngine &engine, const Workload &w)
-{
-    std::vector<ArtifactKey> keys;
-    for (const auto &[dataset, family] : w.artifacts())
-        keys.push_back(engine.keyFor(dataset, family));
-    return keys;
-}
-
 /** A warm engine and what building it cost. */
 struct Setup
 {
@@ -128,8 +123,7 @@ struct Setup
 
 /**
  * Construct an engine and make every artifact of the mix built and warm:
- * resident, with host logits at every served precision memoized, and
- * (for update streams) the incremental-update state bootstrapped.
+ * resident, with host logits at every served precision memoized.
  */
 Setup
 setUp(const Workload &w)
@@ -147,8 +141,6 @@ setUp(const Workload &w)
         e.peekLogits(key, 32);
         for (int bits : e.quantBits())
             e.peekLogits(key, bits);
-        if (w.updatesPerSecond > 0.0)
-            timedUpdate(e, key, kSetupSeed);
     }
     s.seconds = secondsSince(t0);
     return s;
@@ -186,35 +178,65 @@ windowedPct(const std::vector<double> &ms, double p)
 }
 
 /**
- * The latency phase: the workload's seeded open-loop schedule (with
- * @p side beside it), or for a workload with latency clients a closed
- * loop keeping that many requests outstanding.
+ * The latency phase: the workload's seeded open-loop schedule, or for a
+ * workload with latency clients a closed loop keeping that many requests
+ * outstanding.
  */
 PhaseResult
 latencyPhase(ServingEngine &e, const Workload &w, uint64_t seed,
-             double seconds, const SideLoad &side)
+             double seconds)
 {
     if (w.latencyClients > 0) {
         TrafficMix mix(w, seed);
         return runClosedLoop(e, mix, w.latencyClients, seconds, nullptr);
     }
-    return runOpenLoop(e, makeSchedule(w, seed, seconds), seconds, side);
+    return runOpenLoop(e, makeSchedule(w, seed, seconds), seconds);
 }
 
 /**
- * Uncontended update cost: timed applyUpdate() calls on Cora x GCN. The
- * deltas are the same on every run: which nodes a delta touches moves
- * its cost more than the machine does, and the probe compares commits,
- * not seeds.
+ * Update cost on the idle, freshly set-up engine: timed applyUpdate()
+ * calls on Cora x GCN, before any traffic, so the heap the updates
+ * allocate from is the same on every run. Each of kProbeDeltas deltas is
+ * applied and then undone, so each of the workload's probeRounds rounds
+ * replays the same calls on the same graph. One record per call: the
+ * round with the call's median time, so a slow moment of the machine
+ * cannot reorder the calls' costs. The deltas are the same on every run:
+ * which nodes a delta touches moves its cost more than the machine does,
+ * and the probe compares commits, not seeds. Afterwards the artifact's
+ * stored logits must equal a fresh forward; a mismatch clears @p correct.
  */
 std::vector<UpdateRecord>
-updateProbe(ServingEngine &e)
+updateProbe(ServingEngine &e, const Workload &w, std::ostream &log,
+            bool &correct)
 {
     ArtifactKey key = e.keyFor("Cora", "GCN");
-    timedUpdate(e, key, kSetupSeed);
+    std::vector<NodePairs> deltas;
+    {
+        auto bundle = e.cache().peek(key);
+        if (bundle == nullptr)
+            throw std::runtime_error("probe target not resident: " +
+                                     key.toString());
+        for (int i = 0; i <= kProbeDeltas; ++i)
+            deltas.push_back(
+                deltaPairs(bundle->synth.graph, kProbeSeed + uint64_t(i)));
+    }
+    // The first update builds the artifact's incremental state; the
+    // second undoes it, so the timed rounds start from the set-up graph.
+    timedUpdate(e, key, deltas[kProbeDeltas]);
+    timedUpdate(e, key, deltas[kProbeDeltas]);
+    std::vector<std::vector<UpdateRecord>> calls(2 * kProbeDeltas);
+    for (int round = 0; round < w.probeRounds; ++round)
+        for (size_t c = 0; c < calls.size(); ++c)
+            calls[c].push_back(timedUpdate(e, key, deltas[c / 2]));
     std::vector<UpdateRecord> out;
-    for (int i = 0; i < kProbeUpdates; ++i)
-        out.push_back(timedUpdate(e, key, kSetupSeed + 1 + uint64_t(i)));
+    for (std::vector<UpdateRecord> &rounds : calls) {
+        std::sort(rounds.begin(), rounds.end(),
+                  [](const UpdateRecord &a, const UpdateRecord &b) {
+                      return a.callMs < b.callMs;
+                  });
+        out.push_back(rounds[rounds.size() / 2]);
+    }
+    correct = checkUpdatedLogits(e, key, log) && correct;
     return out;
 }
 
@@ -229,15 +251,18 @@ peakRssMb()
 void
 addUpdateLayerMetrics(const std::vector<UpdateRecord> &ups, Metrics &m)
 {
-    std::vector<double> build, publish, dirty, recomputed;
+    std::vector<double> call, build, publish, dirty, recomputed;
     for (const UpdateRecord &u : ups) {
         if (u.result.noop)
             continue;
+        call.push_back(u.callMs);
         build.push_back(u.result.seconds * 1e3);
         publish.push_back(u.callMs - u.result.seconds * 1e3);
         dirty.push_back(double(u.result.dirtyRows) / double(u.nodes));
         recomputed.push_back(double(u.result.recomputedRows));
     }
+    m.add("update.call_ms.p50", pct(call, 50), "ms");
+    m.add("update.call_ms.p90", pct(call, 90), "ms");
     m.add("update.build_ms.p50", pct(build, 50), "ms");
     m.add("update.publish_ms.p50", pct(publish, 50), "ms");
     m.add("update.dirty_row_fraction.mean", mean(dirty), "ratio");
@@ -291,14 +316,11 @@ runUntraced(const Workload &w, const Args &a)
     }
     ServingEngine &e = *s.engine;
 
-    std::vector<UpdateRecord> updates;
-    SideLoad writer;
-    if (w.updatesPerSecond > 0.0)
-        writer = [&](Clock::time_point end) {
-            runWriter(e, keysOf(e, w), w.updatesPerSecond, a.seed, end,
-                      updates);
-        };
-    PhaseResult open = latencyPhase(e, w, a.seed, latencySeconds, writer);
+    PhaseResult open = latencyPhase(e, w, a.seed, latencySeconds);
+    // Read before the capacity phase: the records it keeps for the output
+    // checks grow with the completions it reaches, so a later reading
+    // would follow the machine's speed rather than the engine's memory.
+    double peakRss = peakRssMb();
     TrafficMix closedMix(w, a.seed ^ 0xc105edull);
     double capacity = 0.0;
     PhaseResult closed = runClosedLoop(e, closedMix, w.closedWindow,
@@ -309,13 +331,8 @@ runUntraced(const Workload &w, const Args &a)
 
     std::ostringstream log;
     bool correct = checkOutputs(e, w, {&open, &closed}, a.seed, log);
-    if (updates.empty())
-        updates = updateProbe(e);
 
     std::vector<double> lat = okLatencies(open);
-    std::vector<double> updMs;
-    for (const UpdateRecord &u : updates)
-        updMs.push_back(u.callMs);
     uint64_t attempted = open.sent.size() + closed.sent.size();
     uint64_t failed = open.failed() + closed.failed();
 
@@ -329,9 +346,7 @@ runUntraced(const Workload &w, const Args &a)
     // bounds its complement.
     m.add("error_rate", double(failed) / double(attempted), "ratio", false);
     m.add("setup_s", pct(setupSeconds, 50), "s");
-    m.add("peak_rss_mb", peakRssMb(), "MiB");
-    m.add("update_p50_ms", pct(updMs, 50), "ms");
-    m.add("update_p90_ms", pct(updMs, 90), "ms");
+    m.add("peak_rss_mb", peakRss, "MiB");
 
     std::cout << log.str() << "latency samples: " << lat.size() << " in "
               << std::clamp<size_t>(lat.size() / kWindowSamples, 1,
@@ -341,9 +356,6 @@ runUntraced(const Workload &w, const Args &a)
                       ? ""
                       : " (fewer than 1000: p99 has under 10 samples "
                         "beyond it)")
-              << "\nupdate samples: " << updMs.size()
-              << (w.updatesPerSecond > 0.0 ? " (writer, under load)"
-                                           : " (idle-engine probe)")
               << "\nfailed: " << failed << " of " << attempted << "\n";
     generatorLateP99({&open}, pct(lat, 50));
     std::cout << "end-to-end metrics (" << w.name << ", seed " << a.seed
@@ -364,18 +376,11 @@ runTraced(const Workload &w, const Args &a)
     double plainSeconds = a.seconds - tracedSeconds;
     Setup s = setUp(w);
     ServingEngine &e = *s.engine;
+    std::ostringstream log;
+    bool correct = true;
+    std::vector<UpdateRecord> updates = updateProbe(e, w, log, correct);
 
-    std::vector<UpdateRecord> updates0, updates1;
-    auto writerInto = [&](std::vector<UpdateRecord> &out) -> SideLoad {
-        if (w.updatesPerSecond <= 0.0)
-            return {};
-        return [&e, &w, &a, &out](Clock::time_point end) {
-            runWriter(e, keysOf(e, w), w.updatesPerSecond, a.seed, end,
-                      out);
-        };
-    };
-    PhaseResult plain =
-        latencyPhase(e, w, a.seed, plainSeconds, writerInto(updates0));
+    PhaseResult plain = latencyPhase(e, w, a.seed, plainSeconds);
 
     TraceWindow tw;
     e.trace().clear();
@@ -385,8 +390,7 @@ runTraced(const Workload &w, const Args &a)
     tw.cacheHits = e.cache().hits();
     tw.cacheMisses = e.cache().misses();
     Clock::time_point t0 = Clock::now();
-    PhaseResult traced =
-        latencyPhase(e, w, a.seed, tracedSeconds, writerInto(updates1));
+    PhaseResult traced = latencyPhase(e, w, a.seed, tracedSeconds);
     tw.wallSeconds = secondsSince(t0);
     profiler.disable();
     e.trace().setLevel(gcod::obs::kTraceOff);
@@ -401,8 +405,7 @@ runTraced(const Workload &w, const Args &a)
     printPhase("untraced latency phase", plain);
     printPhase("traced latency phase", traced);
 
-    std::ostringstream log;
-    bool correct = checkOutputs(e, w, {&plain, &traced}, a.seed, log);
+    correct = checkOutputs(e, w, {&plain, &traced}, a.seed, log) && correct;
 
     Metrics m;
     double closure = aggregateTrace(tw, m, log);
@@ -415,10 +418,7 @@ runTraced(const Workload &w, const Args &a)
     m.add("gen.late_ms.p99", generatorLateP99({&plain, &traced}, p50Plain),
           "ms");
     correct = runProbes(e, w, a.seed, m, log) && correct;
-    updates0.insert(updates0.end(), updates1.begin(), updates1.end());
-    addUpdateLayerMetrics(w.updatesPerSecond > 0.0 ? updates0
-                                                   : updateProbe(e),
-                          m);
+    addUpdateLayerMetrics(updates, m);
     double buildTotal = 0.0;
     for (const std::string &d : allDatasets())
         for (const std::string &f : allFamilies()) {
@@ -446,6 +446,14 @@ main(int argc, char **argv)
 {
     Args a = parseArgs(argc, argv);
     const Workload &w = findWorkload(a.workload);
+    // One malloc arena: with one per thread, peak_rss_mb moved by several
+    // MiB with how many arenas the engine's threads happened to touch.
+    // Fixed mmap and trim thresholds: with glibc's adaptive ones, every
+    // other update probe call ran about 35% slower in some runs and not
+    // in others.
+    mallopt(M_ARENA_MAX, 1);
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 1 << 30);
     try {
         return a.trace ? runTraced(w, a) : runUntraced(w, a);
     } catch (const std::exception &e) {

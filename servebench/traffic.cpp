@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -28,6 +27,42 @@ toDuration(double seconds)
         std::chrono::duration<double>(seconds));
 }
 
+/** A submitted request whose reply has not been found yet. */
+struct Outstanding
+{
+    size_t index;
+    /** Due (open loop) or send (closed loop) time. */
+    Clock::time_point from;
+    std::future<InferenceReply> fut;
+};
+
+/**
+ * Move every ready reply of @p live to @p done, stamped with the clock
+ * when found. Returns how many were found.
+ */
+size_t
+sweep(std::vector<Outstanding> &live, std::vector<Completion> &done)
+{
+    size_t found = 0;
+    for (size_t i = 0; i < live.size();) {
+        if (live[i].fut.wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready) {
+            ++i;
+            continue;
+        }
+        Completion c;
+        c.readyAt = Clock::now();
+        c.index = live[i].index;
+        c.latencyMs = msBetween(live[i].from, c.readyAt);
+        c.reply = live[i].fut.get();
+        done.push_back(std::move(c));
+        live[i] = std::move(live.back());
+        live.pop_back();
+        ++found;
+    }
+    return found;
+}
+
 /** Run @p body, keeping its exception for the joining thread. */
 template <typename F>
 std::thread
@@ -43,8 +78,8 @@ guardedThread(std::exception_ptr &error, F body)
 }
 
 /**
- * Owns the outstanding futures of one phase. Producers add() from the
- * generator thread; run() is the collector thread's body and stamps each
+ * Owns the outstanding futures of an open-loop phase. The generator
+ * thread add()s; run() is the collector thread's body and stamps each
  * future the moment a sweep finds it ready.
  */
 class Collector
@@ -56,7 +91,6 @@ class Collector
     {
         std::lock_guard<std::mutex> lock(mu_);
         inbox_.push_back({index, from, std::move(fut)});
-        ++added_;
     }
 
     /** No further add(); run() returns once everything resolved. */
@@ -67,58 +101,20 @@ class Collector
         closed_ = true;
     }
 
-    /**
-     * Block until fewer than @p n requests are outstanding or @p until.
-     * Returns when the slot now free was freed: the sweep that found its
-     * reply, or the call itself when no wait was needed.
-     */
-    Clock::time_point
-    waitBelow(size_t n, Clock::time_point until)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (added_ - completed_ < n)
-            return Clock::now();
-        cv_.wait_until(lock, until,
-                       [&] { return added_ - completed_ < n; });
-        return freedAt_;
-    }
-
     void
     run()
     {
-        std::vector<Item> live;
+        std::vector<Outstanding> live;
         for (;;) {
             bool closed = false;
             {
                 std::lock_guard<std::mutex> lock(mu_);
-                for (Item &it : inbox_)
+                for (Outstanding &it : inbox_)
                     live.push_back(std::move(it));
                 inbox_.clear();
                 closed = closed_;
             }
-            size_t found = 0;
-            for (size_t i = 0; i < live.size();) {
-                if (live[i].fut.wait_for(std::chrono::seconds(0)) !=
-                    std::future_status::ready) {
-                    ++i;
-                    continue;
-                }
-                Completion c;
-                c.readyAt = Clock::now();
-                c.index = live[i].index;
-                c.latencyMs = msBetween(live[i].from, c.readyAt);
-                c.reply = live[i].fut.get();
-                done.push_back(std::move(c));
-                live[i] = std::move(live.back());
-                live.pop_back();
-                ++found;
-            }
-            if (found != 0) {
-                std::lock_guard<std::mutex> lock(mu_);
-                completed_ += found;
-                freedAt_ = Clock::now();
-                cv_.notify_all();
-            }
+            sweep(live, done);
             // Every add() happens before close(), so once closed was seen
             // with the inbox emptied, nothing else can arrive.
             if (closed && live.empty())
@@ -131,19 +127,8 @@ class Collector
     std::vector<Completion> done;
 
   private:
-    struct Item
-    {
-        size_t index;
-        Clock::time_point from;
-        std::future<InferenceReply> fut;
-    };
-
     std::mutex mu_;
-    std::condition_variable cv_;
-    std::vector<Item> inbox_;
-    size_t added_ = 0;
-    size_t completed_ = 0;
-    Clock::time_point freedAt_;
+    std::vector<Outstanding> inbox_;
     bool closed_ = false;
 };
 
@@ -212,19 +197,16 @@ PhaseResult::failed() const
 
 PhaseResult
 runOpenLoop(ServingEngine &engine, const std::vector<Scheduled> &schedule,
-            double seconds, const SideLoad &side)
+            double seconds)
 {
     PhaseResult r;
     r.sent.reserve(schedule.size());
     r.lateMs.reserve(schedule.size());
     Collector col;
-    std::exception_ptr colErr, genErr, sideErr;
+    std::exception_ptr colErr, genErr;
     std::thread collector = guardedThread(colErr, [&] { col.run(); });
     r.start = Clock::now();
     r.end = r.start + toDuration(seconds);
-    std::thread sideThread;
-    if (side)
-        sideThread = guardedThread(sideErr, [&] { side(r.end); });
     std::thread gen = guardedThread(genErr, [&] {
         struct CloseOnExit
         {
@@ -241,10 +223,8 @@ runOpenLoop(ServingEngine &engine, const std::vector<Scheduled> &schedule,
         }
     });
     gen.join();
-    if (sideThread.joinable())
-        sideThread.join();
     collector.join();
-    rethrowFirst({genErr, sideErr, colErr});
+    rethrowFirst({genErr, colErr});
     r.done = std::move(col.done);
     return r;
 }
@@ -253,32 +233,30 @@ PhaseResult
 runClosedLoop(ServingEngine &engine, TrafficMix &mix, size_t window,
               double seconds, double *capacity_rps)
 {
+    // The calling thread both sends and sweeps, so a slot is refilled by
+    // the sweep that found its reply, with no hand-off between threads.
     PhaseResult r;
-    Collector col;
-    std::exception_ptr colErr, genErr;
-    std::thread collector = guardedThread(colErr, [&] { col.run(); });
+    std::vector<Outstanding> live;
     r.start = Clock::now();
     r.end = r.start + toDuration(seconds);
-    std::thread gen = guardedThread(genErr, [&] {
-        struct CloseOnExit
-        {
-            Collector &c;
-            ~CloseOnExit() { c.close(); }
-        } closer{col};
-        for (size_t i = 0;; ++i) {
-            Clock::time_point freed = col.waitBelow(window, r.end);
-            if (Clock::now() >= r.end)
-                return;
-            r.sent.push_back(mix.next());
-            Clock::time_point sentAt = Clock::now();
-            r.lateMs.push_back(msBetween(freed, sentAt));
-            col.add(i, sentAt, engine.submit(r.sent.back()));
+    Clock::time_point freed = r.start;
+    for (;;) {
+        if (Clock::now() < r.end) {
+            while (live.size() < window) {
+                r.sent.push_back(mix.next());
+                Clock::time_point sentAt = Clock::now();
+                r.lateMs.push_back(msBetween(freed, sentAt));
+                live.push_back({r.sent.size() - 1, sentAt,
+                                engine.submit(r.sent.back())});
+            }
+        } else if (live.empty()) {
+            break;
         }
-    });
-    gen.join();
-    collector.join();
-    rethrowFirst({genErr, colErr});
-    r.done = std::move(col.done);
+        if (sweep(live, r.done) != 0)
+            freed = Clock::now();
+        else
+            std::this_thread::sleep_for(kSweepPause);
+    }
 
     // The first tenth fills the window and is left out; the rest is cut
     // into slices whose median completion rate is the capacity, so a
@@ -297,28 +275,33 @@ runClosedLoop(ServingEngine &engine, TrafficMix &mix, size_t window,
     return r;
 }
 
-gcod::dyn::GraphDelta
-toggleDelta(const gcod::Graph &g, uint64_t seed)
+NodePairs
+deltaPairs(const gcod::Graph &g, uint64_t seed)
 {
     gcod::Rng rng(seed);
-    gcod::dyn::GraphDelta d;
-    gcod::NodeId n = g.numNodes();
+    const gcod::CsrMatrix &adj = g.adjacency();
+    NodePairs pairs;
     for (int i = 0; i < kDeltaEdges; ++i) {
-        gcod::NodeId u = gcod::NodeId(rng.uniformInt(0, n - 1));
-        gcod::NodeId v = gcod::NodeId(rng.uniformInt(0, n - 1));
-        if (u == v)
-            continue;
-        if (g.adjacency().at(u, v) != 0.0f)
-            d.removeEdge(u, v);
-        else
-            d.insertEdge(u, v);
+        gcod::NodeId u, v;
+        if (i % 2 == 0 || adj.nnz() == 0) {
+            u = gcod::NodeId(rng.uniformInt(0, g.numNodes() - 1));
+            v = gcod::NodeId(rng.uniformInt(0, g.numNodes() - 1));
+        } else {
+            auto e = rng.uniformInt(0, int64_t(adj.nnz()) - 1);
+            v = adj.indices()[size_t(e)];
+            u = gcod::NodeId(std::upper_bound(adj.indptr().begin(),
+                                              adj.indptr().end(), e) -
+                             adj.indptr().begin() - 1);
+        }
+        if (u != v)
+            pairs.emplace_back(u, v);
     }
-    return d;
+    return pairs;
 }
 
 UpdateRecord
 timedUpdate(ServingEngine &engine, const gcod::serve::ArtifactKey &key,
-            uint64_t seed)
+            const NodePairs &pairs)
 {
     UpdateRecord rec;
     gcod::dyn::GraphDelta delta;
@@ -327,37 +310,22 @@ timedUpdate(ServingEngine &engine, const gcod::serve::ArtifactKey &key,
         if (bundle == nullptr)
             throw std::runtime_error("update target not resident: " +
                                      key.toString());
-        delta = toggleDelta(bundle->synth.graph, seed);
-        rec.nodes = bundle->synth.graph.numNodes();
+        const gcod::Graph &g = bundle->synth.graph;
+        for (const auto &[u, v] : pairs) {
+            if (g.adjacency().at(u, v) != 0.0f)
+                delta.removeEdge(u, v);
+            else
+                delta.insertEdge(u, v);
+        }
+        rec.nodes = g.numNodes();
     }
     Clock::time_point t0 = Clock::now();
     rec.result = engine.applyUpdate(key, delta);
     rec.callMs = msBetween(t0, Clock::now());
-    // Replaced epochs stay parked until reclaimed; free them so a long
-    // update stream does not grow the process.
+    // Replaced epochs stay parked until reclaimed; free them so repeated
+    // updates do not grow the process.
     engine.reclaimRetiredArtifacts();
     return rec;
-}
-
-void
-runWriter(ServingEngine &engine,
-          const std::vector<gcod::serve::ArtifactKey> &keys,
-          double per_second, uint64_t seed, Clock::time_point end,
-          std::vector<UpdateRecord> &out)
-{
-    // Whole rounds only, so every key is updated equally often and the
-    // update percentiles do not shift with where the window cut a round;
-    // at least one, which may run past @p end.
-    Clock::time_point start = Clock::now();
-    double window = std::chrono::duration<double>(end - start).count();
-    uint64_t rounds =
-        std::max<uint64_t>(1, uint64_t(window * per_second) / keys.size());
-    for (uint64_t k = 0; k < rounds * keys.size(); ++k) {
-        Clock::time_point due = start + toDuration(double(k) / per_second);
-        std::this_thread::sleep_until(due);
-        out.push_back(timedUpdate(engine, keys[k % keys.size()],
-                                  seed * 0x9e3779b97f4a7c15ull + k));
-    }
 }
 
 } // namespace servebench

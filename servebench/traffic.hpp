@@ -5,17 +5,16 @@
  * Open loop: a seeded schedule of exponential inter-arrival gaps is
  * replayed by one generator thread; latency runs from each request's
  * *scheduled* send time, so a stall also charges the requests queued
- * behind it. Closed loop: one generator keeps a fixed window of requests
- * outstanding and the completion rate is the capacity.
+ * behind it. A collector thread sweeps the outstanding futures. Closed
+ * loop: the calling thread keeps a fixed window of requests outstanding,
+ * sweeping the futures itself and refilling each slot as its reply is
+ * found; the completion rate is the capacity.
  *
- * In both, one collector thread sweeps every outstanding future and
- * stamps each with the clock when it is found ready, in whatever order
- * replies complete, never in submit order.
+ * A sweep stamps each future with the clock when it is found ready, in
+ * whatever order replies complete, never in submit order.
  */
 #ifndef SERVEBENCH_TRAFFIC_HPP
 #define SERVEBENCH_TRAFFIC_HPP
-
-#include <functional>
 
 #include "common.hpp"
 #include "dyn/delta.hpp"
@@ -87,16 +86,10 @@ struct PhaseResult
     uint64_t failed() const;
 };
 
-/** Work run on its own thread beside a traffic phase, until @p end. */
-using SideLoad = std::function<void(Clock::time_point end)>;
-
-/**
- * Replay @p schedule open loop; @p side (when set) runs concurrently on
- * one extra thread. Returns once every submitted request resolved.
- */
+/** Replay @p schedule open loop; returns once every request resolved. */
 PhaseResult runOpenLoop(ServingEngine &engine,
                         const std::vector<Scheduled> &schedule,
-                        double seconds, const SideLoad &side = {});
+                        double seconds);
 
 /**
  * Closed loop for @p seconds with @p window requests outstanding.
@@ -107,10 +100,12 @@ PhaseResult runClosedLoop(ServingEngine &engine, TrafficMix &mix,
                           size_t window, double seconds,
                           double *capacity_rps);
 
-/** Node pairs toggled by every streamed delta: a small update. */
+/** Node pairs toggled by every delta: a small update. */
 constexpr int kDeltaEdges = 8;
 
-/** One streamed update issued by the benchmark. */
+using NodePairs = std::vector<std::pair<gcod::NodeId, gcod::NodeId>>;
+
+/** One update issued by the benchmark. */
 struct UpdateRecord
 {
     /** Wall time of the applyUpdate() call, ms. */
@@ -120,25 +115,22 @@ struct UpdateRecord
     int64_t nodes = 0;
 };
 
-/** Seeded toggles of kDeltaEdges node pairs of @p g. */
-gcod::dyn::GraphDelta toggleDelta(const gcod::Graph &g, uint64_t seed);
+/**
+ * kDeltaEdges seeded node pairs of @p g: half drawn uniformly (almost
+ * never adjacent, so toggling inserts them), half drawn from its edges
+ * (toggling removes them). A delta and its undo then insert and remove
+ * equally many edges.
+ */
+NodePairs deltaPairs(const gcod::Graph &g, uint64_t seed);
 
 /**
- * One seeded applyUpdate() on @p key against its resident graph, timed
- * by the benchmark's own clock.
+ * One applyUpdate() on @p key that toggles @p pairs against its resident
+ * graph (an edge is removed, a non-edge inserted), timed by the
+ * benchmark's own clock. The same pairs again undo it.
  */
 UpdateRecord timedUpdate(ServingEngine &engine,
-                         const gcod::serve::ArtifactKey &key, uint64_t seed);
-
-/**
- * Writer loop: applyUpdate() at @p per_second, round-robin over @p keys,
- * in as many whole rounds as fit before @p end, and at least one.
- * Appends one record per call to @p out.
- */
-void runWriter(ServingEngine &engine,
-               const std::vector<gcod::serve::ArtifactKey> &keys,
-               double per_second, uint64_t seed,
-               Clock::time_point end, std::vector<UpdateRecord> &out);
+                         const gcod::serve::ArtifactKey &key,
+                         const NodePairs &pairs);
 
 } // namespace servebench
 
