@@ -7,130 +7,6 @@
 
 namespace gcod::dyn {
 
-namespace {
-
-/**
- * Run ops [begin, end) of layer @p g as scalar row workers for global
- * row @p r, chaining through per-slot buffers. Slot 0 resolves to
- * input.row(r); every other slot must have been filled by an earlier op
- * or by the caller (the aggregation output). Each worker mirrors the
- * batch kernel's per-element accumulation order (see file header).
- */
-void
-runRowOps(const ForwardRecipe &m, const LayerGraph &g, size_t begin,
-          size_t end, const Matrix &input, NodeId r,
-          std::vector<std::vector<float>> &buf,
-          const std::vector<int64_t> &widths)
-{
-    auto rowOf = [&](int sl) -> const float * {
-        if (sl == 0)
-            return input.row(r);
-        GCOD_ASSERT(!buf[size_t(sl)].empty(),
-                    "row-local chain reads an unfilled slot");
-        return buf[size_t(sl)].data();
-    };
-    for (size_t oi = begin; oi < end; ++oi) {
-        const OpStep &op = g.ops[oi];
-        std::vector<float> &out = buf[size_t(op.out)];
-        out.assign(size_t(widths[size_t(op.out)]), 0.0f);
-        switch (op.kind) {
-        case OpKind::GEMM: {
-            // Ascending-k dot products with matmul's zero-activation
-            // skip keep the bit pattern of the batch kernel.
-            const Matrix &w = *m.weights[size_t(op.weight)];
-            const float *a = rowOf(op.in);
-            const int64_t kdim = w.rows();
-            const int64_t out_cols = w.cols();
-            for (int64_t k = 0; k < kdim; ++k) {
-                float av = a[k];
-                if (av == 0.0f)
-                    continue;
-                const float *wrow = w.row(k);
-                for (int64_t j = 0; j < out_cols; ++j)
-                    out[size_t(j)] += av * wrow[j];
-            }
-            break;
-        }
-        case OpKind::Residual: {
-            GCOD_ASSERT(op.aux == 0, "row recompute expects the residual "
-                                     "stream to be the layer input");
-            const float *in = rowOf(op.in);
-            const float *aux = rowOf(op.aux);
-            const int64_t nvals = widths[size_t(op.in)];
-            // Two passes, matching evalRowLocalOp's `t *= scale; o += t`.
-            for (int64_t j = 0; j < nvals; ++j)
-                out[size_t(j)] = aux[j] * op.scale;
-            for (int64_t j = 0; j < nvals; ++j)
-                out[size_t(j)] = in[j] + out[size_t(j)];
-            break;
-        }
-        case OpKind::ConcatSelf: {
-            const float *aux = rowOf(op.aux);
-            const float *in = rowOf(op.in);
-            const int64_t ac = widths[size_t(op.aux)];
-            const int64_t ic = widths[size_t(op.in)];
-            std::memcpy(out.data(), aux, size_t(ac) * sizeof(float));
-            std::memcpy(out.data() + ac, in, size_t(ic) * sizeof(float));
-            break;
-        }
-        case OpKind::Activation: {
-            const float *in = rowOf(op.in);
-            const int64_t nvals = widths[size_t(op.in)];
-            if (op.act == ActKind::Relu) {
-                for (int64_t j = 0; j < nvals; ++j)
-                    out[size_t(j)] = std::max(in[j], 0.0f);
-            } else {
-                for (int64_t j = 0; j < nvals; ++j) {
-                    float v = in[j];
-                    out[size_t(j)] = v < 0.0f ? std::exp(v) - 1.0f : v;
-                }
-            }
-            break;
-        }
-        case OpKind::Readout:
-            std::memcpy(out.data(), rowOf(op.in),
-                        size_t(widths[size_t(op.in)]) * sizeof(float));
-            break;
-        default:
-            GCOD_FATAL("op ", opKindName(op.kind),
-                       " cannot run in the row-local chain");
-        }
-    }
-}
-
-/** One aggregation-op row: @p src is the aggregation's input matrix. */
-void
-aggregateRowInto(const ForwardRecipe &m, const OpStep &op, const Matrix &src,
-                 NodeId r, float *out)
-{
-    const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
-    switch (op.kind) {
-    case OpKind::SpMM: {
-        // Operator-row entry order, += v * x[c][j] (spmmRowWise).
-        const int64_t cols = src.cols();
-        std::fill(out, out + cols, 0.0f);
-        adj.forEachInRow(r, [&](NodeId c, float v) {
-            const float *xrow = src.row(c);
-            for (int64_t j = 0; j < cols; ++j)
-                out[j] += v * xrow[j];
-        });
-        break;
-    }
-    case OpKind::AttentionScore:
-        attentionRowInto(adj, src, *m.weights[size_t(op.aSrc)],
-                         *m.weights[size_t(op.aDst)], op.heads, op.headDim,
-                         op.concatHeads, r, out);
-        break;
-    case OpKind::MaxAgg:
-        maxAggRowInto(adj, src, r, out);
-        break;
-    default:
-        GCOD_FATAL("op ", opKindName(op.kind), " is not an aggregation");
-    }
-}
-
-} // namespace
-
 IncrementalForward
 IncrementalForward::fromScratch(const ForwardRecipe &m, const Matrix &x)
 {
@@ -172,7 +48,7 @@ IncrementalForward::applied(const ForwardRecipe &m, const Matrix &x,
         GCOD_ASSERT(aggIdx >= 0,
                     "incremental recompute needs one aggregation per layer");
         const OpStep &agg = g.ops[size_t(aggIdx)];
-        std::vector<std::vector<float>> buf(size_t(g.numSlots));
+        RowSlots buf(size_t(g.numSlots));
 
         // Refresh the aggregation-input cache first: its row j is a
         // row-local function of input row j, and every changed input row
@@ -189,7 +65,8 @@ IncrementalForward::applied(const ForwardRecipe &m, const Matrix &x,
             std::memcpy(aggMat.row(0), prevAgg.row(0),
                         size_t(old_n * prevAgg.cols()) * sizeof(float));
             for (NodeId r : levels[l].nodes) {
-                runRowOps(m, g, 0, size_t(aggIdx), *input, r, buf, widths);
+                runRowOps(m, l, 0, size_t(aggIdx), input->row(r), buf,
+                          widths);
                 std::memcpy(aggMat.row(r),
                             buf[size_t(agg.in)].data(),
                             size_t(widths[size_t(agg.in)]) *
@@ -207,16 +84,9 @@ IncrementalForward::applied(const ForwardRecipe &m, const Matrix &x,
         // the dirty level, so zero-init is never observed.
         std::memcpy(cur.row(0), prev.row(0),
                     size_t(old_n * prev.cols()) * sizeof(float));
-        for (NodeId r : levels[l].nodes) {
-            buf[size_t(agg.out)].assign(
-                size_t(widths[size_t(agg.out)]), 0.0f);
-            aggregateRowInto(m, agg, aggSrc, r,
-                             buf[size_t(agg.out)].data());
-            runRowOps(m, g, size_t(aggIdx) + 1, g.ops.size(), *input, r,
-                      buf, widths);
-            std::memcpy(cur.row(r), buf[size_t(fin)].data(),
-                        size_t(widths[size_t(fin)]) * sizeof(float));
-        }
+        for (NodeId r : levels[l].nodes)
+            layerRowInto(m, l, aggSrc, r, input->row(r), buf, widths,
+                         cur.row(r));
         next.lastDirtyRows_ += levels[l].count();
         next.aggIn_.push_back(std::move(aggMat));
         next.acts_.push_back(std::move(cur));

@@ -6,17 +6,9 @@
  * aggregation input is produced inside the layer (GAT's h = X W), that
  * aggregation-input matrix — for one epoch. On update, clean rows are
  * copied forward verbatim and only the dirty rows of each layer
- * (dirty.hpp level sets) are recomputed, op by op, with scalar row
- * workers that mirror the batch kernels' per-element accumulation order
- * exactly:
- *
- *  - SpMM:      operator-row entry order, += v * x[c][j]  (spmmRowWise)
- *  - GEMM:      ascending-k dot products skipping zero activations
- *               (matmul's `if (av == 0) continue`)
- *  - attention: the shared attentionRowInto worker (nn/quant_exec)
- *  - Max:       the shared maxAggRowInto worker
- *  - Residual / ConcatSelf / Activation: two-pass / per-element loops
- *               matching evalRowLocalOp
+ * (dirty.hpp level sets) are recomputed, op by op, on nn/quant_exec's
+ * fp32 row worker (runRowOps / layerRowInto), which mirrors the batch
+ * kernels' per-element accumulation order exactly.
  *
  * Since the batch kernels guarantee thread-count-invariant per-element
  * accumulation (see tensor/ops.cpp), a per-row recompute in the same

@@ -256,6 +256,141 @@ maxAggregate(const CsrMatrix &adj, const Matrix &x)
     return out;
 }
 
+namespace {
+
+/** One aggregation-op row: @p src is the aggregation's input matrix. */
+void
+aggregateRowInto(const ForwardRecipe &m, const OpStep &op, const Matrix &src,
+                 NodeId r, float *out)
+{
+    const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+    switch (op.kind) {
+    case OpKind::SpMM: {
+        // Operator-row entry order, += v * x[c][j] (spmmRowWise).
+        const int64_t cols = src.cols();
+        std::fill(out, out + cols, 0.0f);
+        adj.forEachInRow(r, [&](NodeId c, float v) {
+            const float *xrow = src.row(c);
+            for (int64_t j = 0; j < cols; ++j)
+                out[j] += v * xrow[j];
+        });
+        break;
+    }
+    case OpKind::AttentionScore:
+        attentionRowInto(adj, src, *m.weights[size_t(op.aSrc)],
+                         *m.weights[size_t(op.aDst)], op.heads, op.headDim,
+                         op.concatHeads, r, out);
+        break;
+    case OpKind::MaxAgg:
+        maxAggRowInto(adj, src, r, out);
+        break;
+    default:
+        GCOD_FATAL("op ", opKindName(op.kind), " is not an aggregation");
+    }
+}
+
+} // namespace
+
+void
+runRowOps(const ForwardRecipe &m, size_t layer, size_t begin, size_t end,
+          const float *input_row, RowSlots &buf,
+          const std::vector<int64_t> &widths)
+{
+    const LayerGraph &g = m.layers[layer];
+    auto rowOf = [&](int sl) -> const float * {
+        if (sl == 0)
+            return input_row;
+        GCOD_ASSERT(!buf[size_t(sl)].empty(),
+                    "row-local chain reads an unfilled slot");
+        return buf[size_t(sl)].data();
+    };
+    for (size_t oi = begin; oi < end; ++oi) {
+        const OpStep &op = g.ops[oi];
+        std::vector<float> &out = buf[size_t(op.out)];
+        out.assign(size_t(widths[size_t(op.out)]), 0.0f);
+        switch (op.kind) {
+        case OpKind::GEMM: {
+            // Ascending-k dot products with matmul's zero-activation
+            // skip keep the bit pattern of the batch kernel.
+            const Matrix &w = *m.weights[size_t(op.weight)];
+            const float *a = rowOf(op.in);
+            const int64_t kdim = w.rows();
+            const int64_t out_cols = w.cols();
+            for (int64_t k = 0; k < kdim; ++k) {
+                float av = a[k];
+                if (av == 0.0f)
+                    continue;
+                const float *wrow = w.row(k);
+                for (int64_t j = 0; j < out_cols; ++j)
+                    out[size_t(j)] += av * wrow[j];
+            }
+            break;
+        }
+        case OpKind::Residual: {
+            GCOD_ASSERT(op.aux == 0, "row recompute expects the residual "
+                                     "stream to be the layer input");
+            const float *in = rowOf(op.in);
+            const float *aux = rowOf(op.aux);
+            const int64_t nvals = widths[size_t(op.in)];
+            // Two passes, matching evalRowLocalOp's `t *= scale; o += t`.
+            for (int64_t j = 0; j < nvals; ++j)
+                out[size_t(j)] = aux[j] * op.scale;
+            for (int64_t j = 0; j < nvals; ++j)
+                out[size_t(j)] = in[j] + out[size_t(j)];
+            break;
+        }
+        case OpKind::ConcatSelf: {
+            const float *aux = rowOf(op.aux);
+            const float *in = rowOf(op.in);
+            const int64_t ac = widths[size_t(op.aux)];
+            const int64_t ic = widths[size_t(op.in)];
+            std::memcpy(out.data(), aux, size_t(ac) * sizeof(float));
+            std::memcpy(out.data() + ac, in, size_t(ic) * sizeof(float));
+            break;
+        }
+        case OpKind::Activation: {
+            const float *in = rowOf(op.in);
+            const int64_t nvals = widths[size_t(op.in)];
+            if (op.act == ActKind::Relu) {
+                for (int64_t j = 0; j < nvals; ++j)
+                    out[size_t(j)] = std::max(in[j], 0.0f);
+            } else {
+                for (int64_t j = 0; j < nvals; ++j) {
+                    float v = in[j];
+                    out[size_t(j)] = v < 0.0f ? std::exp(v) - 1.0f : v;
+                }
+            }
+            break;
+        }
+        case OpKind::Readout:
+            std::memcpy(out.data(), rowOf(op.in),
+                        size_t(widths[size_t(op.in)]) * sizeof(float));
+            break;
+        default:
+            GCOD_FATAL("op ", opKindName(op.kind),
+                       " cannot run in the row-local chain");
+        }
+    }
+}
+
+void
+layerRowInto(const ForwardRecipe &m, size_t layer, const Matrix &agg_src,
+             NodeId r, const float *input_row, RowSlots &buf,
+             const std::vector<int64_t> &widths, float *out)
+{
+    const LayerGraph &g = m.layers[layer];
+    const int aggIdx = g.aggOp();
+    GCOD_ASSERT(aggIdx >= 0, "row recompute needs one aggregation per layer");
+    const OpStep &agg = g.ops[size_t(aggIdx)];
+    buf[size_t(agg.out)].assign(size_t(widths[size_t(agg.out)]), 0.0f);
+    aggregateRowInto(m, agg, agg_src, r, buf[size_t(agg.out)].data());
+    runRowOps(m, layer, size_t(aggIdx) + 1, g.ops.size(), input_row, buf,
+              widths);
+    const int fin = g.ops.back().out;
+    std::memcpy(out, buf[size_t(fin)].data(),
+                size_t(widths[size_t(fin)]) * sizeof(float));
+}
+
 bool
 supportsRecipeForward(const ModelSpec &spec)
 {
@@ -690,6 +825,97 @@ quantizeGnn(const ForwardRecipe &m, const std::vector<int32_t> &degrees,
     return q;
 }
 
+namespace {
+
+/**
+ * One layer of @p q. With @p op_rows null it runs over every node, the
+ * SpMM packing its input with fresh per-branch scales; otherwise it
+ * runs over a row subset (see quantizedForwardRows).
+ */
+Matrix
+quantizedLayer(const QuantizedGnn &q, size_t layer, const Matrix &input,
+               const std::vector<uint8_t> &branch_of,
+               const QuantizedCsr *op_rows, const MixedQuantizedMatrix *agg_in)
+{
+    const ForwardRecipe &m = q.recipe;
+    const LayerGraph &g = m.layers[layer];
+    std::vector<Matrix> slots(size_t(g.numSlots));
+    auto at = [&](int s) -> const Matrix & {
+        return s == 0 ? input : slots[size_t(s)];
+    };
+    for (const OpStep &op : g.ops) {
+        switch (op.kind) {
+        case OpKind::SpMM: {
+            if (op_rows != nullptr) {
+                GCOD_ASSERT(op.in == 0, "row-subset SpMM must aggregate "
+                                        "the layer input");
+                slots[size_t(op.out)] = qspmmMixed(*op_rows, *agg_in);
+                break;
+            }
+            MixedQuantizedMatrix mq =
+                mixedQuantize(at(op.in), q.branchOf, q.localIndex,
+                              q.policy.denseBits, q.policy.sparseBits);
+            slots[size_t(op.out)] =
+                qspmmMixed(q.qops[size_t(op.opIndex)], mq);
+            break;
+        }
+        case OpKind::GEMM: {
+            // Per-row activation scales: aggregation (Add in
+            // particular) spreads per-row magnitudes across orders
+            // of magnitude, and one per-branch scale starves the
+            // small rows of codes. A row's own scale factors out of
+            // its dot products exactly, so this stays bit-identical
+            // across threads/shards/row subsets. SpMM keeps
+            // per-branch scales — it mixes rows in one accumulator.
+            RowQuantizedMatrix rz =
+                rowQuantize(at(op.in), branch_of, q.policy.denseBits,
+                            q.policy.sparseBits);
+            slots[size_t(op.out)] =
+                qmatmulRowScaled(rz, q.wLo[size_t(op.weight)],
+                                 q.wHi[size_t(op.weight)]);
+            break;
+        }
+        case OpKind::AttentionScore:
+            GCOD_ASSERT(op_rows == nullptr,
+                        "attention has no row-subset interpretation");
+            // fp32 over the quantized projection, with the attention
+            // vectors dequantized from their sparse-branch pack —
+            // this is where low bits fall off the accuracy cliff.
+            slots[size_t(op.out)] = attentionForward(
+                *m.operators[size_t(op.opIndex)], at(op.in),
+                q.wDeq[size_t(op.aSrc)], q.wDeq[size_t(op.aDst)], op.heads,
+                op.headDim, op.concatHeads);
+            break;
+        case OpKind::MaxAgg:
+            GCOD_ASSERT(op_rows == nullptr,
+                        "Max aggregation has no row-subset interpretation");
+            slots[size_t(op.out)] =
+                maxAggregate(*m.operators[size_t(op.opIndex)], at(op.in));
+            break;
+        default:
+            slots[size_t(op.out)] = evalRowLocalOp(
+                op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr);
+            break;
+        }
+    }
+    return std::move(slots[size_t(g.ops.back().out)]);
+}
+
+} // namespace
+
+Matrix
+quantizedForwardRows(const QuantizedGnn &q, size_t layer, const Matrix &self,
+                     const std::vector<uint8_t> &branch_of,
+                     const QuantizedCsr &op,
+                     const MixedQuantizedMatrix &agg_in)
+{
+    GCOD_ASSERT(self.rows() == int64_t(op.pattern->rows()) &&
+                    branch_of.size() == size_t(self.rows()),
+                "row-subset layer needs one operator row, input row and "
+                "branch per output row");
+    return quantizedLayer(q, layer, self, branch_of, &op, &agg_in);
+}
+
 Matrix
 quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
 {
@@ -698,59 +924,8 @@ quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
                     x.rows() == int64_t(m.operators[0]->rows()),
                 "activation rows must match the operator");
     Matrix cur = x;
-    for (size_t l = 0; l < m.layers.size(); ++l) {
-        const LayerGraph &g = m.layers[l];
-        std::vector<Matrix> slots(size_t(g.numSlots));
-        auto at = [&](int s) -> const Matrix & {
-            return s == 0 ? cur : slots[size_t(s)];
-        };
-        for (const OpStep &op : g.ops) {
-            switch (op.kind) {
-            case OpKind::SpMM: {
-                MixedQuantizedMatrix mq =
-                    mixedQuantize(at(op.in), q.branchOf, q.localIndex,
-                                  q.policy.denseBits, q.policy.sparseBits);
-                slots[size_t(op.out)] =
-                    qspmmMixed(q.qops[size_t(op.opIndex)], mq);
-                break;
-            }
-            case OpKind::GEMM: {
-                // Per-row activation scales: aggregation (Add in
-                // particular) spreads per-row magnitudes across orders
-                // of magnitude, and one per-branch scale starves the
-                // small rows of codes. A row's own scale factors out of
-                // its dot products exactly, so this stays bit-identical
-                // across threads/shards. SpMM keeps per-branch scales —
-                // it mixes rows in one accumulator.
-                RowQuantizedMatrix rz =
-                    rowQuantize(at(op.in), q.branchOf, q.policy.denseBits,
-                                q.policy.sparseBits);
-                slots[size_t(op.out)] =
-                    qmatmulRowScaled(rz, q.wLo[size_t(op.weight)],
-                                     q.wHi[size_t(op.weight)]);
-                break;
-            }
-            case OpKind::AttentionScore:
-                // fp32 over the quantized projection, with the attention
-                // vectors dequantized from their sparse-branch pack —
-                // this is where low bits fall off the accuracy cliff.
-                slots[size_t(op.out)] = attentionForward(
-                    *m.operators[size_t(op.opIndex)], at(op.in),
-                    q.wDeq[size_t(op.aSrc)], q.wDeq[size_t(op.aDst)],
-                    op.heads, op.headDim, op.concatHeads);
-                break;
-            case OpKind::MaxAgg:
-                slots[size_t(op.out)] = maxAggregate(
-                    *m.operators[size_t(op.opIndex)], at(op.in));
-                break;
-            default:
-                slots[size_t(op.out)] = evalRowLocalOp(
-                    op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr);
-                break;
-            }
-        }
-        cur = std::move(slots[size_t(g.ops.back().out)]);
-    }
+    for (size_t l = 0; l < m.layers.size(); ++l)
+        cur = quantizedLayer(q, l, cur, q.branchOf, nullptr, nullptr);
     return cur;
 }
 

@@ -14,7 +14,9 @@
  *    integer path (low-bit dense branch, degree-protected tail);
  *  - shard/executor.hpp: per-shard slices of every op, stitched
  *    bit-identically at any shard count;
- *  - dyn/incremental_forward.hpp: per-op dirty-row recompute.
+ *  - dyn/incremental_forward.hpp: per-op dirty-row recompute;
+ *  - nn/neighbor_sampler.hpp: sampled point queries over the rows one
+ *    node's answer reads.
  *
  * Supported families: GCN (plain Mean), GraphSAGE (Mean + self concat,
  * full or neighbor-sampled operators), GIN (Add + eps-residual + 2-layer
@@ -235,6 +237,44 @@ Matrix attentionForward(const CsrMatrix &adj, const Matrix &h,
                         int head_dim, bool concat_heads);
 Matrix maxAggregate(const CsrMatrix &adj, const Matrix &x);
 
+/** Per-slot row buffers of one layer for the fp32 row worker. */
+using RowSlots = std::vector<std::vector<float>>;
+
+/**
+ * The fp32 row worker: run ops [begin, end) of @p layer for one row,
+ * chaining through @p buf (one buffer per slot, reused across rows).
+ * Slot 0 reads @p input_row, the row's layer input; every other slot
+ * must have been filled by an earlier op or by the caller. Each op
+ * keeps its batch kernel's per-element order, so the row is
+ * bit-identical to the same row of referenceForwardLayer:
+ *
+ *  - GEMM: ascending-k dot products skipping zero activations (matmul);
+ *  - Residual / ConcatSelf / Activation / Readout: evalRowLocalOp's
+ *    two-pass and per-element loops.
+ *
+ * Aggregation ops go through layerRowInto. The incremental pass
+ * (dyn/incremental_forward) and the sampled row pass
+ * (nn/neighbor_sampler) both run on this worker.
+ */
+void runRowOps(const ForwardRecipe &m, size_t layer, size_t begin,
+               size_t end, const float *input_row, RowSlots &buf,
+               const std::vector<int64_t> &widths);
+
+/**
+ * Row @p r of @p layer from its aggregation on, the layer output written
+ * to @p out. The aggregation reads @p agg_src (rows indexed by its
+ * operator's columns) in the batch kernel's order — SpMM in
+ * operator-row entry order, += v * x[c][j] (spmmRowWise); attention and
+ * Max through attentionRowInto / maxAggRowInto — then runRowOps runs
+ * the ops after it. Ops before the aggregation (GAT's projection) are
+ * the caller's; for Mean stacks the aggregation is the first op, so
+ * this is the whole layer.
+ */
+void layerRowInto(const ForwardRecipe &m, size_t layer,
+                  const Matrix &agg_src, NodeId r, const float *input_row,
+                  RowSlots &buf, const std::vector<int64_t> &widths,
+                  float *out);
+
 /**
  * Branch assignment per node under @p protect_ratio: 1 for the protected
  * high-degree (higher-bit) branch, 0 for the dense low-bit branch — the
@@ -296,6 +336,23 @@ QuantizedGnn quantizeGnn(const ForwardRecipe &m,
  * intermediate slots. Returns fp32 logits for every node.
  */
 Matrix quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x);
+
+/**
+ * One Mean-aggregation layer of @p q over a subset of its output rows.
+ * @p self holds those rows' layer inputs (slot 0, read by row-local
+ * ops) and @p branch_of their branches. The SpMM runs @p op — one row
+ * per output row, columns indexing the rows of @p agg_in — over
+ * @p agg_in, layer-input rows already packed at the full input's
+ * per-branch scales. When @p op's rows and @p agg_in's codes equal the
+ * full pass's, every output row is bit-identical to the same row of
+ * that layer in quantizedForwardMixed: SpMM mixes rows only inside one row's integer
+ * accumulators, and GEMM inputs carry per-row scales.
+ */
+Matrix quantizedForwardRows(const QuantizedGnn &q, size_t layer,
+                            const Matrix &self,
+                            const std::vector<uint8_t> &branch_of,
+                            const QuantizedCsr &op,
+                            const MixedQuantizedMatrix &agg_in);
 
 } // namespace gcod
 

@@ -198,6 +198,41 @@ shouldShed(const AdmissionOptions &a, SloTier tier, size_t depth)
            depth >= a.bestEffortMaxDepth;
 }
 
+/**
+ * Row of @p node in a stand-in of @p rows rows: requests address the
+ * published node space, and the stand-in folds them onto its own rows.
+ */
+NodeId
+foldedRow(NodeId node, int64_t rows)
+{
+    return NodeId(((int64_t(node) % rows) + rows) % rows);
+}
+
+/**
+ * Drop @p memo's entries for @p key at any version but @p version: a
+ * result computed against a replaced epoch must never serve the new one.
+ * Memo keys are tuples (or pairs) led by (ArtifactKey, version).
+ */
+template <typename Memo>
+void
+dropStaleVersions(Memo &memo, const ArtifactKey &key, uint64_t version)
+{
+    for (auto it = memo.begin(); it != memo.end();)
+        it = std::get<0>(it->first) == key && std::get<1>(it->first) != version
+                 ? memo.erase(it)
+                 : std::next(it);
+}
+
+/** Drop @p memo's entries whose artifact is no longer cache-resident. */
+template <typename Memo>
+void
+dropEvicted(Memo &memo, const ArtifactCache &cache)
+{
+    for (auto it = memo.begin(); it != memo.end();)
+        it = cache.contains(std::get<0>(it->first)) ? std::next(it)
+                                                      : memo.erase(it);
+}
+
 } // namespace
 
 ServingEngine::ServingEngine(ServeOptions opts)
@@ -464,6 +499,7 @@ ServingEngine::runBatch(Batch &&batch)
     // Kept past the try so sampled riders (sampleFanout > 0) can run
     // their own per-request pass in the reply loop below.
     std::shared_ptr<const ArtifactBundle> servedBundle;
+    uint64_t servedVersion = 0;
     try {
         obs::ScopedSpan aspan(&trace_, obs::kTraceRequests,
                               "artifact.get", "serve", bspan.id());
@@ -475,6 +511,7 @@ ServingEngine::runBatch(Batch &&batch)
         dispatched = Clock::now();
         base.cacheHit = found.hit;
         servedBundle = found.bundle;
+        servedVersion = found.version;
         expireRequests();
         const ArtifactBundle &bundle = *found.bundle;
         if (batch.requests.empty()) {
@@ -666,11 +703,7 @@ ServingEngine::runBatch(Batch &&batch)
     bspan.attr("outcome", base.error.empty() ? "ok" : "failed");
     bspan.finish();
 
-    // Requests address the published node space; the stand-in folds
-    // them onto its own rows.
-    auto predictFrom = [](const Matrix &m, NodeId node) {
-        int64_t rows = m.rows();
-        int64_t row = ((int64_t(node) % rows) + rows) % rows;
+    auto predictFrom = [](const Matrix &m, NodeId row) {
         const float *lrow = m.row(row);
         int best = 0;
         for (int64_t c = 1; c < m.cols(); ++c)
@@ -685,13 +718,17 @@ ServingEngine::runBatch(Batch &&batch)
         reply.queueSeconds =
             std::chrono::duration<double>(dispatched - p.enqueued).count();
         reply.latencySeconds = reply.queueSeconds + reply.serviceSeconds;
-        if (p.req.sampleFanout > 0 && reply.ok()) {
+        if (p.req.sampleFanout != 0 && reply.ok()) {
             // Sampled rider: its (seed, fanout) pair names a distinct
-            // operator set, so the batch's shared full-pass logits (and
-            // the memo behind them) do not apply — run a per-request
-            // pass at the same precision the batch executed at.
-            if (!servedBundle || base.executedBits <= 0 ||
-                !servedBundle->hasHostExec()) {
+            // operator set, so the batch's shared full-pass logits do
+            // not apply — run its own row pass at the same precision
+            // the batch executed at.
+            if (p.req.sampleFanout < 0) {
+                reply.error = "InferenceRequest.sampleFanout must be >= 0 "
+                              "(0 serves the full pass), got " +
+                              std::to_string(p.req.sampleFanout);
+            } else if (!servedBundle || base.executedBits <= 0 ||
+                       !servedBundle->hasHostExec()) {
                 reply.error = "sampled serving needs host execution "
                               "state, which this artifact lacks";
             } else if (!supportsSampledExecution(servedBundle->spec)) {
@@ -702,16 +739,20 @@ ServingEngine::runBatch(Batch &&batch)
                     "fanout sampling";
             } else {
                 try {
-                    Matrix slog = sampledLogits(
-                        *servedBundle, base.executedBits,
-                        p.req.sampleFanout, p.req.sampleSeed, p.traceId);
-                    reply.prediction = predictFrom(slog, p.req.node);
+                    Matrix row = sampledLogits(
+                        *servedBundle, servedVersion, base.executedBits,
+                        p.req.sampleFanout, p.req.sampleSeed,
+                        foldedRow(p.req.node,
+                                  servedBundle->hostFeatures.rows()),
+                        p.traceId);
+                    reply.prediction = predictFrom(row, 0);
                 } catch (const std::runtime_error &e) {
                     reply.error = e.what();
                 }
             }
         } else if (logits) {
-            reply.prediction = predictFrom(*logits, p.req.node);
+            reply.prediction =
+                predictFrom(*logits, foldedRow(p.req.node, logits->rows()));
         }
         stats_.recordReply(reply);
         recordRequestSpan(p, reply, reply.ok() ? "ok" : "failed");
@@ -798,17 +839,14 @@ ServingEngine::logitsFor(const std::shared_ptr<const ArtifactBundle> &bundle,
     size_t cap = std::max<size_t>(8, opts_.cacheCapacity *
                                          (quantBits_.size() + 1));
     if (execMemo_.size() >= cap)
-        for (auto it = execMemo_.begin(); it != execMemo_.end();)
-            it = cache_.contains(std::get<0>(it->first))
-                     ? std::next(it)
-                     : execMemo_.erase(it);
+        dropEvicted(execMemo_, cache_);
     return execMemo_.emplace(key, std::move(computed)).first->second;
 }
 
 Matrix
-ServingEngine::sampledLogits(const ArtifactBundle &bundle, int bits,
-                             int fanout, uint64_t seed,
-                             uint64_t trace_parent)
+ServingEngine::sampledLogits(const ArtifactBundle &bundle, uint64_t version,
+                             int bits, int fanout, uint64_t seed,
+                             NodeId target, uint64_t trace_parent)
 {
     obs::ScopedSpan span(&trace_, obs::kTraceRequests,
                          "host.exec.sampled", "serve", trace_parent);
@@ -816,16 +854,65 @@ ServingEngine::sampledLogits(const ArtifactBundle &bundle, int bits,
         span.attr("bits", bits)
             .attr("fanout", uint64_t(fanout))
             .attr("seed", seed);
-    SampledExecution se = buildSampledExecution(
-        bundle.hostRecipe, bundle.synth.graph, fanout, seed);
+    size_t rows = 0;
+    Matrix out;
     if (bits < 32) {
-        // Weight packs and the degree-driven branch split are reused
-        // from the bundle's pre-quantized pack; only the operator
-        // values are re-packed for this rider's sampled CSRs.
-        QuantizedGnn q = quantizeSampled(se, bundle.quantized.at(bits));
-        return quantizedForwardMixed(q, bundle.hostFeatures);
+        bool hit = false;
+        std::shared_ptr<const SampledQuantMemo> memo =
+            sampledMemoFor(bundle, version, bits, fanout, span.id(), hit);
+        span.attr("memo", hit ? "hit" : "built");
+        out = sampledQuantizedForwardRow(bundle.quantized.at(bits), *memo,
+                                         bundle.synth.graph,
+                                         bundle.hostFeatures, seed, target,
+                                         &rows);
+    } else {
+        out = sampledForwardRow(bundle.hostRecipe, bundle.synth.graph,
+                                bundle.hostFeatures, fanout, seed, target,
+                                &rows);
     }
-    return referenceForward(se.recipe, bundle.hostFeatures);
+    span.attr("rows", uint64_t(rows));
+    return out;
+}
+
+std::shared_ptr<const SampledQuantMemo>
+ServingEngine::sampledMemoFor(const ArtifactBundle &bundle, uint64_t version,
+                              int bits, int fanout, uint64_t trace_parent,
+                              bool &hit)
+{
+    std::tuple<ArtifactKey, uint64_t, int, int> key{bundle.key, version, bits,
+                                                    fanout};
+    {
+        std::lock_guard<std::mutex> lock(sampledMemoMu_);
+        auto it = sampledMemo_.find(key);
+        hit = it != sampledMemo_.end();
+        if (hit)
+            return it->second;
+    }
+    // Built outside the lock: racing riders build identical memos.
+    std::shared_ptr<const SampledQuantMemo> built;
+    {
+        obs::ScopedSpan span(&trace_, obs::kTraceRequests,
+                             "sampled.memo.build", "serve", trace_parent);
+        built = std::make_shared<const SampledQuantMemo>(
+            buildSampledQuantMemo(bundle.quantized.at(bits),
+                                  bundle.synth.graph, bundle.hostFeatures,
+                                  fanout));
+        if (span.active())
+            span.attr("hubs", uint64_t(built->hubs.size()));
+    }
+    std::lock_guard<std::mutex> lock(sampledMemoMu_);
+    // Same epoch hygiene as execMemo_: never memoize against a swapped
+    // epoch, and prune evicted artifacts at capacity. Fanouts are
+    // client-chosen, so a memo still full after that starts over.
+    if (cache_.residentVersion(bundle.key) != version)
+        return built;
+    size_t cap = std::max<size_t>(8, opts_.cacheCapacity * quantBits_.size());
+    if (sampledMemo_.size() >= cap) {
+        dropEvicted(sampledMemo_, cache_);
+        if (sampledMemo_.size() >= cap)
+            sampledMemo_.clear();
+    }
+    return sampledMemo_.emplace(key, std::move(built)).first->second;
 }
 
 std::shared_ptr<const Matrix>
@@ -853,18 +940,15 @@ ServingEngine::publishArtifact(const ArtifactKey &key,
     // for the new one: drop the key's stale memo entries eagerly.
     {
         std::lock_guard<std::mutex> lock(execMemoMu_);
-        for (auto it = execMemo_.begin(); it != execMemo_.end();)
-            it = std::get<0>(it->first) == key &&
-                         std::get<1>(it->first) != version
-                     ? execMemo_.erase(it)
-                     : std::next(it);
+        dropStaleVersions(execMemo_, key, version);
+    }
+    {
+        std::lock_guard<std::mutex> lock(sampledMemoMu_);
+        dropStaleVersions(sampledMemo_, key, version);
     }
     {
         std::lock_guard<std::mutex> lock(shardMemoMu_);
-        for (auto it = shardMemo_.begin(); it != shardMemo_.end();)
-            it = it->first.first == key && it->first.second != version
-                     ? shardMemo_.erase(it)
-                     : std::next(it);
+        dropStaleVersions(shardMemo_, key, version);
     }
     if (trace_.enabled())
         trace_.instant("artifact.publish", "store", 0,
@@ -952,6 +1036,13 @@ ServingEngine::execMemoEntries() const
 {
     std::lock_guard<std::mutex> lock(execMemoMu_);
     return execMemo_.size();
+}
+
+size_t
+ServingEngine::sampledMemoEntries() const
+{
+    std::lock_guard<std::mutex> lock(sampledMemoMu_);
+    return sampledMemo_.size();
 }
 
 size_t

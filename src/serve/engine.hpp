@@ -30,6 +30,10 @@
 #include "serve/server_stats.hpp"
 #include "shard/scheduler.hpp"
 
+namespace gcod {
+struct SampledQuantMemo;
+}
+
 namespace gcod::dyn {
 class GraphDelta;
 }
@@ -241,6 +245,8 @@ class ServingEngine
     size_t execMemoEntries() const;
     /** Live sharded-latency-memo entries (epoch-hygiene tests). */
     size_t shardMemoEntries() const;
+    /** Live sampled-row-memo entries (epoch-hygiene tests). */
+    size_t sampledMemoEntries() const;
 
     /**
      * Hot-swap: rebuild the artifact for @p key from scratch (through
@@ -326,17 +332,30 @@ class ServingEngine
               uint64_t version, int bits, uint64_t trace_parent = 0);
 
     /**
-     * Logits of one sampled-neighborhood pass (InferenceRequest with
-     * sampleFanout > 0): per-layer sampled mean operators built from
-     * (seed, fanout) are dropped into a clone of the bundle's recipe and
-     * executed at @p bits. Each (seed, fanout) pair is its own operator
-     * set, so the result is computed per rider and never memoized; it is
-     * still fully deterministic — same request + seed, byte-identical
-     * logits. Throws (runtime_error) for non-Mean model families.
+     * Logits row of stand-in node @p target under one
+     * sampled-neighborhood pass (InferenceRequest with sampleFanout >
+     * 0), as a 1 x classes matrix: memcmp-identical to that row of the
+     * full sampled pass at @p bits, same request + seed, same bytes.
+     * Only the rows the answer reads are computed (nn/neighbor_sampler):
+     * at fp32 the target's sampled receptive field; at lower bits the
+     * seed-dependent layer-0 rows (the hubs) plus the target's last-
+     * layer row, over sampledMemoFor's seed-invariant rows. Throws
+     * (runtime_error) for non-Mean model families.
      */
-    Matrix sampledLogits(const ArtifactBundle &bundle, int bits,
-                         int fanout, uint64_t seed,
-                         uint64_t trace_parent = 0);
+    Matrix sampledLogits(const ArtifactBundle &bundle, uint64_t version,
+                         int bits, int fanout, uint64_t seed,
+                         NodeId target, uint64_t trace_parent = 0);
+
+    /**
+     * The seed-invariant rows of @p bundle's int8 (or other sub-32-bit)
+     * sampled passes at @p fanout, memoized per (artifact, version,
+     * bits, fanout). Built by the first rider that needs it — never at
+     * artifact build or publish — under a "sampled.memo.build" span;
+     * @p hit reports whether it already existed.
+     */
+    std::shared_ptr<const SampledQuantMemo>
+    sampledMemoFor(const ArtifactBundle &bundle, uint64_t version, int bits,
+                   int fanout, uint64_t trace_parent, bool &hit);
 
     ServeOptions opts_;
     uint64_t optionsHash_;
@@ -402,6 +421,18 @@ class ServingEngine
     std::map<std::tuple<ArtifactKey, uint64_t, int>,
              std::shared_ptr<const Matrix>>
         execMemo_;
+
+    /**
+     * Sampled-row memos per (artifact, version, bits, fanout), pruned
+     * like execMemo_ (eagerly on publish, evicted artifacts at
+     * capacity). A memo points into its bundle's quantized pack; the
+     * version in its key is unique to that bundle, and a rider holds
+     * the bundle while it reads the memo.
+     */
+    mutable std::mutex sampledMemoMu_;
+    std::map<std::tuple<ArtifactKey, uint64_t, int, int>,
+             std::shared_ptr<const SampledQuantMemo>>
+        sampledMemo_;
 
     std::vector<std::thread> workers_;
     std::atomic<bool> stopped_{false};

@@ -72,12 +72,21 @@ struct InferenceRequest
      * GCN): > 0 serves this request over per-layer sampled operators of
      * at most `sampleFanout` neighbors per node instead of the full
      * neighborhood — the latency-friendly mode production GNN serving
-     * uses. 0 (default) serves the full precomputed pass. Requests with
-     * fanout > 0 bypass the logits memo (each sample is its own
-     * operator set) but remain fully deterministic: the sampler is
-     * seeded purely by (sampleSeed, fanout, layer, node), so the same
-     * request with the same seed returns a byte-identical reply.
-     * Unsupported families (GAT/GIN/ResGCN) resolve with an error.
+     * uses. Every layer aggregates with a sampled neighbor row mean, so
+     * a GraphSAGE row with degree <= fanout reproduces the full mean,
+     * while a sampled GCN never does: it drops Â's self loop and
+     * symmetric normalization. 0 (default) serves the full precomputed
+     * pass; a negative value resolves with an error.
+     *
+     * The reply is the requested node's row of the full sampled pass,
+     * byte for byte, but only the rows that answer reads are computed:
+     * at fp32 the node's sampled receptive field; at lower bits the
+     * seed-dependent layer-0 rows (nodes of degree > fanout) plus the
+     * node's last-layer row, over seed-invariant rows memoized per
+     * (artifact, epoch, bits, fanout). The sampler is seeded purely by
+     * (sampleSeed, fanout, layer, node), so the same request with the
+     * same seed returns a byte-identical reply. Unsupported families
+     * (GAT/GIN/ResGCN) resolve with an error.
      */
     int sampleFanout = 0;
     /** Sample stream seed; only read when sampleFanout > 0. */

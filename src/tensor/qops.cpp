@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/parallel.hpp"
 
@@ -117,6 +118,27 @@ qmatmulRowScaledRow(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
         zrow[j] = float(s * double(acc[size_t(j)]));
 }
 
+/** @p x's rows split into (dense, protected) branch matrices. */
+std::pair<Matrix, Matrix>
+splitBranches(const Matrix &x, const std::vector<uint8_t> &branch_of,
+              const std::vector<int32_t> &local_index)
+{
+    GCOD_ASSERT(branch_of.size() == size_t(x.rows()) &&
+                    local_index.size() == branch_of.size(),
+                "branch assignment must match rows");
+    int64_t nhi = 0;
+    for (uint8_t b : branch_of)
+        nhi += b != 0;
+    Matrix lo(x.rows() - nhi, x.cols());
+    Matrix hi(nhi, x.cols());
+    for (int64_t r = 0; r < x.rows(); ++r) {
+        Matrix &dst = branch_of[size_t(r)] == 0 ? lo : hi;
+        std::copy(x.row(r), x.row(r) + x.cols(),
+                  dst.row(local_index[size_t(r)]));
+    }
+    return {std::move(lo), std::move(hi)};
+}
+
 } // namespace
 
 Matrix
@@ -195,24 +217,26 @@ mixedQuantize(const Matrix &x, const std::vector<uint8_t> &branch_of,
               const std::vector<int32_t> &local_index, int lo_bits,
               int hi_bits)
 {
-    GCOD_ASSERT(branch_of.size() == size_t(x.rows()) &&
-                    local_index.size() == branch_of.size(),
-                "branch assignment must match rows");
-    int64_t nhi = 0;
-    for (uint8_t b : branch_of)
-        nhi += b != 0;
-    Matrix lo(x.rows() - nhi, x.cols());
-    Matrix hi(nhi, x.cols());
-    for (int64_t r = 0; r < x.rows(); ++r) {
-        Matrix &dst = branch_of[size_t(r)] == 0 ? lo : hi;
-        std::copy(x.row(r), x.row(r) + x.cols(),
-                  dst.row(local_index[size_t(r)]));
-    }
+    auto [lo, hi] = splitBranches(x, branch_of, local_index);
     MixedQuantizedMatrix m;
     m.branchOf = &branch_of;
     m.localIndex = &local_index;
     m.lo = QuantizedMatrix(lo, lo_bits);
     m.hi = QuantizedMatrix(hi, hi_bits);
+    return m;
+}
+
+MixedQuantizedMatrix
+mixedQuantize(const Matrix &x, const std::vector<uint8_t> &branch_of,
+              const std::vector<int32_t> &local_index, const QuantParams &lo,
+              const QuantParams &hi)
+{
+    auto [xlo, xhi] = splitBranches(x, branch_of, local_index);
+    MixedQuantizedMatrix m;
+    m.branchOf = &branch_of;
+    m.localIndex = &local_index;
+    m.lo = QuantizedMatrix(xlo, lo);
+    m.hi = QuantizedMatrix(xhi, hi);
     return m;
 }
 

@@ -63,6 +63,17 @@ MixedQuantizedMatrix mixedQuantize(const Matrix &x,
                                    const std::vector<int32_t> &local_index,
                                    int lo_bits, int hi_bits);
 
+/**
+ * mixedQuantize with caller-chosen per-branch params: a row subset of a
+ * global activation matrix, packed with the global matrix's scales,
+ * gets exactly the codes those rows have in the global pack.
+ */
+MixedQuantizedMatrix mixedQuantize(const Matrix &x,
+                                   const std::vector<uint8_t> &branch_of,
+                                   const std::vector<int32_t> &local_index,
+                                   const QuantParams &lo,
+                                   const QuantParams &hi);
+
 /** Y = deq(A) * deq(X) with two-branch X; integer per-branch sums. */
 Matrix qspmmMixed(const QuantizedCsr &a, const MixedQuantizedMatrix &x);
 

@@ -5,29 +5,24 @@
 
 namespace gcod {
 
-namespace {
-
-/** Symmetric scale mapping @p peak to the largest b-bit code. */
-float
-symmetricScale(float peak, int bits)
+QuantParams
+symmetricQuantParams(float peak, int bits)
 {
+    GCOD_ASSERT(bits >= 2 && bits <= 16, "unsupported quant width");
     float qmax = float((1 << (bits - 1)) - 1);
-    return peak > 0.0f ? peak / qmax : 1.0f;
+    QuantParams qp;
+    qp.bits = bits;
+    qp.scale = peak > 0.0f ? peak / qmax : 1.0f;
+    return qp;
 }
-
-} // namespace
 
 QuantParams
 chooseQuantParams(const Matrix &x, int bits)
 {
-    GCOD_ASSERT(bits >= 2 && bits <= 16, "unsupported quant width");
     float peak = 0.0f;
     for (float v : x.data())
         peak = std::max(peak, std::fabs(v));
-    QuantParams qp;
-    qp.bits = bits;
-    qp.scale = symmetricScale(peak, bits);
-    return qp;
+    return symmetricQuantParams(peak, bits);
 }
 
 std::vector<int32_t>
@@ -170,17 +165,22 @@ QuantizedMatrix::payloadBytes() const
 QuantizedCsr
 quantizeCsr(const CsrMatrix &a, int bits)
 {
-    GCOD_ASSERT(bits >= 2 && bits <= 16,
-                "packed operator quantization supports 2..16 bits");
-    QuantizedCsr q;
-    q.pattern = &a;
-    q.qp.bits = bits;
     float peak = 0.0f;
     for (float v : a.values())
         peak = std::max(peak, std::fabs(v));
-    q.qp.scale = symmetricScale(peak, bits);
-    int32_t hi = (1 << (bits - 1)) - 1;
-    float inv = 1.0f / q.qp.scale;
+    return quantizeCsr(a, symmetricQuantParams(peak, bits));
+}
+
+QuantizedCsr
+quantizeCsr(const CsrMatrix &a, const QuantParams &qp)
+{
+    GCOD_ASSERT(qp.bits >= 2 && qp.bits <= 16 && qp.scale > 0.0f,
+                "packed operator quantization supports 2..16 bits");
+    QuantizedCsr q;
+    q.pattern = &a;
+    q.qp = qp;
+    int32_t hi = (1 << (qp.bits - 1)) - 1;
+    float inv = 1.0f / qp.scale;
     q.values.resize(a.values().size());
     for (size_t i = 0; i < q.values.size(); ++i)
         q.values[i] = int16_t(std::clamp(

@@ -33,6 +33,14 @@ struct QuantParams
 /** Choose a symmetric scale covering max|x| at the given bit width. */
 QuantParams chooseQuantParams(const Matrix &x, int bits);
 
+/**
+ * The symmetric params chooseQuantParams picks for a tensor whose
+ * max|x| is @p peak (scale 1 when @p peak is 0). Row-subset callers
+ * that know a tensor's peak without holding all of it use this to get
+ * the same scale bit for bit.
+ */
+QuantParams symmetricQuantParams(float peak, int bits);
+
 /** Quantize to integers (stored widened to int32 for convenience). */
 std::vector<int32_t> quantize(const Matrix &x, const QuantParams &qp);
 
@@ -150,6 +158,9 @@ struct QuantizedCsr
 
 /** Quantize a sparse operator's values at @p bits (pattern by pointer). */
 QuantizedCsr quantizeCsr(const CsrMatrix &a, int bits);
+
+/** Quantize @p a's values with explicit params (shared-scale callers). */
+QuantizedCsr quantizeCsr(const CsrMatrix &a, const QuantParams &qp);
 
 } // namespace gcod
 
