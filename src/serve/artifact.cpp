@@ -33,6 +33,18 @@ hashValue(uint64_t &h, const T &v)
     hashBytes(h, &v, sizeof(v));
 }
 
+/**
+ * The host features of @p synth for the artifact @p seed: the one place
+ * bundle features come from, with or without a HostFeatureMemo.
+ */
+std::shared_ptr<const Matrix>
+materializeHostFeatures(const SyntheticGraph &synth, uint64_t seed)
+{
+    Rng frng(seed ^ 0x51ed270bull);
+    return std::make_shared<const Matrix>(
+        std::move(materialize(synth, frng).features));
+}
+
 } // namespace
 
 uint64_t
@@ -89,23 +101,75 @@ defaultServeScale(const std::string &dataset)
     return it == scales.end() ? 1.0 : it->second;
 }
 
+ArtifactBundle::ArtifactBundle(std::shared_ptr<const Matrix> features)
+    : hostFeaturesBuf(features ? std::move(features)
+                               : std::make_shared<const Matrix>()),
+      hostFeatures(*hostFeaturesBuf)
+{
+}
+
+std::shared_ptr<const Matrix>
+HostFeatureMemo::get(const std::string &dataset, double scale,
+                     uint64_t seed, const Make &make)
+{
+    // Slots are never erased: a builder's scale and seed are fixed, so
+    // an engine's memo holds at most one small slot per dataset.
+    std::shared_ptr<Slot> slot;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        std::shared_ptr<Slot> &s = slots_[Key{dataset, scale, seed}];
+        if (s == nullptr)
+            s = std::make_shared<Slot>();
+        slot = s;
+    }
+    std::lock_guard<std::mutex> lock(slot->mu);
+    std::shared_ptr<const Matrix> features = slot->features.lock();
+    if (features == nullptr) {
+        features = make();
+        slot->features = features;
+    }
+    return features;
+}
+
 std::shared_ptr<const ArtifactBundle>
 buildArtifact(const ArtifactKey &key, const GcodOptions &opts, double scale,
               uint64_t seed, int shards, NodeId shard_min_nodes,
-              const std::vector<int> &quant_bits)
+              const std::vector<int> &quant_bits, HostFeatureMemo *features)
 {
     auto t0 = std::chrono::steady_clock::now();
-    auto bundle = std::make_shared<ArtifactBundle>();
-    bundle->key = key;
-    bundle->profile = profileByName(key.dataset);
-    bundle->scaleUsed = scale > 0.0 ? scale : defaultServeScale(key.dataset);
-
+    DatasetProfile profile = profileByName(key.dataset);
+    const double scaleUsed =
+        scale > 0.0 ? scale : defaultServeScale(key.dataset);
     Rng rng(seed);
-    bundle->synth = synthesize(bundle->profile, bundle->scaleUsed, rng);
+    SyntheticGraph synth = synthesize(profile, scaleUsed, rng);
+    ModelSpec spec = makeModelSpec(key.model, profile.features,
+                                   profile.classes,
+                                   profile.nodes >= kLargeGraphNodes);
+
+    // Host execution state for every op-graph family starts from the
+    // dataset's features, which the family does not shape: with a memo
+    // every family's bundle shares one buffer.
+    const bool hostExec = supportsRecipeForward(spec);
+    if (!hostExec)
+        warn("artifact ", key.toString(), ": model family '", spec.name,
+             "' has no op-graph recipe (supported: ",
+             supportedRecipeFamilies(),
+             "); serving without host execution state");
+    std::shared_ptr<const Matrix> hostFeatures;
+    if (hostExec) {
+        auto make = [&] { return materializeHostFeatures(synth, seed); };
+        hostFeatures = features != nullptr
+                           ? features->get(key.dataset, scaleUsed, seed, make)
+                           : make();
+    }
+
+    auto bundle = std::make_shared<ArtifactBundle>(std::move(hostFeatures));
+    bundle->key = key;
+    bundle->profile = std::move(profile);
+    bundle->scaleUsed = scaleUsed;
+    bundle->synth = std::move(synth);
     bundle->outcome = runGcodStructureOnly(bundle->synth, opts);
-    bundle->spec = makeModelSpec(key.model, bundle->profile.features,
-                                 bundle->profile.classes,
-                                 bundle->profile.nodes >= kLargeGraphNodes);
+    bundle->spec = std::move(spec);
 
     bundle->raw = makeGraphInput(bundle->synth.graph.adjacency());
     bundle->raw.publishedNodes = bundle->profile.nodes;
@@ -124,20 +188,10 @@ buildArtifact(const ArtifactKey &key, const GcodOptions &opts, double scale,
         bundle->sharded = shard::buildShardedArtifact(
             bundle->synth.graph, shards, opts.reorder, seed);
 
-    // Host execution state for every op-graph family: seeded weights and
-    // materialized features, plus one pre-quantized pack per requested
-    // backend precision. All derived from the fixed artifact seed, so
-    // serving results are deterministic per bundle.
-    if (!supportsRecipeForward(bundle->spec))
-        warn("artifact ", key.toString(), ": model family '",
-             bundle->spec.name,
-             "' has no op-graph recipe (supported: ",
-             supportedRecipeFamilies(),
-             "); serving without host execution state");
-    if (supportsRecipeForward(bundle->spec)) {
-        Rng frng(seed ^ 0x51ed270bull);
-        Dataset ds = materialize(bundle->synth, frng);
-        bundle->hostFeatures = std::move(ds.features);
+    // Seeded weights plus one pre-quantized pack per requested backend
+    // precision. All derived from the fixed artifact seed, so serving
+    // results are deterministic per bundle.
+    if (hostExec) {
         Rng wrng(seed + 17);
         bundle->hostModel = makeModel(
             key.model, int(bundle->hostFeatures.cols()),

@@ -15,8 +15,10 @@
 #define GCOD_SERVE_ARTIFACT_HPP
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <tuple>
 
@@ -77,7 +79,8 @@ struct ArtifactKeyHash
  */
 struct ArtifactBundle
 {
-    ArtifactBundle() = default;
+    /** @p features is the host feature buffer; null = none (empty). */
+    explicit ArtifactBundle(std::shared_ptr<const Matrix> features = nullptr);
     ArtifactBundle(const ArtifactBundle &) = delete;
     ArtifactBundle &operator=(const ArtifactBundle &) = delete;
 
@@ -117,10 +120,20 @@ struct ArtifactBundle
      * separate. `hostRecipe` points into hostModel/hostCtx; the
      * operators in hostCtx reference `synth.graph`, so the whole state
      * shares the bundle's lifetime.
+     *
+     * The feature matrix is a pure function of (dataset, scaleUsed,
+     * seed), not of the family, so it lives in an immutable buffer
+     * shared read-only between bundles: an engine's builder
+     * materializes it once per dataset (HostFeatureMemo) and hands the
+     * same buffer to every family's bundle, edge-only updates carry it
+     * to the next epoch, and it is freed with the last bundle holding
+     * it. A store load reads its own copy per artifact file.
+     * `hostFeatures` is bound to `*hostFeaturesBuf` at construction.
      */
     std::shared_ptr<GnnModel> hostModel;
     std::shared_ptr<GraphContext> hostCtx;
-    Matrix hostFeatures;
+    const std::shared_ptr<const Matrix> hostFeaturesBuf;
+    const Matrix &hostFeatures;
     ForwardRecipe hostRecipe;
     /**
      * Pre-quantized execution packs keyed by backend operand precision
@@ -157,6 +170,35 @@ struct ArtifactBundle
 double defaultServeScale(const std::string &dataset);
 
 /**
+ * Host feature buffers keyed by (dataset, scale, seed), held weakly: a
+ * buffer is shared by every bundle built while one is alive, and freed
+ * with the last of them. One per builder (so per engine), never
+ * process-wide. Thread-safe; concurrent builds of one key wait for a
+ * single materialization, other keys proceed in parallel.
+ */
+class HostFeatureMemo
+{
+  public:
+    using Make = std::function<std::shared_ptr<const Matrix>()>;
+
+    /** The live buffer for the key, or @p make's, remembered weakly. */
+    std::shared_ptr<const Matrix> get(const std::string &dataset,
+                                      double scale, uint64_t seed,
+                                      const Make &make);
+
+  private:
+    struct Slot
+    {
+        std::mutex mu;
+        std::weak_ptr<const Matrix> features;
+    };
+    using Key = std::tuple<std::string, double, uint64_t>;
+
+    std::mutex mu_;
+    std::map<Key, std::shared_ptr<Slot>> slots_;
+};
+
+/**
  * Build a bundle: synthesize the dataset profile, run the structure-only
  * GCoD pipeline, and prebuild both simulator inputs.
  *
@@ -167,12 +209,16 @@ double defaultServeScale(const std::string &dataset);
  *        execution packs for (one per distinct quantized backend the
  *        engine serves); ignored for model families without host
  *        execution support.
+ * @param features memo to take the host features from (and remember
+ *        them in); null materializes a private copy. Either way they
+ *        are `materialize(synth, Rng(seed ^ 0x51ed270b)).features`.
  */
 std::shared_ptr<const ArtifactBundle>
 buildArtifact(const ArtifactKey &key, const GcodOptions &opts,
               double scale = 0.0, uint64_t seed = 42, int shards = 0,
               NodeId shard_min_nodes = kLargeGraphNodes,
-              const std::vector<int> &quant_bits = {});
+              const std::vector<int> &quant_bits = {},
+              HostFeatureMemo *features = nullptr);
 
 } // namespace gcod::serve
 

@@ -215,10 +215,14 @@ makeArtifactBuilder(GcodOptions opts, double scale, uint64_t seed,
                     int shards, NodeId shard_min_nodes,
                     std::vector<int> quant_bits)
 {
+    // Copies of the builder (the engine's cache and its publish path)
+    // share one feature memo.
     return [opts, scale, seed, shards, shard_min_nodes,
-            quant_bits = std::move(quant_bits)](const ArtifactKey &key) {
+            quant_bits = std::move(quant_bits),
+            features = std::make_shared<HostFeatureMemo>()](
+               const ArtifactKey &key) {
         return buildArtifact(key, opts, scale, seed, shards,
-                             shard_min_nodes, quant_bits);
+                             shard_min_nodes, quant_bits, features.get());
     };
 }
 

@@ -146,7 +146,9 @@ class ArtifactCache
  * Builder running the real artifact pipeline with the given options.
  * @p shards > 1 attaches the sharded execution state to large-dataset
  * bundles; @p quant_bits pre-quantizes host execution packs for those
- * backend precisions (see buildArtifact).
+ * backend precisions (see buildArtifact). The builder and its copies
+ * share one HostFeatureMemo: every family's bundle of a dataset holds
+ * the same host feature buffer while any of them is alive.
  */
 ArtifactCache::Builder
 makeArtifactBuilder(GcodOptions opts, double scale = 0.0,

@@ -25,19 +25,24 @@ nodeRng(uint64_t seed, NodeId v)
     return Rng(seed ^ (0x9e3779b97f4a7c15ull * (uint64_t(v) + 1)));
 }
 
-/** Extend the feature matrix with deterministic rows for new nodes. */
-Matrix
-extendFeatures(const Matrix &old, NodeId n, uint64_t seed)
+/**
+ * Extend the feature buffer with deterministic rows for new nodes. An
+ * edge-only delta keeps the node count, so the next epoch shares the
+ * previous epoch's (read-only) buffer.
+ */
+std::shared_ptr<const Matrix>
+extendFeatures(const std::shared_ptr<const Matrix> &old, NodeId n,
+               uint64_t seed)
 {
-    if (old.rows() == n)
+    if (old->rows() == n)
         return old;
-    Matrix next(n, old.cols(), 0.0f);
-    std::memcpy(next.row(0), old.row(0),
-                size_t(old.rows() * old.cols()) * sizeof(float));
-    for (NodeId v = NodeId(old.rows()); v < n; ++v) {
+    auto next = std::make_shared<Matrix>(n, old->cols(), 0.0f);
+    std::memcpy(next->row(0), old->row(0),
+                size_t(old->rows() * old->cols()) * sizeof(float));
+    for (NodeId v = NodeId(old->rows()); v < n; ++v) {
         Rng r = nodeRng(seed ^ 0x51ed270bull, v);
-        float *row = next.row(v);
-        for (int64_t j = 0; j < old.cols(); ++j)
+        float *row = next->row(v);
+        for (int64_t j = 0; j < old->cols(); ++j)
             row[j] = float(r.normal(0.0, 0.1));
     }
     return next;
@@ -103,7 +108,10 @@ applyDeltaToBundle(const std::shared_ptr<const ArtifactBundle> &prev,
     const NodeId old_n = prev->synth.graph.numNodes();
     const NodeId n = ds.applied.numNodes;
 
-    auto next = std::make_shared<ArtifactBundle>();
+    // Host execution state: features only gain deterministic rows for
+    // new nodes.
+    auto next = std::make_shared<ArtifactBundle>(
+        extendFeatures(prev->hostFeaturesBuf, n, seed));
     next->key = prev->key;
     next->profile = prev->profile;
     next->scaleUsed = prev->scaleUsed;
@@ -145,11 +153,9 @@ applyDeltaToBundle(const std::shared_ptr<const ArtifactBundle> &prev,
         next->sharded = std::move(sharded);
     }
 
-    // Host execution state: the model is immutable across updates; the
-    // operators were repaired by the dyn state; features only gain
-    // deterministic rows for new nodes.
+    // The model is immutable across updates; the operators were
+    // repaired by the dyn state.
     next->hostModel = prev->hostModel;
-    next->hostFeatures = extendFeatures(prev->hostFeatures, n, seed);
     next->hostCtx = std::make_shared<GraphContext>(
         next->synth.graph, work.normalized(), work.rowMean());
     next->hostRecipe = forwardRecipeFor(*next->hostModel, *next->hostCtx);

@@ -528,7 +528,18 @@ loadArtifactBundle(const std::string &path)
 {
     auto t0 = std::chrono::steady_clock::now();
     StoreReader reader(path);
-    auto bundle = std::make_shared<ArtifactBundle>();
+    // The bundle is constructed around its feature buffer, so the
+    // features section (absent for families without host execution)
+    // decodes first. Each loaded file owns its copy.
+    const Section *features = reader.find(SectionType::Features);
+    std::shared_ptr<const Matrix> featureBuf;
+    if (features != nullptr) {
+        ByteCursor c(features->data, features->size, "features section");
+        featureBuf =
+            std::make_shared<const Matrix>(getMatrix(c, "feature matrix"));
+        c.expectEnd();
+    }
+    auto bundle = std::make_shared<ArtifactBundle>(std::move(featureBuf));
 
     {
         const Section &s = reader.require(SectionType::Meta);
@@ -621,11 +632,7 @@ loadArtifactBundle(const std::string &path)
         bundle->sharded = std::move(sharded);
     }
 
-    if (const Section *s = reader.find(SectionType::Features)) {
-        ByteCursor c(s->data, s->size, "features section");
-        bundle->hostFeatures = getMatrix(c, "feature matrix");
-        c.expectEnd();
-
+    if (features != nullptr) {
         // Host model: construct at the stored shape, then overwrite the
         // freshly initialized weights with the stored ones.
         Rng rng(1);
