@@ -1,29 +1,40 @@
 /**
  * @file
- * Host kernel throughput: serial vs pool-parallel GEMM, SpMM, and fused
- * pipelines, written to BENCH_kernels.json so the perf trajectory is
+ * Host kernel throughput: serial vs pool-parallel GEMM, SpMM, fused
+ * pipelines, and the int8 serving kernels next to their fp32
+ * counterparts, written to BENCH_kernels.json so the perf trajectory is
  * recorded machine-readably instead of eyeballed from stdout.
  *
  * Sweeps dense sizes and power-law sparse graphs (the nnz-balanced SpMM
  * partitioning is exactly where uniform row splits fall over), timing
  * each kernel at threads=1 and at the configured thread count, and
- * emits wall time, GFLOP/s, and speedup per entry.
+ * emits wall time, GFLOP/s, and speedup per entry. The quantized
+ * entries run the quantize pack, rowQuantize, qmatmulRowScaled and
+ * qspmmMixed at the GCN layer-0 shape (2708 x 1433 -> 16) and the
+ * ResGCN block shape (N x 128 -> 128), beside fp32 matmul / spmm at the
+ * same shapes.
  *
  *   ./bench_kernel_throughput threads=4
- *   ./bench_kernel_throughput quick=1 out=BENCH_kernels.json
+ *   ./bench_kernel_throughput quick=1 check=1 out=BENCH_kernels.json
  *
  * Keys: threads (pool size; default GCOD_THREADS/hardware), quick
- * (CI smoke sizes), reps (best-of repetitions), out (JSON path).
+ * (CI smoke sizes), reps (best-of repetitions), out (JSON path), check
+ * (exit 1 unless every quantized-entry kernel and fp32 matmul equals
+ * its scalar reference in tests/kernel_oracles.hpp byte for byte).
  */
 #include "bench_common.hpp"
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 
+#include "../tests/kernel_oracles.hpp"
 #include "graph/generate.hpp"
+#include "nn/quant_exec.hpp"
 #include "sim/rng.hpp"
 #include "tensor/fused.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/qops.hpp"
 
 using namespace gcod;
 using gcod::bench::JsonEmitter;
@@ -87,7 +98,94 @@ compare(JsonEmitter &json, const std::string &name, const std::string &kind,
         *out = &e;
 }
 
-void
+bool
+sameBytes(const Matrix &a, const Matrix &b)
+{
+    return a.sameShape(b) &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.data().size() * sizeof(float)) == 0;
+}
+
+/**
+ * The int8 serving kernels at one GEMM shape (rows x k -> n), over a
+ * power-law graph of @p rows nodes, with fp32 matmul / spmm at the same
+ * shapes. Protected rows follow the serving rule (top 10% by degree).
+ * Returns the kernels whose output differs from its scalar reference.
+ */
+int
+quantSweep(JsonEmitter &json, const std::string &tag, int64_t rows,
+           int64_t k, int64_t n, int threads, int reps, Rng &rng)
+{
+    Graph g = barabasiAlbert(NodeId(rows), 4, rng);
+    const CsrMatrix &adj = g.adjacency();
+    std::vector<int32_t> degrees(static_cast<size_t>(rows));
+    for (NodeId r = 0; r < NodeId(rows); ++r)
+        degrees[size_t(r)] = int32_t(adj.rowNnz(r));
+    const std::vector<uint8_t> branch = protectedBranchOf(degrees, 0.1);
+    const std::vector<int32_t> local = branchLocalIndex(branch);
+    // Activations after ReLU: about half exact zeros.
+    Matrix x = randomDense(rows, k, rng);
+    x = relu(x);
+    Matrix w = randomDense(k, n, rng);
+    const std::string shape =
+        std::to_string(rows) + "x" + std::to_string(k) + "x" +
+        std::to_string(n);
+    const double elems = double(rows) * double(k);
+    const double gemmFlops = 2.0 * elems * double(n);
+    const double spmmFlops = 2.0 * double(adj.nnz()) * double(k);
+    auto entry = [&](const std::string &kernel, double flops, auto &&fn) {
+        JsonEmitter::Entry *e = nullptr;
+        compare(json, kernel + "_" + tag, kernel, threads, reps, flops, fn,
+                &e);
+        e->set("shape", shape).set("rows", rows).set("k", k).set("n", n);
+    };
+
+    QuantizedMatrix wlo(w, 8), whi(w, 16);
+    RowQuantizedMatrix rx = rowQuantize(x, branch, 8, 16);
+    QuantizedCsr qa = quantizeCsr(adj, 16);
+    MixedQuantizedMatrix mx = mixedQuantize(x, branch, local, 8, 16);
+    entry("quantize_pack", elems,
+          [&] { benchmark::DoNotOptimize(QuantizedMatrix(x, 8)); });
+    entry("row_quantize", elems, [&] {
+        benchmark::DoNotOptimize(rowQuantize(x, branch, 8, 16));
+    });
+    entry("qmatmul_row_scaled", gemmFlops, [&] {
+        benchmark::DoNotOptimize(qmatmulRowScaled(rx, wlo, whi));
+    });
+    entry("gemm_fp32", gemmFlops,
+          [&] { benchmark::DoNotOptimize(matmul(x, w)); });
+    entry("qspmm_mixed", spmmFlops,
+          [&] { benchmark::DoNotOptimize(qspmmMixed(qa, mx)); });
+    entry("spmm_fp32", spmmFlops,
+          [&] { benchmark::DoNotOptimize(spmmRowWise(adj, x)); });
+
+    int mismatches = 0;
+    auto expect = [&](bool same, const char *kernel) {
+        if (!same) {
+            std::printf("MISMATCH %s_%s: output differs from its scalar "
+                        "reference\n",
+                        kernel, tag.c_str());
+            ++mismatches;
+        }
+    };
+    QuantizedMatrix packed(x, 8);
+    expect(oracle::codesOf(packed) ==
+               oracle::oraclePack(x, packed.params()),
+           "quantize_pack");
+    RowQuantizedMatrix want = oracle::oracleRowQuantize(x, branch, 8, 16);
+    expect(rx.codes == want.codes && rx.rowScale == want.rowScale,
+           "row_quantize");
+    expect(sameBytes(qmatmulRowScaled(rx, wlo, whi),
+                     oracle::oracleQmatmulRowScaled(rx, wlo, whi)),
+           "qmatmul_row_scaled");
+    expect(sameBytes(matmul(x, w), oracle::oracleMatmul(x, w)),
+           "gemm_fp32");
+    expect(sameBytes(qspmmMixed(qa, mx), oracle::oracleQspmmMixed(qa, mx)),
+           "qspmm_mixed");
+    return mismatches;
+}
+
+int
 runSweep(const Config &cfg)
 {
     bool quick = cfg.getBool("quick", false);
@@ -191,9 +289,23 @@ runSweep(const Config &cfg)
                 nullptr);
     }
 
+    // ------------------------------------- int8 serving kernels vs fp32
+    int mismatches = 0;
+    {
+        int64_t rows = quick ? 600 : 2708;
+        mismatches +=
+            quantSweep(json, "gcn_l0", rows, 1433, 16, threads, reps, rng);
+        mismatches += quantSweep(json, "resgcn_block", rows, 128, 128,
+                                 threads, reps, rng);
+    }
+    json.meta().set("reference_mismatches", int64_t(mismatches));
+
     setThreads(threads);
     if (json.writeFile(out))
         std::printf("\nwrote %s\n", out.c_str());
+    std::printf("scalar-reference check: %d mismatching kernel(s)\n",
+                mismatches);
+    return mismatches;
 }
 
 } // namespace
@@ -201,6 +313,11 @@ runSweep(const Config &cfg)
 int
 main(int argc, char **argv)
 {
-    return gcod::bench::benchMain(
-        argc, argv, [&](Config &cfg) { runSweep(cfg); });
+    int status = 0;
+    int rc = gcod::bench::benchMain(argc, argv, [&](Config &cfg) {
+        int mismatches = runSweep(cfg);
+        if (cfg.getBool("check", false) && mismatches > 0)
+            status = 1;
+    });
+    return rc != 0 ? rc : status;
 }

@@ -25,6 +25,7 @@ Adam::step(const std::vector<Matrix *> &grads)
     ++t_;
     float bc1 = 1.0f - std::pow(opts_.beta1, float(t_));
     float bc2 = 1.0f - std::pow(opts_.beta2, float(t_));
+    ParallelZone zone("adam");
     for (size_t i = 0; i < params_.size(); ++i) {
         Matrix &p = *params_[i];
         const Matrix &g = *grads[i];

@@ -229,6 +229,7 @@ attentionForward(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
     GCOD_ASSERT(h.cols() == int64_t(heads) * head_dim,
                 "attention input must be heads x headDim wide");
     Matrix out(n, concat_heads ? int64_t(heads) * head_dim : head_dim);
+    ParallelZone zone("attentionForward");
     parallelFor(
         0, n,
         [&](const Range &r, size_t) {
@@ -246,6 +247,7 @@ maxAggregate(const CsrMatrix &adj, const Matrix &x)
 {
     const NodeId n = adj.rows();
     Matrix out(n, x.cols());
+    ParallelZone zone("maxAggregate");
     parallelFor(
         0, n,
         [&](const Range &r, size_t) {
@@ -309,23 +311,11 @@ runRowOps(const ForwardRecipe &m, size_t layer, size_t begin, size_t end,
         std::vector<float> &out = buf[size_t(op.out)];
         out.assign(size_t(widths[size_t(op.out)]), 0.0f);
         switch (op.kind) {
-        case OpKind::GEMM: {
-            // Ascending-k dot products with matmul's zero-activation
-            // skip keep the bit pattern of the batch kernel.
-            const Matrix &w = *m.weights[size_t(op.weight)];
-            const float *a = rowOf(op.in);
-            const int64_t kdim = w.rows();
-            const int64_t out_cols = w.cols();
-            for (int64_t k = 0; k < kdim; ++k) {
-                float av = a[k];
-                if (av == 0.0f)
-                    continue;
-                const float *wrow = w.row(k);
-                for (int64_t j = 0; j < out_cols; ++j)
-                    out[size_t(j)] += av * wrow[j];
-            }
+        case OpKind::GEMM:
+            // matmul's own row kernel: the batch bytes by construction.
+            matmulRowInto(rowOf(op.in), *m.weights[size_t(op.weight)],
+                          out.data());
             break;
-        }
         case OpKind::Residual: {
             GCOD_ASSERT(op.aux == 0, "row recompute expects the residual "
                                      "stream to be the layer input");

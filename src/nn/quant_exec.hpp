@@ -248,7 +248,7 @@ using RowSlots = std::vector<std::vector<float>>;
  * keeps its batch kernel's per-element order, so the row is
  * bit-identical to the same row of referenceForwardLayer:
  *
- *  - GEMM: ascending-k dot products skipping zero activations (matmul);
+ *  - GEMM: matmulRowInto, the row kernel matmul itself runs;
  *  - Residual / ConcatSelf / Activation / Readout: evalRowLocalOp's
  *    two-pass and per-element loops.
  *

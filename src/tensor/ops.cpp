@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "sim/parallel.hpp"
 
@@ -10,11 +11,14 @@ namespace gcod {
 namespace {
 
 /**
- * Column-tile width for the dense kernels: a K x kColTile stripe of the
- * right-hand operand stays cache-resident while every row of the local
- * range streams against it.
+ * Column-tile width for matmulTransposedB: a block of kColTile rows of
+ * the right-hand operand stays cache-resident while every row of the
+ * local range streams against it.
  */
 constexpr int64_t kColTile = 128;
+
+/** Output columns matmulRowInto keeps in registers across k. */
+constexpr int64_t kRegTile = 16;
 
 /** Smallest number of scalar multiply-adds worth shipping to the pool. */
 constexpr int64_t kMinParallelWork = 1 << 15;
@@ -27,7 +31,68 @@ rowGrain(int64_t flopsPerRow)
                                                        1, flopsPerRow));
 }
 
+/** Rows whose nonzero lists matmul keeps while one B stripe is hot. */
+constexpr int64_t kRowBlock = 16;
+
+/** Positions of the nonzero a[0..k), ascending, into nz; the count. */
+int64_t
+nonzeroPositions(const float *a, int64_t k, int32_t *nz)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i < k; ++i) {
+        nz[n] = int32_t(i);
+        n += a[i] != 0.0f;
+    }
+    return n;
+}
+
+/**
+ * Columns [j0, j0 + kRegTile) of one matmul row (fewer at the ragged
+ * end): each output starts at 0.0f and adds a[k] * b(k, j) over the
+ * listed k in ascending order, held in registers across k.
+ */
+void
+matmulTile(const float *a, const int32_t *nz, int64_t nnz, const Matrix &b,
+           int64_t j0, float *out)
+{
+    using F32x4 = float __attribute__((vector_size(16)));
+    const int64_t width = std::min(kRegTile, b.cols() - j0);
+    if (width == kRegTile) {
+        F32x4 acc[kRegTile / 4] = {};
+        for (int64_t i = 0; i < nnz; ++i) {
+            const float av = a[nz[i]];
+            const F32x4 avv = {av, av, av, av};
+            const float *brow = b.row(nz[i]) + j0;
+            for (int64_t t = 0; t < kRegTile / 4; ++t) {
+                F32x4 bv;
+                std::memcpy(&bv, brow + 4 * t, sizeof bv);
+                acc[t] += avv * bv;
+            }
+        }
+        std::memcpy(out + j0, acc, sizeof acc);
+        return;
+    }
+    float acc[kRegTile] = {};
+    for (int64_t i = 0; i < nnz; ++i) {
+        const float av = a[nz[i]];
+        const float *brow = b.row(nz[i]) + j0;
+        for (int64_t j = 0; j < width; ++j)
+            acc[j] += av * brow[j];
+    }
+    std::copy(acc, acc + width, out + j0);
+}
+
 } // namespace
+
+void
+matmulRowInto(const float *a, const Matrix &b, float *out)
+{
+    thread_local std::vector<int32_t> nz;
+    nz.resize(size_t(b.rows()));
+    const int64_t nnz = nonzeroPositions(a, b.rows(), nz.data());
+    for (int64_t j0 = 0; j0 < b.cols(); j0 += kRegTile)
+        matmulTile(a, nz.data(), nnz, b, j0, out);
+}
 
 Matrix
 matmul(const Matrix &a, const Matrix &b)
@@ -35,27 +100,27 @@ matmul(const Matrix &a, const Matrix &b)
     GCOD_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
     ParallelZone zone("matmul");
     Matrix c(a.rows(), b.cols(), 0.0f);
-    // Parallel over disjoint row blocks of C; within a block, i-k-j order
-    // tiled over j so one K x kColTile stripe of B is reused across the
-    // whole block. Accumulation into each c(i, j) stays in ascending-k
-    // order, so the result is bit-identical for any thread count.
+    // Parallel over disjoint rows of C. Within a range, blocks of
+    // kRowBlock rows share each K x kRegTile stripe of B while it is
+    // cache-hot; every element is matmulRowInto's tile, so each c(i, j)
+    // starts at 0 and adds a(i, k) * b(k, j) over the nonzero a(i, k)
+    // in ascending k — the scalar i-k-j kernel's exact sequence of float
+    // operations — and the result is bit-identical for any thread count.
+    const int64_t kdim = a.cols();
     parallelFor(
         0, a.rows(),
         [&](const Range &r, size_t) {
-            for (int64_t jb = 0; jb < b.cols(); jb += kColTile) {
-                int64_t jend = std::min(jb + kColTile, b.cols());
-                for (int64_t i = r.begin; i < r.end; ++i) {
-                    const float *arow = a.row(i);
-                    float *crow = c.row(i);
-                    for (int64_t k = 0; k < a.cols(); ++k) {
-                        float av = arow[k];
-                        if (av == 0.0f)
-                            continue;
-                        const float *brow = b.row(k);
-                        for (int64_t j = jb; j < jend; ++j)
-                            crow[j] += av * brow[j];
-                    }
-                }
+            std::vector<int32_t> nz(size_t(kRowBlock * kdim));
+            int64_t nnz[kRowBlock];
+            for (int64_t i0 = r.begin; i0 < r.end; i0 += kRowBlock) {
+                const int64_t rows = std::min(kRowBlock, r.end - i0);
+                for (int64_t i = 0; i < rows; ++i)
+                    nnz[i] = nonzeroPositions(a.row(i0 + i), kdim,
+                                              nz.data() + i * kdim);
+                for (int64_t j0 = 0; j0 < b.cols(); j0 += kRegTile)
+                    for (int64_t i = 0; i < rows; ++i)
+                        matmulTile(a.row(i0 + i), nz.data() + i * kdim,
+                                   nnz[i], b, j0, c.row(i0 + i));
             }
         },
         rowGrain(a.cols() * b.cols()));
@@ -182,6 +247,7 @@ Matrix
 relu(const Matrix &x)
 {
     Matrix y = x;
+    ParallelZone zone("relu");
     float *d = y.data().data();
     parallelFor(
         0, y.size(),
@@ -198,6 +264,7 @@ reluBackward(const Matrix &grad, const Matrix &x)
 {
     GCOD_ASSERT(grad.sameShape(x), "reluBackward shape mismatch");
     Matrix g = grad;
+    ParallelZone zone("reluBackward");
     float *gd = g.data().data();
     const float *xd = x.data().data();
     parallelFor(
@@ -215,6 +282,7 @@ Matrix
 leakyRelu(const Matrix &x, float alpha)
 {
     Matrix y = x;
+    ParallelZone zone("leakyRelu");
     float *d = y.data().data();
     parallelFor(
         0, y.size(),
@@ -231,6 +299,7 @@ Matrix
 softmaxRows(const Matrix &x)
 {
     Matrix y(x.rows(), x.cols());
+    ParallelZone zone("softmaxRows");
     parallelFor(
         0, x.rows(),
         [&](const Range &range, size_t) {
@@ -294,6 +363,7 @@ softmaxCrossEntropyBackward(const Matrix &probs,
     if (!counted)
         return grad;
     float inv = 1.0f / float(counted);
+    ParallelZone zone("softmaxCrossEntropyBackward");
     parallelFor(
         0, probs.rows(),
         [&](const Range &range, size_t) {

@@ -20,6 +20,14 @@ namespace gcod {
 /** Dense C = A * B. */
 Matrix matmul(const Matrix &a, const Matrix &b);
 
+/**
+ * One row of matmul: out[j] = Σ_k a[k] · b(k, j) for j < b.cols(),
+ * adding the nonzero a[k] in ascending k from 0.0f — a 16-column
+ * register tile per pass over the row. matmul runs every row through
+ * it, so a caller computing a single row gets the batch kernel's bytes.
+ */
+void matmulRowInto(const float *a, const Matrix &b, float *out);
+
 /** Dense C = A^T * B (used by backward passes). */
 Matrix matmulTransposedA(const Matrix &a, const Matrix &b);
 

@@ -3,8 +3,15 @@
  * Integer (quantized) dense and sparse kernels — the host execution path
  * of the GCoD low-bit variants (paper Tab. VI/VII). Where tensor/ops.cpp
  * computes in fp32, these kernels multiply packed integer codes and
- * accumulate in exact int64 arithmetic, applying the scales once per
- * output element.
+ * accumulate them exactly, applying the scales once per output element.
+ *
+ * Accumulator contract: a sum accumulates in int32 when a bound proves
+ * no partial sum can leave int32 — K · qmax_x · qmax_w <= INT32_MAX for
+ * a GEMM row (every 8-bit row up to K = 133 144), Σ|a_k| · qmax_x <=
+ * INT32_MAX for the branch of a mixed SpMM row — and in int64
+ * otherwise. Exact integer sums do not depend on the accumulator type
+ * or on the order of the terms, so the output bytes are the same
+ * either way; the wider type is only the fallback past the bound.
  *
  * Determinism contract (matches sim/parallel): every kernel partitions
  * its OUTPUT rows, and integer accumulation is associative, so results
@@ -20,6 +27,8 @@
  */
 #ifndef GCOD_TENSOR_QOPS_HPP
 #define GCOD_TENSOR_QOPS_HPP
+
+#include <array>
 
 #include "tensor/quant.hpp"
 
@@ -74,7 +83,11 @@ MixedQuantizedMatrix mixedQuantize(const Matrix &x,
                                    const QuantParams &lo,
                                    const QuantParams &hi);
 
-/** Y = deq(A) * deq(X) with two-branch X; integer per-branch sums. */
+/**
+ * Y = deq(A) * deq(X) with two-branch X; integer per-branch sums, each
+ * in int32 when that row's Σ|a_k| · qmax of the branch fits (see the
+ * accumulator contract above).
+ */
 Matrix qspmmMixed(const QuantizedCsr &a, const MixedQuantizedMatrix &x);
 
 /**
@@ -88,22 +101,10 @@ void qspmmMixedRows(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
                     const std::vector<NodeId> &rows, Matrix &y);
 
 /**
- * Z = deq(X) * deq(W) where row r of X uses the branch-matching weight
- * pack: W_lo for dense-branch rows, W_hi for protected rows.
- */
-Matrix qmatmulMixed(const MixedQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                    const QuantizedMatrix &w_hi);
-
-/** qmatmulMixed restricted to @p rows, written into @p z (serial). */
-void qmatmulMixedRows(const MixedQuantizedMatrix &x,
-                      const QuantizedMatrix &w_lo, const QuantizedMatrix &w_hi,
-                      const std::vector<NodeId> &rows, Matrix &z);
-
-/**
  * Per-row quantized GEMM input: row r is coded at the branch-matching
  * bit width with its OWN symmetric scale. A row's scale multiplies
  * every term of that row's dot products, so it factors out of the
- * int64 accumulation exactly — per-row scales keep the determinism
+ * integer accumulation exactly — per-row scales keep the determinism
  * contract while covering activations whose per-row dynamic range one
  * per-branch scale cannot (Add-aggregation sums make hub rows dwarf
  * leaf rows, starving the leaves of codes). Codes are stored widened
@@ -117,6 +118,11 @@ struct RowQuantizedMatrix
     const std::vector<uint8_t> *branchOf = nullptr;
     std::vector<int16_t> codes;  ///< rows x cols, row-major
     std::vector<float> rowScale; ///< one symmetric scale per row
+    /**
+     * Largest |code| per branch (0 = dense, 1 = protected); the kernels
+     * size their accumulators from it. Defaults to the int16 maximum.
+     */
+    std::array<int32_t, 2> qmax = {32767, 32767};
 
     int64_t rows = 0;
     int64_t cols = 0;
@@ -136,7 +142,10 @@ RowQuantizedMatrix rowQuantize(const Matrix &x,
 
 /**
  * Z = deq(X) * deq(W) with per-row X scales; row r uses the
- * branch-matching weight pack (W_lo dense, W_hi protected).
+ * branch-matching weight pack (W_lo dense, W_hi protected). Each
+ * branch picks its accumulator once per call from K and the two qmax
+ * values (the accumulator contract above); 8-bit rows run a 16-column
+ * int32 register tile over the row's nonzero codes.
  */
 Matrix qmatmulRowScaled(const RowQuantizedMatrix &x,
                         const QuantizedMatrix &w_lo,

@@ -3,7 +3,47 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/parallel.hpp"
+
 namespace gcod {
+
+namespace {
+
+/** Rows per pool range so each range codes enough values. */
+int64_t
+rowGrain(int64_t cols)
+{
+    constexpr int64_t kMinParallelWork = 1 << 15;
+    return std::max<int64_t>(1, kMinParallelWork / std::max<int64_t>(1, cols));
+}
+
+/** Row i of @p x in a row-subset view: rows[i], or i with no list. */
+int64_t
+sourceRow(const std::vector<int32_t> *rows, int64_t i)
+{
+    return rows ? int64_t((*rows)[size_t(i)]) : i;
+}
+
+/**
+ * max |x| over @p n rows (a subset when @p rows is set), one peak per
+ * row on the pool, then a serial max of the row peaks.
+ */
+float
+peakOf(const Matrix &x, const std::vector<int32_t> *rows, int64_t n)
+{
+    std::vector<float> rowPeak(static_cast<size_t>(n));
+    parallelFor(
+        0, n,
+        [&](const Range &range, size_t) {
+            for (int64_t i = range.begin; i < range.end; ++i)
+                rowPeak[size_t(i)] =
+                    maxAbs(x.row(sourceRow(rows, i)), x.cols());
+        },
+        rowGrain(x.cols()));
+    return maxAbs(rowPeak.data(), n);
+}
+
+} // namespace
 
 QuantParams
 symmetricQuantParams(float peak, int bits)
@@ -19,10 +59,13 @@ symmetricQuantParams(float peak, int bits)
 QuantParams
 chooseQuantParams(const Matrix &x, int bits)
 {
-    float peak = 0.0f;
-    for (float v : x.data())
-        peak = std::max(peak, std::fabs(v));
-    return symmetricQuantParams(peak, bits);
+    return symmetricQuantParams(peakOf(x, nullptr, x.rows()), bits);
+}
+
+float
+maxAbsRows(const Matrix &x, const std::vector<int32_t> &rows)
+{
+    return peakOf(x, &rows, int64_t(rows.size()));
 }
 
 std::vector<int32_t>
@@ -31,13 +74,10 @@ quantize(const Matrix &x, const QuantParams &qp)
     // Symmetric clamp: chooseQuantParams scales the peak to +qmax, so the
     // two's-complement extra negative code -(qmax+1) must stay unused or
     // shared-scale callers get an asymmetric range.
-    int32_t hi = (1 << (qp.bits - 1)) - 1;
-    int32_t lo = -hi;
+    int32_t hi = quantMax(qp.bits);
     std::vector<int32_t> q(x.data().size());
-    for (size_t i = 0; i < q.size(); ++i) {
-        auto v = int32_t(std::lround(x.data()[i] / qp.scale));
-        q[i] = std::clamp(v, lo, hi);
-    }
+    for (size_t i = 0; i < q.size(); ++i)
+        q[i] = roundToCode(x.data()[i] / qp.scale, hi);
     return q;
 }
 
@@ -103,25 +143,49 @@ QuantizedMatrix::QuantizedMatrix(const Matrix &x, int bits)
 {}
 
 QuantizedMatrix::QuantizedMatrix(const Matrix &x, const QuantParams &qp)
-    : rows_(x.rows()), cols_(x.cols()), qp_(qp)
+    : QuantizedMatrix(x, nullptr, x.rows(), qp)
+{}
+
+QuantizedMatrix::QuantizedMatrix(const Matrix &x,
+                                 const std::vector<int32_t> &rows,
+                                 const QuantParams &qp)
+    : QuantizedMatrix(x, &rows, int64_t(rows.size()), qp)
+{}
+
+QuantizedMatrix::QuantizedMatrix(const Matrix &x,
+                                 const std::vector<int32_t> *rows,
+                                 int64_t n, const QuantParams &qp)
+    : rows_(n), cols_(x.cols()), qp_(qp)
 {
     GCOD_ASSERT(qp_.bits >= 2 && qp_.bits <= 16,
                 "packed quantization supports 2..16 bits");
     GCOD_ASSERT(qp_.scale > 0.0f, "quantization scale must be positive");
-    int32_t hi = (1 << (qp_.bits - 1)) - 1;
-    float inv = 1.0f / qp_.scale;
-    size_t n = x.data().size();
-    if (narrow()) {
-        q8_.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            q8_[i] = int8_t(std::clamp(
-                int32_t(std::lround(x.data()[i] * inv)), -hi, hi));
-    } else {
-        q16_.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            q16_[i] = int16_t(std::clamp(
-                int32_t(std::lround(x.data()[i] * inv)), -hi, hi));
-    }
+    if (rows)
+        for (int32_t r : *rows)
+            GCOD_ASSERT(r >= 0 && r < x.rows(), "packed row ", r,
+                        " is outside the ", x.rows(), "-row source");
+    const int32_t hi = quantMax(qp_.bits);
+    const float inv = 1.0f / qp_.scale;
+    if (narrow())
+        q8_.resize(size_t(rows_ * cols_));
+    else
+        q16_.resize(size_t(rows_ * cols_));
+    // Rows code independently, so any range split gives the same bytes.
+    ParallelZone zone("quantizePack");
+    parallelFor(
+        0, rows_,
+        [&](const Range &range, size_t) {
+            for (int64_t i = range.begin; i < range.end; ++i) {
+                const float *src = x.row(sourceRow(rows, i));
+                if (narrow())
+                    quantizeRow(src, cols_, inv, hi,
+                                q8_.data() + i * cols_);
+                else
+                    quantizeRow(src, cols_, inv, hi,
+                                q16_.data() + i * cols_);
+            }
+        },
+        rowGrain(cols_));
 }
 
 QuantizedMatrix
@@ -141,6 +205,14 @@ QuantizedMatrix::fromCodes(int64_t rows, int64_t cols, const QuantParams &qp,
     if (rows < 0 || cols < 0 || have != n || other != 0)
         GCOD_FATAL("packed code payload does not match its ", rows, "x",
                    cols, " @", qp.bits, "-bit shape");
+    // The integer kernels size their accumulators from qmax, so a code
+    // outside the symmetric range would break their exactness bounds.
+    const int32_t hi = quantMax(qp.bits);
+    auto inRange = [hi](int32_t c) { return c >= -hi && c <= hi; };
+    if (!std::all_of(q8.begin(), q8.end(), inRange) ||
+        !std::all_of(q16.begin(), q16.end(), inRange))
+        GCOD_FATAL("packed codes exceed the symmetric ", qp.bits,
+                   "-bit range ±", hi);
     m.q8_ = std::move(q8);
     m.q16_ = std::move(q16);
     return m;
@@ -165,10 +237,10 @@ QuantizedMatrix::payloadBytes() const
 QuantizedCsr
 quantizeCsr(const CsrMatrix &a, int bits)
 {
-    float peak = 0.0f;
-    for (float v : a.values())
-        peak = std::max(peak, std::fabs(v));
-    return quantizeCsr(a, symmetricQuantParams(peak, bits));
+    return quantizeCsr(a, symmetricQuantParams(
+                              maxAbs(a.values().data(),
+                                     int64_t(a.values().size())),
+                              bits));
 }
 
 QuantizedCsr
@@ -179,12 +251,9 @@ quantizeCsr(const CsrMatrix &a, const QuantParams &qp)
     QuantizedCsr q;
     q.pattern = &a;
     q.qp = qp;
-    int32_t hi = (1 << (qp.bits - 1)) - 1;
-    float inv = 1.0f / qp.scale;
     q.values.resize(a.values().size());
-    for (size_t i = 0; i < q.values.size(); ++i)
-        q.values[i] = int16_t(std::clamp(
-            int32_t(std::lround(a.values()[i] * inv)), -hi, hi));
+    quantizeRow(a.values().data(), int64_t(q.values.size()),
+                1.0f / qp.scale, quantMax(qp.bits), q.values.data());
     return q;
 }
 

@@ -15,7 +15,9 @@
 #ifndef GCOD_TENSOR_QUANT_HPP
 #define GCOD_TENSOR_QUANT_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "graph/sparse.hpp"
@@ -30,8 +32,78 @@ struct QuantParams
     int bits = 8;
 };
 
+/** Largest code magnitude at @p bits: 2^{bits-1} - 1. */
+inline int32_t
+quantMax(int bits)
+{
+    return (1 << (bits - 1)) - 1;
+}
+
+/**
+ * The code of @p v, a value already divided by its scale: round half
+ * away from zero (std::lround's rule), then clamp to [-qmax, qmax].
+ * It clamps, truncates, and adds one step when the dropped fraction is
+ * at least one half. For |v| <= qmax <= 2^15 the fraction v - trunc(v)
+ * is exact in float, so the code equals clamp(lround(v), -qmax, qmax)
+ * bit for bit without a libm call, and a loop over a row vectorizes
+ * (the NaN test is on the bit pattern, which keeps the loop
+ * branch-free). NaN codes as 0; values beyond the range saturate.
+ */
+inline int32_t
+roundToCode(float v, int32_t qmax)
+{
+    const float q = float(qmax);
+    const float c = std::min(q, std::max(-q, v));
+    const int32_t t = int32_t(c);
+    const float frac = c - float(t);
+    const int32_t code =
+        t + (frac >= 0.5f ? 1 : 0) - (frac <= -0.5f ? 1 : 0);
+    int32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return code & -int32_t((bits & 0x7fffffff) <= 0x7f800000);
+}
+
+/** dst[j] = roundToCode(src[j] * inv, qmax) for j in [0, n). */
+template <typename Code>
+inline void
+quantizeRow(const float *src, int64_t n, float inv, int32_t qmax, Code *dst)
+{
+    for (int64_t j = 0; j < n; ++j)
+        dst[j] = Code(roundToCode(src[j] * inv, qmax));
+}
+
+/**
+ * max |v[j]| over [0, n); 0 when empty, and NaN never wins — the value
+ * of the serial std::max(peak, std::fabs(v[j])) chain. With the sign
+ * bit cleared, integer order of the bit patterns is float order and
+ * NaN patterns sit above +inf's, so the max runs as a vectorizable
+ * integer reduction. A max does not depend on the order it is taken
+ * in, so any row or range split of it returns the same float.
+ */
+inline float
+maxAbs(const float *v, int64_t n)
+{
+    constexpr int32_t kInfBits = 0x7f800000;
+    int32_t peak = 0;
+    for (int64_t j = 0; j < n; ++j) {
+        int32_t bits;
+        std::memcpy(&bits, v + j, sizeof bits);
+        bits &= 0x7fffffff;
+        peak = std::max(peak, bits > kInfBits ? 0 : bits);
+    }
+    float out;
+    std::memcpy(&out, &peak, sizeof out);
+    return out;
+}
+
 /** Choose a symmetric scale covering max|x| at the given bit width. */
 QuantParams chooseQuantParams(const Matrix &x, int bits);
+
+/**
+ * max |x| over rows @p rows of @p x (0 when empty), computed on the
+ * pool. The same float as a serial max over a copy of those rows.
+ */
+float maxAbsRows(const Matrix &x, const std::vector<int32_t> &rows);
 
 /**
  * The symmetric params chooseQuantParams picks for a tensor whose
@@ -94,12 +166,20 @@ class QuantizedMatrix
     QuantizedMatrix(const Matrix &x, int bits);
     /** Quantize @p x with explicit params (shared-scale callers). */
     QuantizedMatrix(const Matrix &x, const QuantParams &qp);
+    /**
+     * Quantize rows @p rows of @p x, in that order, with explicit
+     * params: row i of the pack holds the codes of x.row(rows[i]).
+     * Codes match packing a copy of those rows.
+     */
+    QuantizedMatrix(const Matrix &x, const std::vector<int32_t> &rows,
+                    const QuantParams &qp);
 
     /**
      * Reassemble from previously packed codes (the artifact store's
      * deserialization path). Exactly one of @p q8 / @p q16 must be
      * populated, matching the width @p qp.bits selects, with
-     * rows * cols codes; fatal otherwise.
+     * rows * cols codes inside the symmetric ±(2^{bits-1} - 1) range;
+     * fatal otherwise.
      */
     static QuantizedMatrix fromCodes(int64_t rows, int64_t cols,
                                      const QuantParams &qp,
@@ -137,6 +217,10 @@ class QuantizedMatrix
     const std::vector<int16_t> &codes16() const { return q16_; }
 
   private:
+    /** Pack @p n rows: rows (*rows)[i], or rows 0..n-1 when null. */
+    QuantizedMatrix(const Matrix &x, const std::vector<int32_t> *rows,
+                    int64_t n, const QuantParams &qp);
+
     int64_t rows_ = 0;
     int64_t cols_ = 0;
     QuantParams qp_;
