@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "../tests/kernel_oracles.hpp"
 #include "graph/generate.hpp"
@@ -98,14 +97,6 @@ compare(JsonEmitter &json, const std::string &name, const std::string &kind,
         *out = &e;
 }
 
-bool
-sameBytes(const Matrix &a, const Matrix &b)
-{
-    return a.sameShape(b) &&
-           std::memcmp(a.data().data(), b.data().data(),
-                       a.data().size() * sizeof(float)) == 0;
-}
-
 /**
  * The int8 serving kernels at one GEMM shape (rows x k -> n), over a
  * power-law graph of @p rows nodes, with fp32 matmul / spmm at the same
@@ -175,12 +166,13 @@ quantSweep(JsonEmitter &json, const std::string &tag, int64_t rows,
     RowQuantizedMatrix want = oracle::oracleRowQuantize(x, branch, 8, 16);
     expect(rx.codes == want.codes && rx.rowScale == want.rowScale,
            "row_quantize");
-    expect(sameBytes(qmatmulRowScaled(rx, wlo, whi),
-                     oracle::oracleQmatmulRowScaled(rx, wlo, whi)),
+    expect(oracle::sameBytes(qmatmulRowScaled(rx, wlo, whi),
+                             oracle::oracleQmatmulRowScaled(rx, wlo, whi)),
            "qmatmul_row_scaled");
-    expect(sameBytes(matmul(x, w), oracle::oracleMatmul(x, w)),
+    expect(oracle::sameBytes(matmul(x, w), oracle::oracleMatmul(x, w)),
            "gemm_fp32");
-    expect(sameBytes(qspmmMixed(qa, mx), oracle::oracleQspmmMixed(qa, mx)),
+    expect(oracle::sameBytes(qspmmMixed(qa, mx),
+                             oracle::oracleQspmmMixed(qa, mx)),
            "qspmm_mixed");
     return mismatches;
 }

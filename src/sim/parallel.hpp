@@ -29,6 +29,7 @@
 #ifndef GCOD_SIM_PARALLEL_HPP
 #define GCOD_SIM_PARALLEL_HPP
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -183,6 +184,21 @@ class ParallelZone
   private:
     const char *prev_;
 };
+
+/** Smallest number of scalar operations worth shipping to the pool. */
+inline constexpr int64_t kMinParallelWork = 1 << 15;
+
+/**
+ * Rows per range so each range carries at least kMinParallelWork
+ * operations when one row costs @p workPerRow: the minGrain of the row
+ * loops in the host kernels.
+ */
+inline int64_t
+rowGrain(int64_t workPerRow)
+{
+    return std::max<int64_t>(
+        1, kMinParallelWork / std::max<int64_t>(1, workPerRow));
+}
 
 /**
  * Run fn over the given ranges on the global pool. Executes inline when

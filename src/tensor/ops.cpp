@@ -11,28 +11,14 @@ namespace gcod {
 namespace {
 
 /**
- * Column-tile width for matmulTransposedB: a block of kColTile rows of
- * the right-hand operand stays cache-resident while every row of the
- * local range streams against it.
+ * Column-tile width for matmul and matmulTransposedB: a K x kColTile
+ * stripe of the right-hand operand stays cache-resident while every row
+ * of the local range streams against it.
  */
 constexpr int64_t kColTile = 128;
 
 /** Output columns matmulRowInto keeps in registers across k. */
 constexpr int64_t kRegTile = 16;
-
-/** Smallest number of scalar multiply-adds worth shipping to the pool. */
-constexpr int64_t kMinParallelWork = 1 << 15;
-
-/** Rows per range so each range carries at least kMinParallelWork flops. */
-int64_t
-rowGrain(int64_t flopsPerRow)
-{
-    return std::max<int64_t>(1, kMinParallelWork / std::max<int64_t>(
-                                                       1, flopsPerRow));
-}
-
-/** Rows whose nonzero lists matmul keeps while one B stripe is hot. */
-constexpr int64_t kRowBlock = 16;
 
 /** Positions of the nonzero a[0..k), ascending, into nz; the count. */
 int64_t
@@ -82,6 +68,19 @@ matmulTile(const float *a, const int32_t *nz, int64_t nnz, const Matrix &b,
     std::copy(acc, acc + width, out + j0);
 }
 
+/**
+ * Columns [jb, jend) of one matmul row: the nonzero positions of a into
+ * @p nz (b.rows() entries of scratch), then each register tile.
+ */
+void
+matmulRowColumns(const float *a, const Matrix &b, int64_t jb, int64_t jend,
+                 int32_t *nz, float *out)
+{
+    const int64_t nnz = nonzeroPositions(a, b.rows(), nz);
+    for (int64_t j0 = jb; j0 < jend; j0 += kRegTile)
+        matmulTile(a, nz, nnz, b, j0, out);
+}
+
 } // namespace
 
 void
@@ -89,9 +88,7 @@ matmulRowInto(const float *a, const Matrix &b, float *out)
 {
     thread_local std::vector<int32_t> nz;
     nz.resize(size_t(b.rows()));
-    const int64_t nnz = nonzeroPositions(a, b.rows(), nz.data());
-    for (int64_t j0 = 0; j0 < b.cols(); j0 += kRegTile)
-        matmulTile(a, nz.data(), nnz, b, j0, out);
+    matmulRowColumns(a, b, 0, b.cols(), nz.data(), out);
 }
 
 Matrix
@@ -100,27 +97,22 @@ matmul(const Matrix &a, const Matrix &b)
     GCOD_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
     ParallelZone zone("matmul");
     Matrix c(a.rows(), b.cols(), 0.0f);
-    // Parallel over disjoint rows of C. Within a range, blocks of
-    // kRowBlock rows share each K x kRegTile stripe of B while it is
-    // cache-hot; every element is matmulRowInto's tile, so each c(i, j)
-    // starts at 0 and adds a(i, k) * b(k, j) over the nonzero a(i, k)
-    // in ascending k — the scalar i-k-j kernel's exact sequence of float
-    // operations — and the result is bit-identical for any thread count.
-    const int64_t kdim = a.cols();
+    // Parallel over disjoint rows of C; within a range, one K x kColTile
+    // stripe of B at a time sweeps every row, so the stripe stays
+    // cache-hot and B is read once per range. Every element is
+    // matmulRowInto's tile: each c(i, j) starts at 0 and adds
+    // a(i, k) * b(k, j) over the nonzero a(i, k) in ascending k — the
+    // scalar i-k-j kernel's exact sequence of float operations — so the
+    // result is bit-identical for any thread count.
     parallelFor(
         0, a.rows(),
         [&](const Range &r, size_t) {
-            std::vector<int32_t> nz(size_t(kRowBlock * kdim));
-            int64_t nnz[kRowBlock];
-            for (int64_t i0 = r.begin; i0 < r.end; i0 += kRowBlock) {
-                const int64_t rows = std::min(kRowBlock, r.end - i0);
-                for (int64_t i = 0; i < rows; ++i)
-                    nnz[i] = nonzeroPositions(a.row(i0 + i), kdim,
-                                              nz.data() + i * kdim);
-                for (int64_t j0 = 0; j0 < b.cols(); j0 += kRegTile)
-                    for (int64_t i = 0; i < rows; ++i)
-                        matmulTile(a.row(i0 + i), nz.data() + i * kdim,
-                                   nnz[i], b, j0, c.row(i0 + i));
+            std::vector<int32_t> nz(size_t(a.cols()));
+            for (int64_t jb = 0; jb < b.cols(); jb += kColTile) {
+                const int64_t jend = std::min(jb + kColTile, b.cols());
+                for (int64_t i = r.begin; i < r.end; ++i)
+                    matmulRowColumns(a.row(i), b, jb, jend, nz.data(),
+                                     c.row(i));
             }
         },
         rowGrain(a.cols() * b.cols()));

@@ -11,15 +11,6 @@ namespace gcod {
 
 namespace {
 
-/** Rows per range so each range carries enough integer MACs (ops.cpp). */
-int64_t
-rowGrain(int64_t macsPerRow)
-{
-    constexpr int64_t kMinParallelWork = 1 << 15;
-    return std::max<int64_t>(
-        1, kMinParallelWork / std::max<int64_t>(1, macsPerRow));
-}
-
 constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
 constexpr int64_t kInt16Max = std::numeric_limits<int16_t>::max();
 
@@ -30,17 +21,10 @@ using I8x16 = int8_t __attribute__((vector_size(16)));
 using I16x8 = int16_t __attribute__((vector_size(16)));
 using I32x4 = int32_t __attribute__((vector_size(16)));
 
-/** Codes [0, 8) and [8, 16) at @p p as two int16 vectors. */
-inline void
-load16(const int16_t *p, I16x8 &lo, I16x8 &hi)
-{
-    std::memcpy(&lo, p, sizeof lo);
-    std::memcpy(&hi, p + 8, sizeof hi);
-}
-
 /**
- * int8 codes sign-extended: each byte paired with itself, so an
- * arithmetic shift of the int16 view drops the copy.
+ * int8 codes [0, 8) and [8, 16) at @p p as two int16 vectors, sign
+ * extended: each byte paired with itself, so an arithmetic shift of the
+ * int16 view drops the copy.
  */
 inline void
 load16(const int8_t *p, I16x8 &lo, I16x8 &hi)
@@ -102,23 +86,18 @@ axpyRow(Acc *acc, int16_t v, const QuantizedMatrix &m, int64_t r)
 }
 
 /**
- * How a GEMM row's dot products accumulate. Each choice is exact under
- * its bound, so all three produce the same integer sums:
- *  - Pair16: two products summed per int16 lane, the sums added into a
- *    register tile of int32 — needs 2·qmax_x·qmax_w <= INT16_MAX and
- *    K·qmax_x·qmax_w <= INT32_MAX (every 8-bit row up to K = 133 144);
- *  - Int32: int32 products and sums, needing only the second bound;
- *  - Int64: the fallback, exact for any K at <= 16 bits.
+ * Whether a GEMM branch's dot products run the int32 pair path: two
+ * products summed per int16 lane, the sums added into a register tile
+ * of int32. That is exact when W is packed at <= 8 bits,
+ * 2·qmax_x·qmax_w <= INT16_MAX and K·qmax_x·qmax_w <= INT32_MAX (every
+ * 8-bit row up to K = 133 144). Otherwise the row accumulates in int64,
+ * exact for any K at <= 16 bits. Both give the same integer sums.
  */
-enum class GemmAcc { Pair16, Int32, Int64 };
-
-GemmAcc
-gemmAccFor(int64_t k, int32_t qmax_x, int32_t qmax_w)
+bool
+pairExact(int64_t k, int32_t qmax_x, const QuantizedMatrix &w)
 {
-    const int64_t term = int64_t(qmax_x) * int64_t(qmax_w);
-    if (k * term > kInt32Max)
-        return GemmAcc::Int64;
-    return 2 * term <= kInt16Max ? GemmAcc::Pair16 : GemmAcc::Int32;
+    const int64_t term = int64_t(qmax_x) * int64_t(quantMax(w.params().bits));
+    return w.narrow() && 2 * term <= kInt16Max && k * term <= kInt32Max;
 }
 
 /** Per-range scratch of the integer row kernels. */
@@ -126,7 +105,6 @@ struct RowScratch
 {
     std::vector<int32_t> idx;  ///< nonzero positions
     std::vector<int16_t> val;  ///< their codes
-    std::vector<int32_t> acc32;
     std::vector<int64_t> acc64;
 };
 
@@ -147,14 +125,13 @@ gatherNonzeros(const int16_t *xrow, int64_t k, RowScratch &s)
 
 /**
  * Columns [j0, j0 + kTile) of Σ_i val[i] · w[idx[i]][j] in int32 (the
- * Pair16 bounds hold): two products summed per int16 lane, the sums
+ * pairExact bounds hold): two products summed per int16 lane, the sums
  * widened into four int32x4 register accumulators. @p w is row 0 of
  * the codes; @p ldw their row stride.
  */
-template <typename W>
 inline void
-pairTile(const int32_t *idx, const int16_t *val, int64_t nnz, const W *w,
-         int64_t ldw, int64_t j0, int32_t *out)
+pairTile(const int32_t *idx, const int16_t *val, int64_t nnz,
+         const int8_t *w, int64_t ldw, int64_t j0, int32_t *out)
 {
     I32x4 acc[4] = {};
     auto add = [&acc](I16x8 p0, I16x8 p1) {
@@ -179,13 +156,12 @@ pairTile(const int32_t *idx, const int16_t *val, int64_t nnz, const W *w,
     std::memcpy(out, acc, sizeof acc);
 }
 
-/** Integer dot products of the gathered row against W, into acc. */
-template <typename Acc>
+/** int64 dot products of the gathered row against W, into acc. */
 void
 sparseRowTimes(const RowScratch &s, int64_t nnz, const QuantizedMatrix &w,
-               Acc *acc)
+               int64_t *acc)
 {
-    std::fill(acc, acc + w.cols(), Acc(0));
+    std::fill(acc, acc + w.cols(), int64_t(0));
     for (int64_t i = 0; i < nnz; ++i)
         axpyRow(acc, s.val[size_t(i)], w, s.idx[size_t(i)]);
 }
@@ -199,10 +175,9 @@ scaleRow(const Acc *acc, int64_t n, double scale, float *zrow)
         zrow[j] = float(scale * double(acc[j]));
 }
 
-/** The Pair16 row: full register tiles, then the ragged last tile. */
-template <typename W>
+/** The pair-path row: full register tiles, then the ragged last tile. */
 void
-pairRow(const RowScratch &s, int64_t nnz, const W *w, int64_t n,
+pairRow(const RowScratch &s, int64_t nnz, const int8_t *w, int64_t n,
         double scale, float *zrow)
 {
     int32_t tile[kTile];
@@ -224,7 +199,7 @@ pairRow(const RowScratch &s, int64_t nnz, const W *w, int64_t n,
 /** One row-scaled GEMM output row into z.row(r). */
 void
 qmatmulRowScaledRow(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                    const QuantizedMatrix &w_hi, const GemmAcc mode[2],
+                    const QuantizedMatrix &w_hi, const bool pair[2],
                     NodeId r, RowScratch &s, Matrix &z)
 {
     const int b = (*x.branchOf)[size_t(r)] != 0 ? 1 : 0;
@@ -234,33 +209,22 @@ qmatmulRowScaledRow(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
     const double scale = double(x.rowScale[size_t(r)]) *
                          double(w.params().scale);
     float *zrow = z.row(r);
-    switch (mode[b]) {
-    case GemmAcc::Pair16:
-        if (w.narrow())
-            pairRow(s, nnz, w.row8(0), n, scale, zrow);
-        else
-            pairRow(s, nnz, w.row16(0), n, scale, zrow);
-        break;
-    case GemmAcc::Int32:
-        s.acc32.resize(size_t(n));
-        sparseRowTimes(s, nnz, w, s.acc32.data());
-        scaleRow(s.acc32.data(), n, scale, zrow);
-        break;
-    case GemmAcc::Int64:
-        s.acc64.resize(size_t(n));
-        sparseRowTimes(s, nnz, w, s.acc64.data());
-        scaleRow(s.acc64.data(), n, scale, zrow);
-        break;
+    if (pair[b]) {
+        pairRow(s, nnz, w.row8(0), n, scale, zrow);
+        return;
     }
+    s.acc64.resize(size_t(n));
+    sparseRowTimes(s, nnz, w, s.acc64.data());
+    scaleRow(s.acc64.data(), n, scale, zrow);
 }
 
-/** Each branch's accumulator for a GEMM with @p x's rows and codes. */
-std::array<GemmAcc, 2>
-gemmAccs(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-         const QuantizedMatrix &w_hi)
+/** Whether each branch of a GEMM with @p x's rows takes the pair path. */
+std::array<bool, 2>
+pairPaths(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
+          const QuantizedMatrix &w_hi)
 {
-    return {gemmAccFor(x.cols, x.qmax[0], quantMax(w_lo.params().bits)),
-            gemmAccFor(x.cols, x.qmax[1], quantMax(w_hi.params().bits))};
+    return {pairExact(x.cols, x.qmax[0], w_lo),
+            pairExact(x.cols, x.qmax[1], w_hi)};
 }
 
 /** Per-range scratch of the mixed SpMM row kernel. */
@@ -567,13 +531,13 @@ qmatmulRowScaled(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
                 "qmatmulRowScaled shape mismatch");
     ParallelZone zone("qmatmulRowScaled");
     Matrix z(x.rows, w_lo.cols(), 0.0f);
-    const std::array<GemmAcc, 2> mode = gemmAccs(x, w_lo, w_hi);
+    const std::array<bool, 2> pair = pairPaths(x, w_lo, w_hi);
     parallelFor(
         0, x.rows,
         [&](const Range &range, size_t) {
             RowScratch s;
             for (int64_t r = range.begin; r < range.end; ++r)
-                qmatmulRowScaledRow(x, w_lo, w_hi, mode.data(), NodeId(r),
+                qmatmulRowScaledRow(x, w_lo, w_hi, pair.data(), NodeId(r),
                                     s, z);
         },
         rowGrain(x.cols * w_lo.cols()));
@@ -589,10 +553,10 @@ qmatmulRowScaledRows(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
                     z.rows() == x.rows && z.cols() == w_lo.cols() &&
                     w_lo.cols() == w_hi.cols(),
                 "qmatmulRowScaledRows shape mismatch");
-    const std::array<GemmAcc, 2> mode = gemmAccs(x, w_lo, w_hi);
+    const std::array<bool, 2> pair = pairPaths(x, w_lo, w_hi);
     RowScratch s;
     for (NodeId r : rows)
-        qmatmulRowScaledRow(x, w_lo, w_hi, mode.data(), r, s, z);
+        qmatmulRowScaledRow(x, w_lo, w_hi, pair.data(), r, s, z);
 }
 
 } // namespace gcod

@@ -6,10 +6,11 @@
  * accumulate them exactly, applying the scales once per output element.
  *
  * Accumulator contract: a sum accumulates in int32 when a bound proves
- * no partial sum can leave int32 — K · qmax_x · qmax_w <= INT32_MAX for
- * a GEMM row (every 8-bit row up to K = 133 144), Σ|a_k| · qmax_x <=
- * INT32_MAX for the branch of a mixed SpMM row — and in int64
- * otherwise. Exact integer sums do not depend on the accumulator type
+ * no partial sum can leave int32, and in int64 otherwise. For a GEMM
+ * branch the bound is W packed at <= 8 bits with 2 · qmax_x · qmax_w <=
+ * INT16_MAX and K · qmax_x · qmax_w <= INT32_MAX (every 8-bit row up to
+ * K = 133 144); for the branch of a mixed SpMM row it is Σ|a_k| · qmax_x
+ * <= INT32_MAX. Exact integer sums do not depend on the accumulator type
  * or on the order of the terms, so the output bytes are the same
  * either way; the wider type is only the fallback past the bound.
  *
@@ -143,9 +144,10 @@ RowQuantizedMatrix rowQuantize(const Matrix &x,
 /**
  * Z = deq(X) * deq(W) with per-row X scales; row r uses the
  * branch-matching weight pack (W_lo dense, W_hi protected). Each
- * branch picks its accumulator once per call from K and the two qmax
- * values (the accumulator contract above); 8-bit rows run a 16-column
- * int32 register tile over the row's nonzero codes.
+ * branch picks its accumulator once per call from K, the two qmax
+ * values and W's packed width (the accumulator contract above); 8-bit
+ * rows run a 16-column int32 register tile over the row's nonzero
+ * codes, and every other row an int64 accumulator.
  */
 Matrix qmatmulRowScaled(const RowQuantizedMatrix &x,
                         const QuantizedMatrix &w_lo,

@@ -9,14 +9,6 @@ namespace gcod {
 
 namespace {
 
-/** Rows per pool range so each range codes enough values. */
-int64_t
-rowGrain(int64_t cols)
-{
-    constexpr int64_t kMinParallelWork = 1 << 15;
-    return std::max<int64_t>(1, kMinParallelWork / std::max<int64_t>(1, cols));
-}
-
 /** Row i of @p x in a row-subset view: rows[i], or i with no list. */
 int64_t
 sourceRow(const std::vector<int32_t> *rows, int64_t i)

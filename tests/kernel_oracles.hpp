@@ -11,11 +11,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/qops.hpp"
 
 namespace gcod::oracle {
+
+/** Same shape and the same float bytes, element for element. */
+inline bool
+sameBytes(const Matrix &a, const Matrix &b)
+{
+    return a.sameShape(b) &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.data().size() * sizeof(float)) == 0;
+}
 
 /** clamp(lround(v), -qmax, qmax): the quantizers' rounding rule. */
 inline int32_t

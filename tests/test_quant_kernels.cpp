@@ -2,10 +2,10 @@
  * @file
  * Byte-exactness of the fast host kernels against the scalar oracles in
  * kernel_oracles.hpp: the std::lround quantizers, the int64 integer
- * GEMM / SpMM, and the i-k-j fp32 GEMM. Every fast kernel must memcmp its oracle across
- * ragged shapes, empty and all-zero rows, every bit width on both
- * branches, rounding ties, clamped values, and the int32 accumulator
- * bound and one term past it.
+ * GEMM / SpMM, and the i-k-j fp32 GEMM. Every fast kernel must memcmp
+ * its oracle across ragged shapes, empty and all-zero rows, every bit
+ * width on both branches, rounding ties, clamped values, and the int32
+ * accumulator bound and one term past it.
  */
 #include <gtest/gtest.h>
 
@@ -27,14 +27,6 @@ using namespace gcod::oracle;
 namespace {
 
 // ------------------------------------------------------------ helpers
-
-bool
-sameBytes(const Matrix &a, const Matrix &b)
-{
-    return a.sameShape(b) &&
-           std::memcmp(a.data().data(), b.data().data(),
-                       a.data().size() * sizeof(float)) == 0;
-}
 
 /**
  * Random activations with exact zeros (about a third, as after ReLU)
@@ -330,7 +322,9 @@ TEST(FastMatmulTest, MatchesIkjOracleAcrossShapes)
     Rng rng(23);
     for (int64_t k : {int64_t(0), int64_t(1), int64_t(9), int64_t(130)})
         for (int64_t n : {int64_t(1), int64_t(5), int64_t(16), int64_t(17),
-                          int64_t(48), int64_t(70)}) {
+                          int64_t(48), int64_t(70), int64_t(150)}) {
+            // n = 150: two column stripes, the second ending in a
+            // ragged tile.
             Matrix a = activations(13, k, rng);
             Matrix b = activations(k, n, rng);
             Matrix want = oracleMatmul(a, b);
