@@ -260,6 +260,19 @@ maxAggregate(const CsrMatrix &adj, const Matrix &x)
 
 namespace {
 
+/** Row @p r of spmm: operator-row entry order, += v * x[c][j]. */
+void
+spmmRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r, float *out)
+{
+    const int64_t cols = x.cols();
+    std::fill(out, out + cols, 0.0f);
+    adj.forEachInRow(r, [&](NodeId c, float v) {
+        const float *xrow = x.row(c);
+        for (int64_t j = 0; j < cols; ++j)
+            out[j] += v * xrow[j];
+    });
+}
+
 /** One aggregation-op row: @p src is the aggregation's input matrix. */
 void
 aggregateRowInto(const ForwardRecipe &m, const OpStep &op, const Matrix &src,
@@ -267,17 +280,9 @@ aggregateRowInto(const ForwardRecipe &m, const OpStep &op, const Matrix &src,
 {
     const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
     switch (op.kind) {
-    case OpKind::SpMM: {
-        // Operator-row entry order, += v * x[c][j] (spmmRowWise).
-        const int64_t cols = src.cols();
-        std::fill(out, out + cols, 0.0f);
-        adj.forEachInRow(r, [&](NodeId c, float v) {
-            const float *xrow = src.row(c);
-            for (int64_t j = 0; j < cols; ++j)
-                out[j] += v * xrow[j];
-        });
+    case OpKind::SpMM:
+        spmmRowInto(adj, src, r, out);
         break;
-    }
     case OpKind::AttentionScore:
         attentionRowInto(adj, src, *m.weights[size_t(op.aSrc)],
                          *m.weights[size_t(op.aDst)], op.heads, op.headDim,
@@ -682,65 +687,6 @@ evalRowLocalOp(const OpStep &op, const Matrix &in, const Matrix *aux)
     }
 }
 
-Matrix
-referenceForwardLayer(const ForwardRecipe &m, size_t layer,
-                      const Matrix &input, Matrix *agg_input)
-{
-    const LayerGraph &g = m.layers[layer];
-    GCOD_ASSERT(!g.ops.empty(), "empty layer graph");
-    std::vector<Matrix> slots(size_t(g.numSlots));
-    auto at = [&](int s) -> const Matrix & {
-        return s == 0 ? input : slots[size_t(s)];
-    };
-    if (agg_input != nullptr)
-        *agg_input = Matrix();
-    for (const OpStep &op : g.ops) {
-        switch (op.kind) {
-        case OpKind::SpMM:
-            if (agg_input != nullptr && op.in != 0)
-                *agg_input = at(op.in);
-            slots[size_t(op.out)] =
-                spmm(*m.operators[size_t(op.opIndex)], at(op.in));
-            break;
-        case OpKind::GEMM:
-            slots[size_t(op.out)] =
-                matmul(at(op.in), *m.weights[size_t(op.weight)]);
-            break;
-        case OpKind::AttentionScore:
-            if (agg_input != nullptr && op.in != 0)
-                *agg_input = at(op.in);
-            slots[size_t(op.out)] = attentionForward(
-                *m.operators[size_t(op.opIndex)], at(op.in),
-                *m.weights[size_t(op.aSrc)], *m.weights[size_t(op.aDst)],
-                op.heads, op.headDim, op.concatHeads);
-            break;
-        case OpKind::MaxAgg:
-            if (agg_input != nullptr && op.in != 0)
-                *agg_input = at(op.in);
-            slots[size_t(op.out)] =
-                maxAggregate(*m.operators[size_t(op.opIndex)], at(op.in));
-            break;
-        default:
-            slots[size_t(op.out)] = evalRowLocalOp(
-                op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr);
-            break;
-        }
-    }
-    return std::move(slots[size_t(g.ops.back().out)]);
-}
-
-Matrix
-referenceForward(const ForwardRecipe &m, const Matrix &x)
-{
-    GCOD_ASSERT(!m.operators.empty() &&
-                    x.rows() == int64_t(m.operators[0]->rows()),
-                "activation rows must match the operator");
-    Matrix cur = x;
-    for (size_t l = 0; l < m.layers.size(); ++l)
-        cur = referenceForwardLayer(m, l, cur);
-    return cur;
-}
-
 std::vector<uint8_t>
 protectedBranchOf(const std::vector<int32_t> &degrees, double protect_ratio)
 {
@@ -815,83 +761,173 @@ quantizeGnn(const ForwardRecipe &m, const std::vector<int32_t> &degrees,
     return q;
 }
 
+void
+packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
+       OpPack &pack, const std::vector<uint8_t> *branch_of)
+{
+    if (q == nullptr)
+        return;
+    if (op.kind == OpKind::SpMM) {
+        GCOD_ASSERT(q->qops[size_t(op.opIndex)].pattern != nullptr,
+                    "SpMM operator missing from the quantization pack");
+        pack.op = &q->qops[size_t(op.opIndex)];
+        pack.packed = mixedQuantize(in, q->branchOf, q->localIndex,
+                                    q->policy.denseBits,
+                                    q->policy.sparseBits);
+        pack.x = &pack.packed;
+    } else if (op.kind == OpKind::GEMM) {
+        // Per-row activation scales: aggregation (Add in particular)
+        // spreads per-row magnitudes across orders of magnitude, and one
+        // per-branch scale starves the small rows of codes. A row's own
+        // scale factors out of its dot products exactly, so this stays
+        // bit-identical across threads/shards/row subsets. SpMM keeps
+        // per-branch scales — it mixes rows in one accumulator.
+        pack.rows = rowQuantize(in, branch_of ? *branch_of : q->branchOf,
+                                q->policy.denseBits, q->policy.sparseBits);
+    }
+}
+
+void
+runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
+      const Matrix &in, const Matrix *aux, const OpPack &pack,
+      const std::vector<NodeId> *rows, Matrix &out)
+{
+    auto eachRow = [&](auto &&rowInto) {
+        for (NodeId r : *rows)
+            rowInto(r, out.row(r));
+    };
+    switch (op.kind) {
+    case OpKind::SpMM: {
+        if (q != nullptr) {
+            if (rows != nullptr)
+                qspmmMixedRows(*pack.op, *pack.x, *rows, out);
+            else
+                out = qspmmMixed(*pack.op, *pack.x);
+            break;
+        }
+        const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+        if (rows != nullptr)
+            eachRow([&](NodeId r, float *o) { spmmRowInto(adj, in, r, o); });
+        else
+            out = spmm(adj, in);
+        break;
+    }
+    case OpKind::GEMM: {
+        if (q != nullptr) {
+            const QuantizedMatrix &lo = q->wLo[size_t(op.weight)];
+            const QuantizedMatrix &hi = q->wHi[size_t(op.weight)];
+            if (rows != nullptr)
+                qmatmulRowScaledRows(pack.rows, lo, hi, *rows, out);
+            else
+                out = qmatmulRowScaled(pack.rows, lo, hi);
+            break;
+        }
+        const Matrix &w = *m.weights[size_t(op.weight)];
+        if (rows != nullptr)
+            eachRow([&](NodeId r, float *o) {
+                matmulRowInto(in.row(r), w, o);
+            });
+        else
+            out = matmul(in, w);
+        break;
+    }
+    case OpKind::AttentionScore: {
+        // int8 runs it in fp32 over the quantized projection, with the
+        // attention vectors dequantized from their sparse-branch pack —
+        // this is where low bits fall off the accuracy cliff.
+        const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+        const Matrix &as = q != nullptr ? q->wDeq[size_t(op.aSrc)]
+                                        : *m.weights[size_t(op.aSrc)];
+        const Matrix &ad = q != nullptr ? q->wDeq[size_t(op.aDst)]
+                                        : *m.weights[size_t(op.aDst)];
+        if (rows != nullptr)
+            eachRow([&](NodeId r, float *o) {
+                attentionRowInto(adj, in, as, ad, op.heads, op.headDim,
+                                 op.concatHeads, r, o);
+            });
+        else
+            out = attentionForward(adj, in, as, ad, op.heads, op.headDim,
+                                   op.concatHeads);
+        break;
+    }
+    case OpKind::MaxAgg: {
+        const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+        if (rows != nullptr)
+            eachRow([&](NodeId r, float *o) { maxAggRowInto(adj, in, r, o); });
+        else
+            out = maxAggregate(adj, in);
+        break;
+    }
+    default:
+        GCOD_ASSERT(rows == nullptr, "row-local op ", opKindName(op.kind),
+                    " runs over whole matrices");
+        out = evalRowLocalOp(op, in, aux);
+        break;
+    }
+}
+
 namespace {
 
 /**
- * One layer of @p q. With @p op_rows null it runs over every node, the
- * SpMM packing its input with fresh per-branch scales; otherwise it
- * runs over a row subset (see quantizedForwardRows).
+ * The layer loop of every whole-matrix pass: each op of @p layer over
+ * all rows of @p input at @p q's precision (fp32 when null). @p branch_of
+ * gives the branch of each input row (q's own split when null).
+ * @p spmm_in, when set, supplies the SpMM's operator and packed input
+ * (quantizedForwardRows). @p agg_input: see referenceForwardLayer.
  */
 Matrix
-quantizedLayer(const QuantizedGnn &q, size_t layer, const Matrix &input,
-               const std::vector<uint8_t> &branch_of,
-               const QuantizedCsr *op_rows, const MixedQuantizedMatrix *agg_in)
+forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
+             const Matrix &input, const std::vector<uint8_t> *branch_of,
+             const OpPack *spmm_in, Matrix *agg_input)
 {
-    const ForwardRecipe &m = q.recipe;
     const LayerGraph &g = m.layers[layer];
+    GCOD_ASSERT(!g.ops.empty(), "empty layer graph");
     std::vector<Matrix> slots(size_t(g.numSlots));
     auto at = [&](int s) -> const Matrix & {
         return s == 0 ? input : slots[size_t(s)];
     };
+    if (agg_input != nullptr)
+        *agg_input = Matrix();
     for (const OpStep &op : g.ops) {
-        switch (op.kind) {
-        case OpKind::SpMM: {
-            if (op_rows != nullptr) {
-                GCOD_ASSERT(op.in == 0, "row-subset SpMM must aggregate "
-                                        "the layer input");
-                slots[size_t(op.out)] = qspmmMixed(*op_rows, *agg_in);
-                break;
-            }
-            MixedQuantizedMatrix mq =
-                mixedQuantize(at(op.in), q.branchOf, q.localIndex,
-                              q.policy.denseBits, q.policy.sparseBits);
-            slots[size_t(op.out)] =
-                qspmmMixed(q.qops[size_t(op.opIndex)], mq);
-            break;
+        if (agg_input != nullptr && isAggregation(op.kind) && op.in != 0)
+            *agg_input = at(op.in);
+        OpPack own;
+        const OpPack *pack = &own;
+        if (spmm_in != nullptr && isAggregation(op.kind)) {
+            GCOD_ASSERT(op.kind == OpKind::SpMM && op.in == 0,
+                        "row-subset layers aggregate the layer input "
+                        "with SpMM only");
+            pack = spmm_in;
+        } else {
+            packOp(q, op, at(op.in), own, branch_of);
         }
-        case OpKind::GEMM: {
-            // Per-row activation scales: aggregation (Add in
-            // particular) spreads per-row magnitudes across orders
-            // of magnitude, and one per-branch scale starves the
-            // small rows of codes. A row's own scale factors out of
-            // its dot products exactly, so this stays bit-identical
-            // across threads/shards/row subsets. SpMM keeps
-            // per-branch scales — it mixes rows in one accumulator.
-            RowQuantizedMatrix rz =
-                rowQuantize(at(op.in), branch_of, q.policy.denseBits,
-                            q.policy.sparseBits);
-            slots[size_t(op.out)] =
-                qmatmulRowScaled(rz, q.wLo[size_t(op.weight)],
-                                 q.wHi[size_t(op.weight)]);
-            break;
-        }
-        case OpKind::AttentionScore:
-            GCOD_ASSERT(op_rows == nullptr,
-                        "attention has no row-subset interpretation");
-            // fp32 over the quantized projection, with the attention
-            // vectors dequantized from their sparse-branch pack —
-            // this is where low bits fall off the accuracy cliff.
-            slots[size_t(op.out)] = attentionForward(
-                *m.operators[size_t(op.opIndex)], at(op.in),
-                q.wDeq[size_t(op.aSrc)], q.wDeq[size_t(op.aDst)], op.heads,
-                op.headDim, op.concatHeads);
-            break;
-        case OpKind::MaxAgg:
-            GCOD_ASSERT(op_rows == nullptr,
-                        "Max aggregation has no row-subset interpretation");
-            slots[size_t(op.out)] =
-                maxAggregate(*m.operators[size_t(op.opIndex)], at(op.in));
-            break;
-        default:
-            slots[size_t(op.out)] = evalRowLocalOp(
-                op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr);
-            break;
-        }
+        runOp(m, q, op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr,
+              *pack, nullptr, slots[size_t(op.out)]);
     }
     return std::move(slots[size_t(g.ops.back().out)]);
 }
 
 } // namespace
+
+Matrix
+referenceForwardLayer(const ForwardRecipe &m, size_t layer,
+                      const Matrix &input, Matrix *agg_input)
+{
+    return forwardLayer(m, nullptr, layer, input, nullptr, nullptr,
+                        agg_input);
+}
+
+Matrix
+referenceForward(const ForwardRecipe &m, const Matrix &x)
+{
+    GCOD_ASSERT(!m.operators.empty() &&
+                    x.rows() == int64_t(m.operators[0]->rows()),
+                "activation rows must match the operator");
+    Matrix cur = x;
+    for (size_t l = 0; l < m.layers.size(); ++l)
+        cur = referenceForwardLayer(m, l, cur);
+    return cur;
+}
 
 Matrix
 quantizedForwardRows(const QuantizedGnn &q, size_t layer, const Matrix &self,
@@ -903,7 +939,11 @@ quantizedForwardRows(const QuantizedGnn &q, size_t layer, const Matrix &self,
                     branch_of.size() == size_t(self.rows()),
                 "row-subset layer needs one operator row, input row and "
                 "branch per output row");
-    return quantizedLayer(q, layer, self, branch_of, &op, &agg_in);
+    OpPack spmm_in;
+    spmm_in.op = &op;
+    spmm_in.x = &agg_in;
+    return forwardLayer(q.recipe, &q, layer, self, &branch_of, &spmm_in,
+                        nullptr);
 }
 
 Matrix
@@ -915,7 +955,7 @@ quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
                 "activation rows must match the operator");
     Matrix cur = x;
     for (size_t l = 0; l < m.layers.size(); ++l)
-        cur = quantizedLayer(q, l, cur, q.branchOf, nullptr, nullptr);
+        cur = forwardLayer(m, &q, l, cur, nullptr, nullptr, nullptr);
     return cur;
 }
 

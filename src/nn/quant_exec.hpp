@@ -6,14 +6,24 @@
  * layer, a short sequence of typed ops (SpMM, GEMM, AttentionScore,
  * Residual, ConcatSelf, MaxAgg, Activation, Readout) over explicit
  * tensor slots. Every fast path is then an *interpreter* of that graph
- * instead of a bespoke plain-Mean loop:
+ * instead of a bespoke plain-Mean loop.
+ *
+ * Whole-matrix interpreters run every op through one executor, runOp(),
+ * at the precision of the pack they hold: a `const QuantizedGnn *` that
+ * is null for fp32. packOp() codes an op's input once, globally, before
+ * its rows are split; runOp() then runs the batch kernels over all rows
+ * or the serial row kernels over a row set.
  *
  *  - referenceForward(): stateless fp32 pass, memcmp-identical to the
  *    family's GnnModel::forward;
  *  - quantizeGnn() / quantizedForwardMixed(): the GCoD mixed-precision
  *    integer path (low-bit dense branch, degree-protected tail);
- *  - shard/executor.hpp: per-shard slices of every op, stitched
- *    bit-identically at any shard count;
+ *  - shard/executor.hpp: each op over every shard's owned rows into the
+ *    global staging slot, bit-identical at any shard count.
+ *
+ * The fp32 row worker (runRowOps / layerRowInto) chains one row through
+ * a layer instead:
+ *
  *  - dyn/incremental_forward.hpp: per-op dirty-row recompute;
  *  - nn/neighbor_sampler.hpp: sampled point queries over the rows one
  *    node's answer reads.
@@ -329,6 +339,55 @@ struct QuantizedGnn
 QuantizedGnn quantizeGnn(const ForwardRecipe &m,
                          const std::vector<int32_t> &degrees,
                          const MixedPrecisionPolicy &policy = {});
+
+/**
+ * The int8 operands of one op, packed once over the op's whole input
+ * before its rows are split: SpMM codes its input per branch with the
+ * whole matrix's scales, GEMM codes each row with its own scale. Every
+ * row subset and every shard then reads the codes the whole-matrix pass
+ * reads. Empty at fp32 and for the ops that run in fp32 at every
+ * precision. Not copyable: `x` may point at `packed`.
+ */
+struct OpPack
+{
+    /** SpMM: the operator's integer values and the branch-coded input. */
+    const QuantizedCsr *op = nullptr;
+    const MixedQuantizedMatrix *x = nullptr;
+    /** GEMM: the row-coded input. */
+    RowQuantizedMatrix rows;
+    /** Storage behind `x` when packOp coded the input. */
+    MixedQuantizedMatrix packed;
+
+    OpPack() = default;
+    OpPack(const OpPack &) = delete;
+    OpPack &operator=(const OpPack &) = delete;
+};
+
+/**
+ * Pack @p op's input @p in into @p pack at @p q's precision; a no-op
+ * when @p q is null (fp32). @p branch_of gives the branch of each row of
+ * @p in; null means q's own split (@p in covers every node).
+ */
+void packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
+            OpPack &pack, const std::vector<uint8_t> *branch_of = nullptr);
+
+/**
+ * The op executor every whole-matrix interpreter runs: @p op of @p m at
+ * the precision of @p q (fp32 when null; then @p pack is unused), over
+ *
+ *  - every row (@p rows null): the batch kernels — spmm, matmul,
+ *    qspmmMixed, qmatmulRowScaled, attentionForward, maxAggregate,
+ *    evalRowLocalOp — assigned to @p out;
+ *  - the rows in @p rows: the serial row kernels of the same math,
+ *    written into those rows of @p out, which the caller sized. Only
+ *    aggregations and GEMM have a row form.
+ *
+ * Each row's bytes are the same either way, so stitching the row sets
+ * of a partition reproduces the whole-matrix op (shard/executor).
+ */
+void runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
+           const Matrix &in, const Matrix *aux, const OpPack &pack,
+           const std::vector<NodeId> *rows, Matrix &out);
 
 /**
  * One mixed-precision integer forward pass: SpMM/GEMM ops run on

@@ -803,24 +803,21 @@ ServingEngine::logitsFor(const std::shared_ptr<const ArtifactBundle> &bundle,
     // Compute outside the lock: racing workers produce bit-identical
     // matrices (integer kernels + deterministic fp32 path), so a
     // duplicated cold pass is harmless.
+    const QuantizedGnn *q =
+        bits < 32 ? &bundle->quantized.at(bits) : nullptr;
     Matrix out;
-    if (bits < 32) {
-        const QuantizedGnn &q = bundle->quantized.at(bits);
-        if (bundle->sharded) {
-            // Sharded execution under the engine's fault plan: injected
-            // halo drops make the affected shards re-execute, which is
-            // invisible in the logits (bit-identical stitch) and visible
-            // in the stats.
-            shard::ShardExecStats sstats;
-            obs::TraceCtx tctx{&trace_, espan.id()};
-            out = shard::quantizedShardedForward(
-                bundle->sharded->plan, q, bundle->hostFeatures,
-                fault_->enabled() ? fault_.get() : nullptr, &sstats,
-                &tctx);
-            stats_.recordShardReexecutions(sstats.reexecutions);
-        } else {
-            out = quantizedForwardMixed(q, bundle->hostFeatures);
-        }
+    if (bundle->sharded) {
+        // Sharded execution under the engine's fault plan: injected halo
+        // drops make the affected shards re-execute, which is invisible
+        // in the logits (bit-identical stitch) and visible in the stats.
+        shard::ShardExecStats sstats;
+        obs::TraceCtx tctx{&trace_, espan.id()};
+        out = shard::shardedForward(
+            bundle->sharded->plan, bundle->hostRecipe, bundle->hostFeatures,
+            q, fault_->enabled() ? fault_.get() : nullptr, &sstats, &tctx);
+        stats_.recordShardReexecutions(sstats.reexecutions);
+    } else if (q != nullptr) {
+        out = quantizedForwardMixed(*q, bundle->hostFeatures);
     } else {
         out = referenceForward(bundle->hostRecipe, bundle->hostFeatures);
     }

@@ -197,9 +197,9 @@ applyDeltaToBundle(const std::shared_ptr<const ArtifactBundle> &prev,
     for (const auto &[bits, pack] : next->quantized)
         next->storedLogits.emplace(
             bits, next->sharded
-                      ? shard::quantizedShardedForward(next->sharded->plan,
-                                                       pack,
-                                                       next->hostFeatures)
+                      ? shard::shardedForward(next->sharded->plan,
+                                              next->hostRecipe,
+                                              next->hostFeatures, &pack)
                       : quantizedForwardMixed(pack, next->hostFeatures));
 
     if (stats != nullptr) {

@@ -1,247 +1,23 @@
 #include "shard/executor.hpp"
 
 #include <atomic>
-#include <cstring>
 
 #include "sim/logging.hpp"
 #include "sim/parallel.hpp"
-#include "tensor/ops.hpp"
 
 namespace gcod::shard {
 
-ShardedModel
-shardedModelFor(GnnModel &model, const GraphContext &ctx)
-{
-    // Model resolution (family validation, operator choice, op-graph
-    // lowering) is shared with the stateless/quantized execution paths.
-    ShardedModel m;
-    m.recipe = forwardRecipeFor(model, ctx);
-    return m;
-}
-
-namespace {
-
-/** Copy the rows named by @p ids from @p src into a dense local matrix. */
 Matrix
-gatherRows(const Matrix &src, const std::vector<NodeId> &ids)
+shardedForward(const ShardPlan &plan, const ForwardRecipe &m, const Matrix &x,
+               const QuantizedGnn *q, fault::FaultPlan *faults,
+               ShardExecStats *fault_stats, const obs::TraceCtx *trace)
 {
-    Matrix out(int64_t(ids.size()), src.cols());
-    for (size_t i = 0; i < ids.size(); ++i)
-        std::memcpy(out.row(int64_t(i)), src.row(ids[i]),
-                    size_t(src.cols()) * sizeof(float));
-    return out;
-}
-
-/**
- * One aggregation op over a shard's local node space: @p slice is the
- * shard's operator slice (rows = owned local order), @p xloc the
- * gathered owned+halo activations. Attention weights come from the
- * caller so the quantized path can pass its dequantized vectors.
- */
-Matrix
-localAggregate(const OpStep &op, const CsrMatrix &slice, const Matrix &xloc,
-               const Matrix *a_src, const Matrix *a_dst)
-{
-    switch (op.kind) {
-    case OpKind::SpMM:
-        return spmm(slice, xloc);
-    case OpKind::AttentionScore:
-        return attentionForward(slice, xloc, *a_src, *a_dst, op.heads,
-                                op.headDim, op.concatHeads);
-    case OpKind::MaxAgg:
-        return maxAggregate(slice, xloc);
-    default:
-        GCOD_FATAL("op ", opKindName(op.kind), " is not an aggregation");
-    }
-}
-
-} // namespace
-
-Matrix
-shardedForward(const ShardPlan &plan, const ShardedModel &m, const Matrix &x,
-               fault::FaultPlan *faults, ShardExecStats *fault_stats,
-               const obs::TraceCtx *trace)
-{
-    const ForwardRecipe &r = m.recipe;
-    GCOD_ASSERT(r.spec != nullptr && !r.operators.empty(),
-                "sharded model carries no recipe");
-    GCOD_ASSERT(x.rows() == int64_t(plan.numNodes),
-                "activation rows must match the plan graph");
-
-    // Per-shard slices of every recipe operator (one per opIndex).
-    std::vector<std::vector<CsrMatrix>> localOps(r.operators.size());
-    for (size_t i = 0; i < r.operators.size(); ++i)
-        localOps[i] = extractShardOperators(plan, *r.operators[i]);
-
-    obs::TraceRecorder *rec =
-        trace != nullptr && trace->enabled(obs::kTraceKernels)
-            ? trace->rec
-            : nullptr;
-    uint64_t trace_parent = trace != nullptr ? trace->parent : 0;
-    std::atomic<uint64_t> drops{0};
-    Matrix current = x;
-    for (size_t l = 0; l < r.layers.size(); ++l) {
-        const LayerGraph &g = r.layers[l];
-        std::vector<int64_t> widths = layerSlotWidths(r, l, current.cols());
-        std::vector<Matrix> slots(size_t(g.numSlots));
-        for (int sl = 1; sl < g.numSlots; ++sl)
-            slots[size_t(sl)] = Matrix(int64_t(plan.numNodes),
-                                       widths[size_t(sl)], 0.0f);
-        auto globalAt = [&](int sl) -> const Matrix & {
-            return sl == 0 ? current : slots[size_t(sl)];
-        };
-
-        // A layer runs as passes: each aggregation op (the ones that
-        // read neighbor rows, hence need the exchanged halo) opens a
-        // pass and the row-local tail rides along on the same worker —
-        // the barrier between passes is the halo exchange point.
-        size_t first = 0;
-        while (first < g.ops.size()) {
-            size_t end = first + 1;
-            while (end < g.ops.size() && !isAggregation(g.ops[end].kind))
-                ++end;
-            bool haloPass = isAggregation(g.ops[first].kind);
-            // One shard per pool range = one chip per shard; the kernels
-            // a shard calls run inline on that worker (nested regions
-            // degrade serial), so shards progress concurrently without
-            // perturbing any accumulation order.
-            parallelFor(
-                0, plan.numShards,
-                [&](const Range &rg, size_t) {
-                    for (int64_t s = rg.begin; s < rg.end; ++s) {
-                        const Shard &sh = plan.shards[size_t(s)];
-                        if (sh.owned.empty())
-                            continue;
-                        obs::ScopedSpan cspan(rec, obs::kTraceKernels,
-                                              "shard.compute", "shard",
-                                              trace_parent);
-                        if (cspan.active())
-                            cspan.attr("layer", int64_t(l))
-                                .attr("shard", s)
-                                .attr("owned", int64_t(sh.owned.size()))
-                                .attr("halo",
-                                      haloPass
-                                          ? int64_t(
-                                                sh.localToGlobal.size() -
-                                                sh.owned.size())
-                                          : int64_t(0));
-                        // Owned-row views of the slots this shard has
-                        // touched in this pass (avoids re-gathering).
-                        std::vector<Matrix> local(size_t(g.numSlots));
-                        std::vector<char> have(size_t(g.numSlots), 0);
-                        auto ownedOf = [&](int sl) -> const Matrix & {
-                            if (!have[size_t(sl)]) {
-                                local[size_t(sl)] =
-                                    gatherRows(globalAt(sl), sh.owned);
-                                have[size_t(sl)] = 1;
-                            }
-                            return local[size_t(sl)];
-                        };
-                        auto store = [&](int sl, Matrix v) {
-                            Matrix &gslot = slots[size_t(sl)];
-                            for (size_t i = 0; i < sh.owned.size(); ++i)
-                                std::memcpy(gslot.row(sh.owned[i]),
-                                            v.row(int64_t(i)),
-                                            size_t(v.cols()) *
-                                                sizeof(float));
-                            local[size_t(sl)] = std::move(v);
-                            have[size_t(sl)] = 1;
-                        };
-                        for (size_t oi = first; oi < end; ++oi) {
-                            const OpStep &op = g.ops[oi];
-                            if (isAggregation(op.kind)) {
-                                const Matrix *as =
-                                    op.aSrc >= 0
-                                        ? r.weights[size_t(op.aSrc)]
-                                        : nullptr;
-                                const Matrix *ad =
-                                    op.aDst >= 0
-                                        ? r.weights[size_t(op.aDst)]
-                                        : nullptr;
-                                obs::ScopedSpan hspan(
-                                    rec, obs::kTraceKernels,
-                                    "halo.gather", "shard", cspan.id());
-                                Matrix xloc = gatherRows(
-                                    globalAt(op.in), sh.localToGlobal);
-                                hspan.finish();
-                                const CsrMatrix &slice =
-                                    localOps[size_t(op.opIndex)]
-                                            [size_t(s)];
-                                // Injected halo drop: the exchange
-                                // delivered this shard's halo rows
-                                // corrupted. The attempt keyed by
-                                // (layer, shard) — thread-schedule
-                                // independent — is computed with the bad
-                                // (zeroed) halo, DISCARDED, and the
-                                // shard re-executes against the
-                                // re-fetched halo below. Only the
-                                // discard keeps the stitch
-                                // bit-identical; tests assert the
-                                // corrupt attempt really differs.
-                                if (faults != nullptr &&
-                                    faults->checkIndexed(
-                                        fault::FaultKind::HaloDrop,
-                                        "halo.fp32",
-                                        uint64_t(l) *
-                                                uint64_t(
-                                                    plan.numShards) +
-                                            uint64_t(s))) {
-                                    Matrix xbad = xloc;
-                                    for (size_t i = sh.owned.size();
-                                         i < sh.localToGlobal.size();
-                                         ++i)
-                                        std::memset(
-                                            xbad.row(int64_t(i)), 0,
-                                            size_t(xbad.cols()) *
-                                                sizeof(float));
-                                    Matrix discarded = localAggregate(
-                                        op, slice, xbad, as, ad);
-                                    (void)discarded;
-                                    drops.fetch_add(1);
-                                }
-                                store(op.out,
-                                      localAggregate(op, slice, xloc,
-                                                     as, ad));
-                            } else if (op.kind == OpKind::GEMM) {
-                                store(op.out,
-                                      matmul(ownedOf(op.in),
-                                             *r.weights[size_t(
-                                                 op.weight)]));
-                            } else {
-                                const Matrix *aux =
-                                    op.aux >= 0 ? &ownedOf(op.aux)
-                                                : nullptr;
-                                store(op.out,
-                                      evalRowLocalOp(
-                                          op, ownedOf(op.in), aux));
-                            }
-                        }
-                    }
-                },
-                1);
-            first = end;
-        }
-        current = std::move(slots[size_t(g.ops.back().out)]);
-    }
-    if (fault_stats != nullptr) {
-        fault_stats->haloDrops += drops.load();
-        fault_stats->reexecutions += drops.load();
-    }
-    return current;
-}
-
-Matrix
-quantizedShardedForward(const ShardPlan &plan, const QuantizedGnn &q,
-                        const Matrix &x, fault::FaultPlan *faults,
-                        ShardExecStats *fault_stats,
-                        const obs::TraceCtx *trace)
-{
-    const ForwardRecipe &m = q.recipe;
-    GCOD_ASSERT(x.rows() == int64_t(plan.numNodes),
-                "activation rows must match the plan graph");
     GCOD_ASSERT(!m.operators.empty() &&
-                    int64_t(m.operators[0]->rows()) == x.rows(),
-                "quantization pack must cover the plan graph");
+                    int64_t(m.operators[0]->rows()) == x.rows() &&
+                    x.rows() == int64_t(plan.numNodes),
+                "activation rows must match the plan graph and the recipe");
+    GCOD_ASSERT(q == nullptr || q->recipe.layers.size() == m.layers.size(),
+                "quantization pack must execute the recipe's op graph");
 
     obs::TraceRecorder *rec =
         trace != nullptr && trace->enabled(obs::kTraceKernels)
@@ -254,169 +30,79 @@ quantizedShardedForward(const ShardPlan &plan, const QuantizedGnn &q,
         const LayerGraph &g = m.layers[l];
         std::vector<int64_t> widths = layerSlotWidths(m, l, cur.cols());
         std::vector<Matrix> slots(size_t(g.numSlots));
-        for (int sl = 1; sl < g.numSlots; ++sl)
-            slots[size_t(sl)] = Matrix(int64_t(plan.numNodes),
-                                       widths[size_t(sl)], 0.0f);
-        auto globalAt = [&](int sl) -> const Matrix & {
+        auto at = [&](int sl) -> const Matrix & {
             return sl == 0 ? cur : slots[size_t(sl)];
         };
         for (const OpStep &op : g.ops) {
-            switch (op.kind) {
-            case OpKind::SpMM: {
-                // Global packing first: branch scales come from the
-                // whole activation matrix, so every shard codes its halo
-                // inputs exactly as the monolithic pass would. The
-                // packed branch codes are exactly what crosses chips, so
-                // the packing span IS the halo-exchange payload
-                // preparation.
-                GCOD_ASSERT(
-                    q.qops[size_t(op.opIndex)].pattern != nullptr,
-                    "SpMM operator missing from the quantization pack");
-                obs::ScopedSpan xspan(rec, obs::kTraceKernels,
-                                      "halo.exchange", "shard",
-                                      trace_parent);
+            const Matrix &in = at(op.in);
+            const Matrix *aux = op.aux >= 0 ? &at(op.aux) : nullptr;
+            Matrix &out = slots[size_t(op.out)];
+            const bool agg = isAggregation(op.kind);
+            if (!agg && op.kind != OpKind::GEMM) {
+                // Row-local ops are row-pure: the whole slot at once is
+                // every shard's stitch.
+                runOp(m, q, op, in, aux, OpPack(), nullptr, out);
+                continue;
+            }
+            OpPack pack;
+            {
+                // Global packing first: every shard codes its halo
+                // inputs exactly as the monolithic pass would. At int8
+                // the packed branch codes are what crosses chips, so the
+                // SpMM pack IS the halo-exchange payload preparation.
+                const bool wire = q != nullptr && op.kind == OpKind::SpMM;
+                obs::ScopedSpan xspan(wire ? rec : nullptr,
+                                      obs::kTraceKernels, "halo.exchange",
+                                      "shard", trace_parent);
                 if (xspan.active())
                     xspan.attr("layer", int64_t(l))
-                        .attr("nodes", globalAt(op.in).rows())
-                        .attr("dense_bits", q.policy.denseBits)
-                        .attr("sparse_bits", q.policy.sparseBits);
-                MixedQuantizedMatrix mq = mixedQuantize(
-                    globalAt(op.in), q.branchOf, q.localIndex,
-                    q.policy.denseBits, q.policy.sparseBits);
-                xspan.finish();
-                Matrix &out = slots[size_t(op.out)];
-                parallelFor(
-                    0, plan.numShards,
-                    [&](const Range &rg, size_t) {
-                        for (int64_t s = rg.begin; s < rg.end; ++s) {
-                            obs::ScopedSpan cspan(
-                                rec, obs::kTraceKernels,
-                                "shard.compute", "shard", trace_parent);
-                            if (cspan.active())
-                                cspan.attr("layer", int64_t(l))
-                                    .attr("shard", s)
-                                    .attr("owned",
-                                          int64_t(plan.shards[size_t(s)]
-                                                      .owned.size()));
-                            // Injected halo drop: the exchange CRC
-                            // rejected the packed halo codes, so the
-                            // aggregation re-executes against re-fetched
-                            // codes. qspmmMixedRows zeroes its
-                            // accumulators and overwrites the shard's
-                            // owned rows, so re-execution is idempotent
-                            // and the stitched logits stay
-                            // bit-identical.
-                            if (faults != nullptr &&
-                                faults->checkIndexed(
-                                    fault::FaultKind::HaloDrop,
-                                    "halo.quant",
-                                    uint64_t(l) *
-                                            uint64_t(plan.numShards) +
-                                        uint64_t(s))) {
-                                qspmmMixedRows(
-                                    q.qops[size_t(op.opIndex)], mq,
-                                    plan.shards[size_t(s)].owned, out);
-                                drops.fetch_add(1);
-                            }
-                            qspmmMixedRows(q.qops[size_t(op.opIndex)],
-                                           mq,
-                                           plan.shards[size_t(s)].owned,
-                                           out);
+                        .attr("nodes", in.rows())
+                        .attr("dense_bits", q->policy.denseBits)
+                        .attr("sparse_bits", q->policy.sparseBits);
+                packOp(q, op, in, pack);
+            }
+            out = Matrix(int64_t(plan.numNodes), widths[size_t(op.out)],
+                         0.0f);
+            // One shard per pool range = one chip per shard; the row
+            // kernels run serially inside it, so shards progress
+            // concurrently without perturbing any accumulation order.
+            parallelFor(
+                0, plan.numShards,
+                [&](const Range &rg, size_t) {
+                    for (int64_t s = rg.begin; s < rg.end; ++s) {
+                        const Shard &sh = plan.shards[size_t(s)];
+                        if (sh.owned.empty())
+                            continue;
+                        obs::ScopedSpan span(
+                            rec, obs::kTraceKernels,
+                            agg ? "shard.compute" : "shard.transform",
+                            "shard", trace_parent);
+                        if (span.active()) {
+                            span.attr("layer", int64_t(l)).attr("shard", s);
+                            if (agg)
+                                span.attr("owned", int64_t(sh.ownedCount()))
+                                    .attr("halo", int64_t(sh.haloCount()));
                         }
-                    },
-                    1);
-                break;
-            }
-            case OpKind::GEMM: {
-                // Same per-row activation scales as the monolithic
-                // interpreter: codes and scales are pure functions of
-                // each global row, so every shard packs identical
-                // operands and the stitched rows match qmatmulRowScaled
-                // bit for bit.
-                RowQuantizedMatrix rz =
-                    rowQuantize(globalAt(op.in), q.branchOf,
-                                q.policy.denseBits, q.policy.sparseBits);
-                Matrix &z = slots[size_t(op.out)];
-                parallelFor(
-                    0, plan.numShards,
-                    [&](const Range &rg, size_t) {
-                        for (int64_t s = rg.begin; s < rg.end; ++s) {
-                            obs::ScopedSpan tspan(
-                                rec, obs::kTraceKernels,
-                                "shard.transform", "shard",
-                                trace_parent);
-                            if (tspan.active())
-                                tspan.attr("layer", int64_t(l))
-                                    .attr("shard", s);
-                            qmatmulRowScaledRows(
-                                rz, q.wLo[size_t(op.weight)],
-                                q.wHi[size_t(op.weight)],
-                                plan.shards[size_t(s)].owned, z);
+                        // Injected halo drop: the exchange delivered this
+                        // shard's halo corrupted, keyed by (layer, shard)
+                        // so the set is thread-schedule independent. The
+                        // attempt is discarded and re-executed; the row
+                        // kernels overwrite the owned rows, so
+                        // re-execution is idempotent and the stitch stays
+                        // bit-identical.
+                        if (agg && faults != nullptr &&
+                            faults->checkIndexed(
+                                fault::FaultKind::HaloDrop,
+                                q != nullptr ? "halo.quant" : "halo.fp32",
+                                uint64_t(l) * uint64_t(plan.numShards) +
+                                    uint64_t(s))) {
+                            runOp(m, q, op, in, aux, pack, &sh.owned, out);
+                            drops.fetch_add(1);
                         }
-                    },
-                    1);
-                break;
-            }
-            case OpKind::AttentionScore:
-            case OpKind::MaxAgg: {
-                // fp32 aggregation over the staged global slots (the
-                // monolithic pass's precision placement), sharded by
-                // owned rows; every row is pure, so an injected drop
-                // just re-executes idempotently.
-                const Matrix &in = globalAt(op.in);
-                Matrix &out = slots[size_t(op.out)];
-                const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
-                parallelFor(
-                    0, plan.numShards,
-                    [&](const Range &rg, size_t) {
-                        for (int64_t s = rg.begin; s < rg.end; ++s) {
-                            const Shard &sh = plan.shards[size_t(s)];
-                            obs::ScopedSpan cspan(
-                                rec, obs::kTraceKernels,
-                                "shard.compute", "shard", trace_parent);
-                            if (cspan.active())
-                                cspan.attr("layer", int64_t(l))
-                                    .attr("shard", s)
-                                    .attr("owned",
-                                          int64_t(sh.owned.size()));
-                            auto computeRows = [&] {
-                                for (NodeId gid : sh.owned) {
-                                    if (op.kind ==
-                                        OpKind::AttentionScore)
-                                        attentionRowInto(
-                                            adj, in,
-                                            q.wDeq[size_t(op.aSrc)],
-                                            q.wDeq[size_t(op.aDst)],
-                                            op.heads, op.headDim,
-                                            op.concatHeads, gid,
-                                            out.row(gid));
-                                    else
-                                        maxAggRowInto(adj, in, gid,
-                                                      out.row(gid));
-                                }
-                            };
-                            if (faults != nullptr &&
-                                faults->checkIndexed(
-                                    fault::FaultKind::HaloDrop,
-                                    "halo.quant",
-                                    uint64_t(l) *
-                                            uint64_t(plan.numShards) +
-                                        uint64_t(s))) {
-                                computeRows();
-                                drops.fetch_add(1);
-                            }
-                            computeRows();
-                        }
-                    },
-                    1);
-                break;
-            }
-            default:
-                slots[size_t(op.out)] = evalRowLocalOp(
-                    op, globalAt(op.in),
-                    op.aux >= 0 ? &globalAt(op.aux) : nullptr);
-                break;
-            }
+                        runOp(m, q, op, in, aux, pack, &sh.owned, out);
+                    }
+                },
+                1);
         }
         cur = std::move(slots[size_t(g.ops.back().out)]);
     }

@@ -1,41 +1,33 @@
 /**
  * @file
  * Sharded forward execution: the host-side numerics of the multi-chip
- * runtime, bit-identical to single-chip execution.
+ * runtime, bit-identical to single-chip execution at both precisions.
  *
  * The executor interprets the model's op-graph ForwardRecipe
- * (nn/quant_exec.hpp) one layer at a time, as a sequence of *passes*.
- * A pass opens at each aggregation op (SpMM / AttentionScore / MaxAgg —
- * the ops that read neighbor rows and therefore need the halo exchange)
- * and carries the row-local ops that follow it (GEMM, Residual,
- * ConcatSelf, Activation). Shard s runs a pass by gathering its local
- * node space (owned + halo rows of the global staging matrix — exactly
- * what the exchange modeled in halo.hpp delivers), aggregating with its
- * local operator slice, chaining the row-local tail over its owned rows,
- * and scattering every produced slot back into the global staging.
- * Because
+ * (nn/quant_exec.hpp) op by op, through the same op executor as the
+ * whole-graph passes. For each op it first packs the input globally
+ * (packOp: at int8, the branch codes and scales of the whole activation
+ * matrix — exactly what the monolithic pass uses), then runs the op on
+ * every shard's owned rows in parallel (runOp over a row set), writing
+ * into the global staging slot. Aggregations (SpMM / AttentionScore /
+ * MaxAgg — the ops that read neighbor rows, hence the halo exchange) and
+ * GEMM run per shard; the row-pure row-local ops run once over the
+ * whole slot. Because every row kernel keeps its batch kernel's
+ * per-element order (fp32) or sums exact integers (int8), each owned
+ * output row is bit-identical to the monolithic pass's, for any shard
+ * count, any chip mix, and any thread count.
  *
- *  - the local operator slice preserves per-row entry order and values
- *    (plan.hpp) — for the renormalized/row-mean/binary CSR alike, which
- *    covers attention edge lists and Max neighborhoods too, and
- *  - every per-row worker keeps per-element accumulation order
- *    (sim/parallel determinism contract; nn/quant_exec row workers),
- *
- * each owned output row accumulates in exactly the order the monolithic
- * forward would use, so the stitched result is bit-identical for any
- * shard count, any chip mix, and any thread count.
+ * Per-shard operator slices (plan.hpp's extractLocalOperator) remain
+ * only in the cost model (scheduler.hpp); execution reads the global
+ * operators by owned row.
  *
  * Supported families: everything forwardRecipeFor lowers — GCN,
- * GraphSAGE (full-mean or sampled operators), GIN (residual streams are
- * sliced per shard), GAT (attention scores computed per shard over the
- * sharded projection), ResGCN.
+ * GraphSAGE (full-mean or sampled operators), GIN, GAT, ResGCN.
  */
 #ifndef GCOD_SHARD_EXECUTOR_HPP
 #define GCOD_SHARD_EXECUTOR_HPP
 
 #include "fault/fault.hpp"
-#include "nn/graph_context.hpp"
-#include "nn/models.hpp"
 #include "nn/quant_exec.hpp"
 #include "obs/trace.hpp"
 #include "shard/plan.hpp"
@@ -45,12 +37,12 @@ namespace gcod::shard {
 /**
  * Fault-recovery accounting of one sharded forward pass. Under an
  * injected halo drop (fault::FaultKind::HaloDrop), the affected shard's
- * attempt is discarded and the shard re-executes against the global
- * activation matrix — the re-fetched halo — on a healthy pool worker.
- * Because every output row is a pure function of the global activations
- * and re-execution overwrites (never accumulates into) the shard's owned
- * rows, the recovered stitch is bit-identical to the fault-free pass;
- * recovery costs work, never correctness.
+ * aggregation attempt is discarded and re-executed against the
+ * re-fetched halo on a healthy pool worker. Every output row is a pure
+ * function of the global staging slots and re-execution overwrites
+ * (never accumulates into) the shard's owned rows, so the recovered
+ * stitch is bit-identical to the fault-free pass; recovery costs work,
+ * never correctness.
  */
 struct ShardExecStats
 {
@@ -60,64 +52,34 @@ struct ShardExecStats
     uint64_t reexecutions = 0;
 };
 
-/** Execution recipe for one supported model over one graph. */
-struct ShardedModel
-{
-    /** The op graphs the executor interprets. Pointees must outlive. */
-    ForwardRecipe recipe;
-};
-
 /**
- * Resolve a trainable model into its sharded execution recipe, driven by
- * the model's ModelSpec (aggregation kind, heads, concatSelf per layer),
- * not by name matching. Fatal for unsupported families, naming the
- * family and the supported set.
- */
-ShardedModel shardedModelFor(GnnModel &model, const GraphContext &ctx);
-
-/**
- * Run one sharded fp32 forward pass; returns logits for every global
- * node. Per-shard slices of every recipe operator are extracted up
- * front (extractShardOperators per operator). Shards execute
- * concurrently on the shared kernel pool (each shard's kernels then run
- * inline on that worker, mirroring one chip per shard).
+ * Run one sharded forward pass of @p m; returns logits for every global
+ * node. @p q selects the precision: null runs fp32 (memcmp-identical to
+ * referenceForward), a pack runs its mixed-precision integer numerics
+ * (memcmp-identical to quantizedForwardMixed; q->recipe must be @p m's
+ * op graph). Shards execute concurrently on the shared kernel pool, one
+ * shard per range, mirroring one chip per shard; a shard that owns no
+ * rows does no work, emits no span and consults no fault.
  *
- * @p faults (optional) injects halo-exchange drops: shard s at layer l
- * consults the plan at deterministic index l * numShards + s, so the
+ * @p faults (optional) injects halo-exchange drops: each aggregation of
+ * shard s at layer l consults the plan at site "halo.fp32" or
+ * "halo.quant" and deterministic index l * numShards + s, so the
  * injected set is identical at any thread count. Dropped shards
  * re-execute (see ShardExecStats); @p fault_stats, when non-null,
  * reports the recovery counts.
  *
- * @p trace (optional) records per-shard "shard.compute" and halo
- * ("halo.gather" fp32 / "halo.exchange" quantized) spans at
- * obs::kTraceKernels, parented under trace->parent. Tracing reads
- * timestamps and copies labels only — the stitched logits stay
- * byte-identical with tracing on or off.
+ * @p trace (optional) records, at obs::kTraceKernels under
+ * trace->parent, one "shard.compute" span per shard per aggregation,
+ * one "shard.transform" per shard per GEMM, and at int8 one
+ * "halo.exchange" per SpMM pack (the packed branch codes are the wire
+ * payload). Tracing reads timestamps and copies labels only — the
+ * stitched logits stay byte-identical with tracing on or off.
  */
-Matrix shardedForward(const ShardPlan &plan, const ShardedModel &m,
-                      const Matrix &x, fault::FaultPlan *faults = nullptr,
+Matrix shardedForward(const ShardPlan &plan, const ForwardRecipe &m,
+                      const Matrix &x, const QuantizedGnn *q = nullptr,
+                      fault::FaultPlan *faults = nullptr,
                       ShardExecStats *fault_stats = nullptr,
                       const obs::TraceCtx *trace = nullptr);
-
-/**
- * Sharded mixed-precision integer forward (nn/quant_exec numerics): each
- * shard computes its owned output rows of every SpMM/GEMM op with the
- * per-row integer kernels, while every quantization scale is derived
- * from the GLOBAL activation matrix — exactly what the monolithic
- * quantizedForwardMixed uses. Attention scoring and Max aggregation run
- * per shard in fp32 over the staged global slots (the same precision
- * placement as the monolithic pass); the remaining row-local ops are
- * row-pure fp32. With integer accumulation exact per row, the stitched
- * logits are bit-identical to the monolithic pass for any shard count,
- * chip mix, and thread count. Halo activations cross shards at the
- * pack's wire precision (the packed branch codes), which is what the
- * exchange cost model prices via HaloExchangeOptions::bytesPerScalar.
- */
-Matrix quantizedShardedForward(const ShardPlan &plan, const QuantizedGnn &q,
-                               const Matrix &x,
-                               fault::FaultPlan *faults = nullptr,
-                               ShardExecStats *fault_stats = nullptr,
-                               const obs::TraceCtx *trace = nullptr);
 
 } // namespace gcod::shard
 

@@ -256,21 +256,6 @@ extractLocalOperator(const CsrMatrix &op, const Shard &shard,
                      std::move(values));
 }
 
-std::vector<CsrMatrix>
-extractShardOperators(const ShardPlan &plan, const CsrMatrix &op)
-{
-    std::vector<CsrMatrix> locals(size_t(plan.numShards));
-    parallelFor(
-        0, plan.numShards,
-        [&](const Range &r, size_t) {
-            for (int64_t s = r.begin; s < r.end; ++s)
-                locals[size_t(s)] = extractLocalOperator(
-                    op, plan.shards[size_t(s)], plan.numNodes);
-        },
-        1);
-    return locals;
-}
-
 Graph
 localShardGraph(const Graph &g, const Shard &shard)
 {

@@ -146,15 +146,11 @@ ShardPlan derivePlan(const Graph &g, int num_shards, int num_classes,
  * node space. The operator's pattern must be contained in the plan
  * graph's adjacency plus self loops (true for the GCN-normalized,
  * row-mean, and binary operators). Per-row entry order and values are
- * preserved exactly, so per-row kernel results match the global operator
- * bit for bit.
+ * preserved exactly. The scheduler's cost model prices each shard's
+ * aggregation work from it; execution reads the global operator.
  */
 CsrMatrix extractLocalOperator(const CsrMatrix &op, const Shard &shard,
                                NodeId num_nodes);
-
-/** extractLocalOperator for every shard of a plan (pool-parallel). */
-std::vector<CsrMatrix> extractShardOperators(const ShardPlan &plan,
-                                             const CsrMatrix &op);
 
 /**
  * The shard's cost-model graph: a symmetric adjacency over the local

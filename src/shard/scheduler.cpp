@@ -168,18 +168,6 @@ ShardScheduler::schedule(const ShardPlan &plan,
     return res;
 }
 
-ShardScheduler::RunOutcome
-ShardScheduler::run(const ShardPlan &plan,
-                    const std::vector<ShardExecution> &units,
-                    const ShardedModel &model, const Matrix &x,
-                    double feature_density) const
-{
-    RunOutcome out;
-    out.output = shardedForward(plan, model, x);
-    out.cost = schedule(plan, units, *model.recipe.spec, feature_density);
-    return out;
-}
-
 std::vector<std::string>
 parseFleetSpec(const std::string &spec)
 {

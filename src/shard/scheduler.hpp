@@ -128,17 +128,6 @@ class ShardScheduler
                                  const ModelSpec &spec,
                                  double feature_density = 1.0) const;
 
-    /** Numerics + cost of one pass for a supported model. */
-    struct RunOutcome
-    {
-        Matrix output; ///< stitched logits for every global node
-        ShardScheduleResult cost;
-    };
-    RunOutcome run(const ShardPlan &plan,
-                   const std::vector<ShardExecution> &units,
-                   const ShardedModel &model, const Matrix &x,
-                   double feature_density = 1.0) const;
-
   private:
     struct Chip
     {

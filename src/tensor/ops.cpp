@@ -209,27 +209,6 @@ spmmRowWise(const CsrMatrix &a, const Matrix &x)
 }
 
 Matrix
-spmmColumnWise(const CscMatrix &a, const Matrix &x)
-{
-    GCOD_ASSERT(int64_t(a.cols()) == x.rows(), "spmm shape mismatch");
-    Matrix y(a.rows(), x.cols(), 0.0f);
-    // Consume one adjacency column per step; each column's entries all
-    // multiply the same row of X (distributed aggregation, Fig. 5(b)).
-    // Stays serial: distinct columns scatter into the same output rows,
-    // and this dataflow exists to mirror the accelerator, not to be the
-    // host hot path (spmmRowWise is).
-    for (NodeId c = 0; c < a.cols(); ++c) {
-        const float *xrow = x.row(c);
-        a.forEachInCol(c, [&](NodeId r, float v) {
-            float *yrow = y.row(r);
-            for (int64_t j = 0; j < x.cols(); ++j)
-                yrow[j] += v * xrow[j];
-        });
-    }
-    return y;
-}
-
-Matrix
 spmm(const CsrMatrix &a, const Matrix &x)
 {
     return spmmRowWise(a, x);

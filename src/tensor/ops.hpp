@@ -2,12 +2,10 @@
  * @file
  * Dense and sparse linear-algebra kernels.
  *
- * The two SpMM product orders mirror the paper's Fig. 7 dataflows:
- *  - spmmRowWise:    row-wise products (gathered; combination in the
- *                    efficiency-aware pipeline)
- *  - spmmColumnWise: column-wise products over CSC (distributed; the
- *                    aggregation dataflow of AWB-GCN and GCoD)
- * Both compute the same A*B; tests assert they agree with the reference.
+ * SpMM runs row-wise (gathered) products over CSR: each output row is
+ * written by one range in operator-row entry order, so results are
+ * thread-count invariant. The column-wise (distributed) dataflow of the
+ * paper's Fig. 7 lives in the fused pipelines (tensor/fused.hpp).
  */
 #ifndef GCOD_TENSOR_OPS_HPP
 #define GCOD_TENSOR_OPS_HPP
@@ -36,9 +34,6 @@ Matrix matmulTransposedB(const Matrix &a, const Matrix &b);
 
 /** Sparse-dense Y = A * X using row-wise (gathered) products. */
 Matrix spmmRowWise(const CsrMatrix &a, const Matrix &x);
-
-/** Sparse-dense Y = A * X using column-wise (distributed) products. */
-Matrix spmmColumnWise(const CscMatrix &a, const Matrix &x);
 
 /** Convenience: Y = A * X through the CSR row-wise kernel. */
 Matrix spmm(const CsrMatrix &a, const Matrix &x);

@@ -352,67 +352,6 @@ branchRows(const std::vector<uint8_t> &branch_of,
 
 } // namespace
 
-Matrix
-qmatmul(const QuantizedMatrix &a, const QuantizedMatrix &b)
-{
-    GCOD_ASSERT(a.cols() == b.rows(), "qmatmul shape mismatch");
-    ParallelZone zone("qmatmul");
-    Matrix c(a.rows(), b.cols(), 0.0f);
-    parallelFor(
-        0, a.rows(),
-        [&](const Range &range, size_t) {
-            std::vector<int64_t> acc(size_t(b.cols()));
-            for (int64_t i = range.begin; i < range.end; ++i) {
-                std::fill(acc.begin(), acc.end(), 0);
-                for (int64_t k = 0; k < a.cols(); ++k) {
-                    int32_t av = a.at(i, k);
-                    if (av == 0)
-                        continue;
-                    axpyRow(acc.data(), av, b, k);
-                }
-                double s = double(a.params().scale) *
-                           double(b.params().scale);
-                float *crow = c.row(i);
-                for (int64_t j = 0; j < b.cols(); ++j)
-                    crow[j] = float(s * double(acc[size_t(j)]));
-            }
-        },
-        rowGrain(a.cols() * b.cols()));
-    return c;
-}
-
-Matrix
-qspmm(const QuantizedCsr &a, const QuantizedMatrix &x)
-{
-    const CsrMatrix &p = *a.pattern;
-    GCOD_ASSERT(int64_t(p.cols()) == x.rows(), "qspmm shape mismatch");
-    ParallelZone zone("qspmm");
-    Matrix y(p.rows(), x.cols(), 0.0f);
-    parallelForWeighted(
-        p.indptr(),
-        [&](const Range &range, size_t) {
-            std::vector<int64_t> acc(size_t(x.cols()));
-            for (NodeId r = NodeId(range.begin); r < NodeId(range.end);
-                 ++r) {
-                std::fill(acc.begin(), acc.end(), 0);
-                for (EdgeOffset k = p.indptr()[size_t(r)];
-                     k < p.indptr()[size_t(r) + 1]; ++k) {
-                    int32_t av = a.values[size_t(k)];
-                    if (av == 0)
-                        continue;
-                    axpyRow(acc.data(), av, x, p.indices()[size_t(k)]);
-                }
-                double s =
-                    double(a.qp.scale) * double(x.params().scale);
-                float *yrow = y.row(r);
-                for (int64_t j = 0; j < x.cols(); ++j)
-                    yrow[j] = float(s * double(acc[size_t(j)]));
-            }
-        },
-        rowGrain(x.cols()));
-    return y;
-}
-
 std::vector<int32_t>
 branchLocalIndex(const std::vector<uint8_t> &branch_of)
 {

@@ -35,12 +35,6 @@
 
 namespace gcod {
 
-/** Dense C = deq(A) * deq(B), computed in integer arithmetic. */
-Matrix qmatmul(const QuantizedMatrix &a, const QuantizedMatrix &b);
-
-/** Sparse-dense Y = deq(A) * deq(X), row-wise, integer accumulation. */
-Matrix qspmm(const QuantizedCsr &a, const QuantizedMatrix &x);
-
 /**
  * Row-partitioned two-branch quantized activation matrix. Global row r
  * lives in branch branchOf[r] (0 = low-bit dense branch, 1 = higher-bit

@@ -346,7 +346,7 @@ TEST(ShardFaultTest, HaloDropsRecoverBitIdenticallyFp32)
     shard::ShardPlanOptions popts;
     popts.shards = 3;
     shard::ShardPlan plan = shard::buildShardPlan(g, popts);
-    shard::ShardedModel m = shard::shardedModelFor(*model, ctx);
+    ForwardRecipe m = forwardRecipeFor(*model, ctx);
 
     Matrix clean = shard::shardedForward(plan, m, x);
 
@@ -357,11 +357,12 @@ TEST(ShardFaultTest, HaloDropsRecoverBitIdenticallyFp32)
     cfg.haloDropRate = 1.0;
     FaultPlan faults(cfg);
     shard::ShardExecStats stats;
-    Matrix drilled = shard::shardedForward(plan, m, x, &faults, &stats);
+    Matrix drilled =
+        shard::shardedForward(plan, m, x, nullptr, &faults, &stats);
 
     EXPECT_TRUE(bitIdentical(clean, drilled))
         << "maxAbsDiff=" << Matrix::maxAbsDiff(clean, drilled);
-    uint64_t cells = m.recipe.layers.size() * uint64_t(plan.numShards);
+    uint64_t cells = m.layers.size() * uint64_t(plan.numShards);
     EXPECT_EQ(stats.haloDrops, cells);
     EXPECT_EQ(stats.reexecutions, cells);
     EXPECT_EQ(faults.injectedCount(FaultKind::HaloDrop), cells);
@@ -378,8 +379,8 @@ TEST(ShardFaultTest, QuantizedRecoveryBitIdenticalAtAnyThreadCount)
     ASSERT_EQ(bundle->quantized.count(8), 1u);
     const QuantizedGnn &q = bundle->quantized.at(8);
 
-    Matrix clean = shard::quantizedShardedForward(bundle->sharded->plan, q,
-                                                  bundle->hostFeatures);
+    Matrix clean = shard::shardedForward(bundle->sharded->plan, q.recipe,
+                                         bundle->hostFeatures, &q);
 
     // Pin the seed: this test wants a *partial* drop pattern that is
     // provably nonempty, and an unlucky sweep seed over the small
@@ -394,12 +395,14 @@ TEST(ShardFaultTest, QuantizedRecoveryBitIdenticalAtAnyThreadCount)
     int before = currentThreads();
     setThreads(1);
     shard::ShardExecStats stats1;
-    Matrix out1 = shard::quantizedShardedForward(
-        bundle->sharded->plan, q, bundle->hostFeatures, &plan1, &stats1);
+    Matrix out1 = shard::shardedForward(bundle->sharded->plan, q.recipe,
+                                        bundle->hostFeatures, &q, &plan1,
+                                        &stats1);
     setThreads(4);
     shard::ShardExecStats stats4;
-    Matrix out4 = shard::quantizedShardedForward(
-        bundle->sharded->plan, q, bundle->hostFeatures, &plan4, &stats4);
+    Matrix out4 = shard::shardedForward(bundle->sharded->plan, q.recipe,
+                                        bundle->hostFeatures, &q, &plan4,
+                                        &stats4);
     setThreads(before);
     EXPECT_EQ(stats1.haloDrops, plan1.injectedCount(FaultKind::HaloDrop));
     EXPECT_EQ(stats4.haloDrops, plan4.injectedCount(FaultKind::HaloDrop));

@@ -57,6 +57,23 @@ operator new[](std::size_t n)
     return p;
 }
 
+// The nothrow forms must be replaced too: the library's defaults would
+// allocate outside this malloc/free pair (std::stable_sort's buffer
+// goes through them), and ASan flags the free as a mismatch.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    ++t_allocs;
+    return std::malloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    ++t_allocs;
+    return std::malloc(n);
+}
+
 void
 operator delete(void *p) noexcept
 {

@@ -116,36 +116,6 @@ TEST(QuantizedMatrixTest, SharedScaleCodesStaySymmetric)
 }
 
 // --------------------------------------------------------------- kernels
-TEST(QuantKernelsTest, QmatmulMatchesDequantizedFloatProduct)
-{
-    Rng rng(5);
-    Matrix a = randomDense(40, 30, rng);
-    Matrix b = randomDense(30, 20, rng);
-    QuantizedMatrix qa(a, 8), qb(b, 8);
-    Matrix ref = matmul(qa.toMatrix(), qb.toMatrix());
-    Matrix got = qmatmul(qa, qb);
-    EXPECT_LE(Matrix::maxAbsDiff(ref, got), 1e-3);
-}
-
-TEST(QuantKernelsTest, QspmmMatchesDequantizedFloatProduct)
-{
-    Rng rng(6);
-    Graph g = barabasiAlbert(300, 3, rng);
-    GraphContext ctx(g);
-    const CsrMatrix &op = ctx.normalized();
-    Matrix x = randomDense(g.numNodes(), 24, rng);
-    QuantizedCsr qop = quantizeCsr(op, 16);
-    QuantizedMatrix qx(x, 8);
-    // Dequantized operator for the float reference.
-    std::vector<float> deq(qop.values.size());
-    for (size_t i = 0; i < deq.size(); ++i)
-        deq[i] = float(qop.values[i]) * qop.qp.scale;
-    CsrMatrix dop(op.rows(), op.cols(), op.indptr(), op.indices(), deq);
-    Matrix ref = spmm(dop, qx.toMatrix());
-    Matrix got = qspmm(qop, qx);
-    EXPECT_LE(Matrix::maxAbsDiff(ref, got), 1e-3);
-}
-
 TEST(QuantKernelsTest, RowScaledGemmIsExactPerRowAndStitchesBitIdentically)
 {
     Rng rng(7);
@@ -258,7 +228,7 @@ TEST(QuantExecTest, BitIdenticalAcrossShardCounts)
         shard::ShardPlanOptions popts;
         popts.shards = k;
         shard::ShardPlan plan = shard::buildShardPlan(f.graph, popts);
-        Matrix sharded = shard::quantizedShardedForward(plan, q, f.x);
+        Matrix sharded = shard::shardedForward(plan, q.recipe, f.x, &q);
         EXPECT_TRUE(bitIdentical(mono, sharded)) << "K=" << k;
     }
 }

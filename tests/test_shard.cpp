@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
 #include <set>
 #include <tuple>
 
@@ -15,6 +16,7 @@
 #include "nn/graph_context.hpp"
 #include "nn/models.hpp"
 #include "nn/quant_exec.hpp"
+#include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "shard/executor.hpp"
 #include "shard/halo.hpp"
@@ -153,11 +155,9 @@ TEST(ShardOperators, SlicesPreserveRowOrderAndValues)
     ShardPlanOptions opts;
     opts.shards = 3;
     ShardPlan plan = buildShardPlan(g, opts);
-    std::vector<CsrMatrix> locals =
-        extractShardOperators(plan, ctx.normalized());
-
     for (const Shard &sh : plan.shards) {
-        const CsrMatrix &loc = locals[size_t(sh.id)];
+        CsrMatrix loc =
+            extractLocalOperator(ctx.normalized(), sh, plan.numNodes);
         ASSERT_EQ(loc.rows(), sh.ownedCount());
         ASSERT_EQ(loc.cols(), sh.localCount());
         for (NodeId i = 0; i < sh.ownedCount(); ++i) {
@@ -194,7 +194,7 @@ TEST_P(ShardedForwardK, GcnMatchesMonolithicBitForBit)
     opts.shards = GetParam();
     ShardPlan plan = buildShardPlan(g, opts);
     Matrix sharded =
-        shardedForward(plan, shardedModelFor(*model, ctx), x);
+        shardedForward(plan, forwardRecipeFor(*model, ctx), x);
     EXPECT_TRUE(bitIdentical(mono, sharded))
         << "GCN diverged at K=" << GetParam()
         << " maxAbsDiff=" << Matrix::maxAbsDiff(mono, sharded);
@@ -214,7 +214,7 @@ TEST_P(ShardedForwardK, SageMatchesMonolithicBitForBit)
     opts.shards = GetParam();
     ShardPlan plan = buildShardPlan(g, opts);
     Matrix sharded =
-        shardedForward(plan, shardedModelFor(*model, ctx), x);
+        shardedForward(plan, forwardRecipeFor(*model, ctx), x);
     EXPECT_TRUE(bitIdentical(mono, sharded))
         << "GraphSAGE diverged at K=" << GetParam()
         << " maxAbsDiff=" << Matrix::maxAbsDiff(mono, sharded);
@@ -244,8 +244,8 @@ TEST_P(ShardedZoo, FamilyMatchesMonolithicBitForBit)
     ShardPlanOptions opts;
     opts.shards = k;
     ShardPlan plan = buildShardPlan(g, opts);
-    ShardedModel sm = shardedModelFor(*model, ctx);
-    Matrix sharded = shardedForward(plan, sm, x);
+    ForwardRecipe recipe = forwardRecipeFor(*model, ctx);
+    Matrix sharded = shardedForward(plan, recipe, x);
     EXPECT_TRUE(bitIdentical(mono, sharded))
         << family << " fp32 diverged at K=" << k
         << " maxAbsDiff=" << Matrix::maxAbsDiff(mono, sharded);
@@ -254,9 +254,9 @@ TEST_P(ShardedZoo, FamilyMatchesMonolithicBitForBit)
     pol.denseBits = 8;
     pol.sparseBits = 16;
     pol.operatorBits = 16;
-    QuantizedGnn q = quantizeGnn(sm.recipe, g.degrees(), pol);
+    QuantizedGnn q = quantizeGnn(recipe, g.degrees(), pol);
     Matrix qmono = quantizedForwardMixed(q, x);
-    Matrix qsharded = quantizedShardedForward(plan, q, x);
+    Matrix qsharded = shardedForward(plan, recipe, x, &q);
     EXPECT_TRUE(bitIdentical(qmono, qsharded))
         << family << " int8 diverged at K=" << k
         << " maxAbsDiff=" << Matrix::maxAbsDiff(qmono, qsharded);
@@ -275,7 +275,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ShardedForward, ManyShardsOnTinyGraphStillExact)
 {
     // More shards than some classes have nodes: empty shards must be
-    // handled, and the stitched result still exact.
+    // handled, and the stitched result still exact at both precisions.
     Graph g(12, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
                  {6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, {0, 11}});
     GraphContext ctx(g);
@@ -288,9 +288,13 @@ TEST(ShardedForward, ManyShardsOnTinyGraphStillExact)
     ShardPlanOptions opts;
     opts.shards = 8;
     ShardPlan plan = buildShardPlan(g, opts);
-    Matrix sharded =
-        shardedForward(plan, shardedModelFor(*model, ctx), x);
+    ForwardRecipe recipe = forwardRecipeFor(*model, ctx);
+    Matrix sharded = shardedForward(plan, recipe, x);
     EXPECT_TRUE(bitIdentical(mono, sharded));
+
+    QuantizedGnn q = quantizeGnn(recipe, g.degrees());
+    Matrix qsharded = shardedForward(plan, recipe, x, &q);
+    EXPECT_TRUE(bitIdentical(quantizedForwardMixed(q, x), qsharded));
 }
 
 // -------------------------------------------------------------- scheduler
@@ -314,12 +318,11 @@ TEST(ShardScheduler, MixedChipFleetRunsExactAndCosts)
     ShardScheduler sched(sopts);
     EXPECT_EQ(sched.fleetName(), "shard[GCoD,GCoD@bits=8,HyGCN]");
 
-    ShardScheduler::RunOutcome out =
-        sched.run(plan, units, shardedModelFor(*model, ctx), x);
-    EXPECT_TRUE(bitIdentical(mono, out.output))
+    Matrix output = shardedForward(plan, forwardRecipeFor(*model, ctx), x);
+    EXPECT_TRUE(bitIdentical(mono, output))
         << "numerics must not depend on the chip mix";
 
-    const ShardScheduleResult &c = out.cost;
+    const ShardScheduleResult c = sched.schedule(plan, units, model->spec());
     ASSERT_EQ(c.chipOf.size(), size_t(plan.numShards));
     for (int chip : c.chipOf) {
         EXPECT_GE(chip, 0);
@@ -528,10 +531,60 @@ TEST(ServeSharded, HomogeneousLowBitFleetExecutesQuantizedSharded)
     ASSERT_EQ(bundle->quantized.count(8), 1u);
     Matrix mono = quantizedForwardMixed(bundle->quantized.at(8),
                                         bundle->hostFeatures);
-    Matrix fleet = quantizedShardedForward(
-        bundle->sharded->plan, bundle->quantized.at(8),
-        bundle->hostFeatures);
+    Matrix fleet = shardedForward(bundle->sharded->plan, bundle->hostRecipe,
+                                  bundle->hostFeatures,
+                                  &bundle->quantized.at(8));
     EXPECT_TRUE(bitIdentical(mono, fleet));
+}
+
+TEST(ServeSharded, Fp32FleetExecutesShardedAndTracesEveryShard)
+{
+    serve::ServeOptions opts;
+    opts.backends = {"GCoD"};
+    opts.shards = 2;
+    opts.shardBackends = {"GCoD", "GCoD"};
+    opts.workers = 1;
+    opts.artifactScale = 0.002; // keep the Reddit stand-in test-sized
+    opts.traceLevel = obs::kTraceKernels;
+    serve::ServingEngine engine(opts);
+
+    std::vector<std::future<serve::InferenceReply>> futures;
+    for (NodeId node = 0; node < 8; ++node)
+        futures.push_back(engine.submit({0, "Reddit", "GCN", node}));
+    engine.drain();
+
+    serve::ArtifactKey key{"Reddit", "GCN",
+                           serve::hashGcodOptions(opts.gcod)};
+    auto bundle = engine.cache().get(key).bundle;
+    ASSERT_NE(bundle->sharded, nullptr);
+    Matrix mono = referenceForward(bundle->hostRecipe, bundle->hostFeatures);
+    ASSERT_GE(mono.rows(), 8);
+    for (NodeId node = 0; node < 8; ++node) {
+        serve::InferenceReply reply = futures[size_t(node)].get();
+        ASSERT_TRUE(reply.ok()) << reply.error;
+        EXPECT_EQ(reply.executedBits, 32);
+        const float *row = mono.row(node);
+        int best = 0;
+        for (int64_t c = 1; c < mono.cols(); ++c)
+            if (row[c] > row[best])
+                best = int(c);
+        EXPECT_EQ(reply.prediction, best) << "node " << node;
+    }
+
+    // The fleet ran the sharded pass: one shard.compute per shard per
+    // layer, each under a host.exec span.
+    std::vector<obs::TraceSpan> spans = engine.trace().snapshot();
+    std::set<uint64_t> execIds;
+    for (const obs::TraceSpan &s : spans)
+        if (s.name == "host.exec")
+            execIds.insert(s.id);
+    size_t computes = 0;
+    for (const obs::TraceSpan &s : spans)
+        if (s.name == "shard.compute") {
+            ++computes;
+            EXPECT_EQ(execIds.count(s.parent), 1u);
+        }
+    EXPECT_EQ(computes, size_t(opts.shards) * bundle->spec.layers.size());
 }
 
 TEST(ServeSharded, SmallGraphsStayOnTheSingleChipPath)

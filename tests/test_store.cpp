@@ -316,12 +316,12 @@ TEST(StoreArtifactTest, BundleRoundTripIsEquivalentForServing)
         EXPECT_EQ(b.sharded->plan.shards[s].halo,
                   built->sharded->plan.shards[s].halo);
     }
-    expectMatrixEq(shard::quantizedShardedForward(b.sharded->plan,
-                                                  b.quantized.at(8),
-                                                  b.hostFeatures),
-                   shard::quantizedShardedForward(built->sharded->plan,
-                                                  built->quantized.at(8),
-                                                  built->hostFeatures),
+    expectMatrixEq(shard::shardedForward(b.sharded->plan, b.hostRecipe,
+                                         b.hostFeatures, &b.quantized.at(8)),
+                   shard::shardedForward(built->sharded->plan,
+                                         built->hostRecipe,
+                                         built->hostFeatures,
+                                         &built->quantized.at(8)),
                    "sharded int8 logits");
 
     // Memoized logits handed to save come back as storedLogits.

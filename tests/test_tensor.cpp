@@ -138,20 +138,6 @@ TEST(Spmm, RowWiseMatchesDenseReference)
     EXPECT_LT(Matrix::maxAbsDiff(spmmRowWise(a, x), ref), 1e-4);
 }
 
-TEST(Spmm, ColumnWiseMatchesRowWise)
-{
-    // The gathered (row-wise) and distributed (column-wise) dataflows of
-    // Fig. 5 must produce identical results.
-    Rng rng(4);
-    for (int trial = 0; trial < 5; ++trial) {
-        CsrMatrix a = randomSparse(20, 15, 80, rng);
-        Matrix x = randomDense(15, 6, rng);
-        Matrix row = spmmRowWise(a, x);
-        Matrix col = spmmColumnWise(a.toCsc(), x);
-        EXPECT_LT(Matrix::maxAbsDiff(row, col), 1e-4);
-    }
-}
-
 TEST(Spmm, EmptyMatrixGivesZeros)
 {
     CooMatrix coo(4, 4);
