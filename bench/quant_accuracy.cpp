@@ -6,7 +6,8 @@
  * runs its op-graph forward through the mixed-precision integer kernels
  * (nn/quant_exec) at dense-branch bits ∈ {4, 8, 16} plus the fp32
  * reference, emitting accuracy drop, wall time, and GFLOP/s per
- * (family, precision) to BENCH_quant.json. The attention rows chart the
+ * (family, precision) to BENCH_quant.json, with each family's train()
+ * wall time as `train_seconds` on its fp32 row. The attention rows chart the
  * paper's most interesting case — the low-bit accuracy cliff of
  * attention scores, which quantized execution sidesteps by keeping
  * AttentionScore ops in fp32 over dequantized projections.
@@ -154,15 +155,17 @@ runQuantAccuracy(const Config &cfg)
     for (const std::string &family : families) {
         int fam_epochs = epochs;
         Rng mrng(7);
-        auto model = makeModel(family, ds.featureDim(), ds.numClasses(),
-                               profile.nodes >= kLargeGraphNodes, mrng);
+        GnnModel model = makeModel(family, ds.featureDim(), ds.numClasses(),
+                                   profile.nodes >= kLargeGraphNodes, mrng);
         TrainOptions topts;
         topts.epochs = fam_epochs;
-        TrainReport report = train(*model, ctx, ds, topts);
+        TrainReport report;
+        double train_seconds =
+            timeBest(1, [&] { report = train(model, ctx, ds, topts); });
 
-        ForwardRecipe recipe = forwardRecipeFor(*model, ctx);
+        ForwardRecipe recipe = forwardRecipeFor(model, ctx);
         double flops = forwardFlops(recipe, nodes, ds.featureDim());
-        bool attention = model->spec().layers.front().agg ==
+        bool attention = model.spec().layers.front().agg ==
                          Aggregation::Attention;
 
         Matrix ref;
@@ -173,13 +176,16 @@ runQuantAccuracy(const Config &cfg)
             .set("model", family)
             .set("bits", 32)
             .set("trained_test_accuracy", report.testAccuracy)
+            .set("train_seconds", train_seconds)
             .set("accuracy", acc32)
             .set("accuracy_drop_pct", 0.0)
             .set("seconds", fp32_seconds)
             .set("gflops", flops / std::max(fp32_seconds, 1e-12) / 1e9);
-        std::printf("%-10s %-6s acc=%.4f  %8.3f ms  %7.2f GFLOP/s\n",
+        std::printf("%-10s %-6s acc=%.4f  %8.3f ms  %7.2f GFLOP/s"
+                    "  (train %d epochs: %.2f s)\n",
                     family.c_str(), "fp32", acc32, fp32_seconds * 1e3,
-                    flops / std::max(fp32_seconds, 1e-12) / 1e9);
+                    flops / std::max(fp32_seconds, 1e-12) / 1e9, fam_epochs,
+                    train_seconds);
         if (check && !nonDegenerate(ref)) {
             std::fprintf(stderr,
                          "FAIL: %s fp32 logits are degenerate (single "

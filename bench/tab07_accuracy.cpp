@@ -14,6 +14,7 @@
  */
 #include "bench_common.hpp"
 #include "compress/compress.hpp"
+#include "nn/backward.hpp"
 #include "nn/dataset.hpp"
 
 using namespace gcod;
@@ -77,7 +78,7 @@ printTable7(Config &cfg)
                 Rng mr(23);
                 auto m = makeModel(model, ds.featureDim(), ds.numClasses(),
                                    synth.original.nodes >= kLargeGraphNodes, mr);
-                TrainReport tr = train(*m, ctx, ds, topts);
+                TrainReport tr = train(m, ctx, ds, topts);
                 rows["Vanilla"].push_back(pct(tr.testAccuracy));
             }
             Rng cr(29);
@@ -117,14 +118,12 @@ BM_TrainGcnEpochCora(benchmark::State &state)
         synthesize(profileByName("Cora"), 1.0, rng);
     static Dataset ds = materialize(synth, rng);
     static GraphContext ctx(ds.synth.graph);
-    auto m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false, rng);
+    GnnModel m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false,
+                           rng);
+    TrainingGraph graph(m, ctx);
     for (auto _ : state) {
-        Matrix logits = m->forward(ctx, ds.features);
-        Matrix probs = softmaxRows(logits);
-        Matrix g = softmaxCrossEntropyBackward(probs, ds.labels,
-                                               ds.trainMask);
-        m->backward(ctx, ds.features, g);
-        benchmark::DoNotOptimize(m->gradients());
+        graph.step(ds, rng);
+        benchmark::DoNotOptimize(m.gradients());
     }
 }
 BENCHMARK(BM_TrainGcnEpochCora);

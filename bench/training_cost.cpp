@@ -77,7 +77,7 @@ BM_EarlyBirdMask(benchmark::State &state)
         TrainOptions topts;
         topts.epochs = 15;
         topts.earlyBird = true;
-        benchmark::DoNotOptimize(train(*m, ctx, ds, topts));
+        benchmark::DoNotOptimize(train(m, ctx, ds, topts));
     }
 }
 BENCHMARK(BM_EarlyBirdMask);

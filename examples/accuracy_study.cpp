@@ -46,7 +46,7 @@ main(int argc, char **argv)
         Rng mr(5);
         auto m = makeModel(model, ds.featureDim(), ds.numClasses(),
                            profile.nodes > 20000, mr);
-        TrainReport rep = train(*m, ctx, ds, topts);
+        TrainReport rep = train(m, ctx, ds, topts);
         t.row({"Vanilla", formatPercent(rep.testAccuracy), "0%", "32"});
     }
     Rng cr(7);

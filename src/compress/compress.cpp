@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "gcod/polarize.hpp"
-#include "nn/gcn.hpp"
+#include "nn/backward.hpp"
 #include "tensor/quant.hpp"
 
 namespace gcod {
@@ -48,7 +48,7 @@ randomPrune(const Dataset &ds, const std::string &model, double prune_ratio,
     GraphContext ctx(pruned.synth.graph);
     auto m = makeModel(model, ds.featureDim(), ds.numClasses(), isLarge(ds),
                        rng);
-    TrainReport tr = train(*m, ctx, pruned, topts);
+    TrainReport tr = train(m, ctx, pruned, topts);
     rep.testAccuracy = tr.testAccuracy;
     return rep;
 }
@@ -62,8 +62,8 @@ sgcnSparsify(const Dataset &ds, const std::string &model, double prune_ratio,
 
     // Pretrain an auxiliary GCN for the graph-tuning loss (as in [23]).
     GraphContext ctx0(ds.synth.graph);
-    GcnModel aux(ds.featureDim(), isLarge(ds) ? 64 : 16, ds.numClasses(),
-                 rng);
+    GnnModel aux =
+        makeModel("GCN", ds.featureDim(), ds.numClasses(), isLarge(ds), rng);
     TrainOptions pre = topts;
     pre.earlyBird = true;
     train(aux, ctx0, ds, pre);
@@ -81,7 +81,7 @@ sgcnSparsify(const Dataset &ds, const std::string &model, double prune_ratio,
     GraphContext ctx(pruned.synth.graph);
     auto m = makeModel(model, ds.featureDim(), ds.numClasses(), isLarge(ds),
                        rng);
-    TrainReport tr = train(*m, ctx, pruned, topts);
+    TrainReport tr = train(m, ctx, pruned, topts);
     rep.testAccuracy = tr.testAccuracy;
     return rep;
 }
@@ -105,47 +105,30 @@ qatCore(const Dataset &ds, const std::string &model, int bits,
                        rng);
     AdamOptions aopts;
     aopts.lr = topts.lr;
-    Adam adam(m->parameters(), aopts);
+    Adam adam(m.parameters(), aopts);
     Rng srng(topts.seed);
 
+    // Straight-through estimator: the forward/backward pass sees the
+    // fake-quantized weights, the optimizer updates the fp32 masters.
+    TrainingGraph graph(m, ctx);
     for (int epoch = 0; epoch < topts.epochs; ++epoch) {
-        m->resampleNeighborhoods(ctx, srng);
-        // Straight-through estimator: the forward/backward pass sees the
-        // fake-quantized weights, the optimizer updates the fp32 masters.
-        auto params = m->parameters();
-        std::vector<Matrix> master;
-        master.reserve(params.size());
-        for (Matrix *p : params) {
-            master.push_back(*p);
-            *p = fakeQuantize(*p, bits);
+        {
+            FakeQuantizedWeights quantized(m, bits);
+            graph.step(ds, srng);
         }
-        Matrix logits = m->forward(ctx, ds.features);
-        Matrix probs = softmaxRows(logits);
-        Matrix dlogits =
-            softmaxCrossEntropyBackward(probs, ds.labels, ds.trainMask);
-        m->backward(ctx, ds.features, dlogits);
-        for (size_t i = 0; i < params.size(); ++i)
-            *params[i] = master[i];
-        adam.step(m->gradients());
+        adam.step(m.gradients());
     }
 
     if (protect_ratio >= 0.0) {
         // Degree-Quant evaluation: quantize weights, but keep the features
         // of the most quantization-sensitive (high-degree) nodes intact.
-        auto params = m->parameters();
-        std::vector<Matrix> master;
-        for (Matrix *p : params) {
-            master.push_back(*p);
-            *p = fakeQuantize(*p, bits);
-        }
+        FakeQuantizedWeights quantized(m, bits);
         Matrix qx = degreeAwareFakeQuantize(
             ds.features, ds.synth.graph.degrees(), bits, protect_ratio);
-        Matrix logits = m->forward(ctx, qx);
+        Matrix logits = referenceForward(forwardRecipeFor(m, ctx), qx);
         rep.testAccuracy = accuracy(logits, ds.labels, ds.testMask);
-        for (size_t i = 0; i < params.size(); ++i)
-            *params[i] = master[i];
     } else {
-        rep.testAccuracy = evaluateQuantized(*m, ctx, ds, bits);
+        rep.testAccuracy = evaluateQuantized(m, ctx, ds, bits);
     }
     return rep;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "nn/gcn.hpp"
 #include "sim/logging.hpp"
 
 namespace gcod {
@@ -65,7 +64,7 @@ runGcodPipeline(const Dataset &ds, const GcodOptions &opts)
         auto model = makeModel(opts.model, fdim, classes, large, rng);
         TrainOptions vopts = opts.retrain;
         vopts.earlyBird = false;
-        TrainReport rep = train(*model, ctx, ds, vopts);
+        TrainReport rep = train(model, ctx, ds, vopts);
         out.baselineAccuracy = rep.testAccuracy;
         out.vanillaCost = rep.trainingCostProxy;
     }
@@ -80,7 +79,7 @@ runGcodPipeline(const Dataset &ds, const GcodOptions &opts)
 
     // Pretrained auxiliary GCN supplies the frozen W0/W1 for graph tuning
     // (the paper's L_GCN(A) is always the GCN loss, Eq. 4).
-    GcnModel aux(fdim, large ? 64 : 16, classes, rng);
+    GnnModel aux = makeModel("GCN", fdim, classes, large, rng);
     {
         GraphContext ctx(rdata.synth.graph);
         TrainOptions popts = opts.pretrain;
@@ -134,7 +133,7 @@ runGcodPipeline(const Dataset &ds, const GcodOptions &opts)
         GraphContext ctx(finalGraph);
         Dataset fds = withGraph(rdata, finalGraph);
         auto model = makeModel(opts.model, fdim, classes, large, rng);
-        TrainReport rep = train(*model, ctx, fds, opts.retrain);
+        TrainReport rep = train(model, ctx, fds, opts.retrain);
         out.retrainCost += rep.trainingCostProxy;
         out.finalAccuracy = rep.testAccuracy;
         out.finalAccuracyInt8 = rep.testAccuracyInt8;

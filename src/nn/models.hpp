@@ -1,17 +1,16 @@
 /**
  * @file
- * The five GNN families the paper evaluates (Tab. IV): GCN, GIN, GAT,
- * GraphSAGE, and ResGCN, each with an explicit hand-derived backward pass
- * (no autograd) and Glorot initialization.
- *
- * All models implement GnnModel: forward caches whatever backward needs;
- * backward fills per-parameter gradient matrices that the Adam optimizer
- * consumes.
+ * The trainable GNN: one concrete type for the five families the paper
+ * evaluates (Tab. IV) — GCN, GIN, GAT, GraphSAGE and ResGCN. A model is
+ * its ModelSpec plus the weights of the op graph forwardRecipeFor()
+ * lowers that spec into, and their gradients. There is no per-family
+ * code: the forward is the recipe interpreter every serving path runs,
+ * and training backpropagates through the same op graph, one rule per
+ * OpKind (nn/backward.hpp).
  */
 #ifndef GCOD_NN_MODELS_HPP
 #define GCOD_NN_MODELS_HPP
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,71 +22,73 @@
 
 namespace gcod {
 
-/** Abstract trainable GNN. */
+/** A GNN's spec, its weights and their gradients. */
 class GnnModel
 {
   public:
-    virtual ~GnnModel() = default;
+    /**
+     * Glorot-initialized weights in the layout forwardRecipeFor expects
+     * for @p spec, drawn from @p rng in parameters() order — except that
+     * a Max (ResGCN) stack draws its output layer right after its input
+     * layer, so seeded weights stay what they always were.
+     */
+    GnnModel(ModelSpec spec, Rng &rng);
 
-    /** Compute logits for all nodes, caching intermediates. */
-    virtual Matrix forward(const GraphContext &ctx, const Matrix &x) = 0;
+    const ModelSpec &spec() const { return spec_; }
+    const std::string &name() const { return spec_.name; }
 
     /**
-     * Backpropagate from dLogits (softmax-CE gradient) through the cached
-     * forward; fills the gradient matrices returned by gradients().
+     * Trainable parameters, order-stable: the recipe's weight order,
+     * which the store's Weights section depends on.
      */
-    virtual void backward(const GraphContext &ctx, const Matrix &x,
-                          const Matrix &dlogits) = 0;
-
-    /** Trainable parameters, order-stable across calls. */
-    virtual std::vector<Matrix *> parameters() = 0;
+    std::vector<Matrix *> parameters();
 
     /** Gradients parallel to parameters(). */
-    virtual std::vector<Matrix *> gradients() = 0;
+    std::vector<Matrix *> gradients();
 
-    /** Shape-level description for the accelerator cost models. */
-    virtual const ModelSpec &spec() const = 0;
-
-    const std::string &name() const { return spec().name; }
+    /** The parameters, read-only. */
+    const std::vector<Matrix> &weights() const { return weights_; }
 
     /**
-     * Hook for models with stochastic neighborhoods (GraphSAGE): draw a new
-     * neighbor sample for the coming epoch. Default is a no-op.
+     * Per-layer neighbor fanouts that training draws afresh each epoch
+     * (GraphSAGE: 25 and 10). Empty trains on the full operators.
+     * Evaluation and serving always run the full operators.
      */
-    virtual void resampleNeighborhoods(const GraphContext &, Rng &) {}
+    std::vector<int> fanouts;
+
+  private:
+    ModelSpec spec_;
+    std::vector<Matrix> weights_;
+    std::vector<Matrix> grads_;
 };
 
 /**
- * Shared building block: one graph convolution Z = agg(A) X W with a
- * pluggable aggregation operator passed in as a sparse matrix.
+ * Factory: makeModelSpec() plus Glorot init. GraphSAGE gets its paper
+ * training fanouts (25, 10).
  */
-struct GraphConv
+GnnModel makeModel(const std::string &name, int features, int classes,
+                   bool large, Rng &rng);
+
+/**
+ * Fake-quantized copies of a model's weights, swapped in for this
+ * object's lifetime; the full-precision masters come back when it ends.
+ */
+class FakeQuantizedWeights
 {
-    Matrix w;      ///< inDim x outDim weights
-    Matrix gw;     ///< gradient of w
-    Matrix cached; ///< cached aggregation output S = op * X
+  public:
+    FakeQuantizedWeights(GnnModel &model, int bits);
+    ~FakeQuantizedWeights();
+    FakeQuantizedWeights(const FakeQuantizedWeights &) = delete;
+    FakeQuantizedWeights &operator=(const FakeQuantizedWeights &) = delete;
 
-    GraphConv() = default;
-    GraphConv(int in, int out, Rng &rng);
-
-    /** Z = op * x * w (cached for backward). */
-    Matrix forward(const CsrMatrix &op, const Matrix &x);
-
-    /**
-     * Fill gw and return dX given dZ. @p op_t is the transpose operator
-     * (equal to @p op itself when symmetric).
-     */
-    Matrix backward(const CsrMatrix &op_t, const Matrix &dz);
+  private:
+    GnnModel &model_;
+    std::vector<Matrix> masters_;
 };
-
-/** Factory: construct a model by name matching makeModelSpec(). */
-std::unique_ptr<GnnModel> makeModel(const std::string &name, int features,
-                                    int classes, bool large, Rng &rng);
 
 /**
  * Run inference with fake-quantized weights and activations (the
- * GCoD (8-bit) variant). Weights are quantized in place, the forward pass
- * runs, then full-precision weights are restored.
+ * GCoD (8-bit) variant) over the model's full operators.
  */
 Matrix quantizedForward(GnnModel &model, const GraphContext &ctx,
                         const Matrix &x, int bits);

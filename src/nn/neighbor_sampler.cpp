@@ -45,21 +45,6 @@ requireSampled(const ForwardRecipe &base, const Graph &g)
                 "sample graph must match the recipe's node space");
 }
 
-/** @p base with layer l's SpMM rewired onto ops[l]. */
-ForwardRecipe
-onLayerOperators(const ForwardRecipe &base, const std::vector<CsrMatrix> &ops)
-{
-    ForwardRecipe r = base;
-    r.operators.clear();
-    for (const CsrMatrix &op : ops)
-        r.operators.push_back(&op);
-    for (size_t l = 0; l < r.layers.size(); ++l)
-        for (OpStep &op : r.layers[l].ops)
-            if (op.kind == OpKind::SpMM)
-                op.opIndex = int(l);
-    return r;
-}
-
 /** Sorted union of @p rows and every column @p op reads. */
 std::vector<NodeId>
 closedInputRows(const std::vector<NodeId> &rows, const CsrMatrix &op)

@@ -105,6 +105,48 @@ push(LayerGraph &g, OpStep op)
     return op.out;
 }
 
+/** An op of @p kind reading slot @p in (and @p aux). */
+OpStep
+stepOf(OpKind kind, int in, int aux = -1)
+{
+    OpStep s;
+    s.kind = kind;
+    s.in = in;
+    s.aux = aux;
+    return s;
+}
+
+/** An aggregation of the layer input over operator 0. */
+OpStep
+aggregationOf(OpKind kind, int in = 0)
+{
+    OpStep s = stepOf(kind, in);
+    s.opIndex = 0;
+    return s;
+}
+
+OpStep
+gemmOf(int in, size_t weight)
+{
+    OpStep s = stepOf(OpKind::GEMM, in);
+    s.weight = int(weight);
+    return s;
+}
+
+/**
+ * Close a layer on slot @p z: Readout after the last layer, @p act
+ * between layers. Returns the layer's output slot.
+ */
+int
+closeLayer(LayerGraph &g, int z, bool last, ActKind act)
+{
+    if (last)
+        return push(g, stepOf(OpKind::Readout, z));
+    OpStep a = stepOf(OpKind::Activation, z);
+    a.act = act;
+    return push(g, a);
+}
+
 constexpr float kLeakySlope = 0.2f;
 
 float
@@ -113,7 +155,7 @@ leaky(float x)
     return x > 0.0f ? x : kLeakySlope * x;
 }
 
-/** ELU, replicating gat.cpp's between-layer activation exactly. */
+/** ELU: v < 0 ? exp(v) - 1 : v, elementwise. */
 Matrix
 eluMatrix(const Matrix &x)
 {
@@ -141,35 +183,30 @@ attentionScoreOf(const Matrix &h, const Matrix &a, int heads, int dim,
 } // namespace
 
 void
-attentionRowInto(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
-                 const Matrix &a_dst, int heads, int head_dim,
-                 bool concat_heads, NodeId r, float *out_row)
+attentionWeightsInto(const CsrMatrix &adj, const Matrix &h,
+                     const Matrix &a_src, const Matrix &a_dst, int heads,
+                     int head_dim, NodeId r, NodeId *cols, float *pre,
+                     float *alpha)
 {
-    // Edge list of r: adjacency entries in row order, self loop last —
-    // exactly GatLayer::buildEdges.
-    std::vector<NodeId> cols;
-    cols.reserve(size_t(adj.rowNnz(r)) + 1);
-    adj.forEachInRow(r, [&](NodeId j, float) { cols.push_back(j); });
-    cols.push_back(r);
-    const size_t ne = cols.size();
+    size_t ne = 0;
+    adj.forEachInRow(r, [&](NodeId j, float) { cols[ne++] = j; });
+    cols[ne++] = r;
 
-    // Scores s_r = aSrc · h_r, t_j = aDst · h_j. Each score is a pure
-    // ascending-feature dot product, so computing t_j per edge here
-    // yields the same bits as GatLayer's all-nodes precompute.
+    // Scores s_r = aSrc · h_r, and t_j = aDst · h_j per edge (parked in
+    // alpha until the softmax overwrites it). Each score is a pure
+    // ascending-feature dot product.
     std::vector<float> srow(size_t(heads), 0.0f);
     attentionScoreOf(h, a_src, heads, head_dim, r, srow.data());
-    std::vector<float> trow(ne * size_t(heads));
     for (size_t e = 0; e < ne; ++e)
         attentionScoreOf(h, a_dst, heads, head_dim, cols[e],
-                         trow.data() + e * size_t(heads));
+                         alpha + e * size_t(heads));
 
     // Numerically stable softmax per head over r's incident edges, in
-    // GatLayer's three-pass edge order.
-    std::vector<float> pre(ne * size_t(heads)), alpha(ne * size_t(heads));
+    // three passes over the edges.
     for (int k = 0; k < heads; ++k) {
         float peak = -1e30f;
         for (size_t e = 0; e < ne; ++e) {
-            float p = srow[size_t(k)] + trow[e * size_t(heads) + size_t(k)];
+            float p = srow[size_t(k)] + alpha[e * size_t(heads) + size_t(k)];
             pre[e * size_t(heads) + size_t(k)] = p;
             peak = std::max(peak, leaky(p));
         }
@@ -183,6 +220,18 @@ attentionRowInto(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
         for (size_t e = 0; e < ne; ++e)
             alpha[e * size_t(heads) + size_t(k)] /= denom;
     }
+}
+
+void
+attentionRowInto(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
+                 const Matrix &a_dst, int heads, int head_dim,
+                 bool concat_heads, NodeId r, float *out_row)
+{
+    const size_t ne = size_t(adj.rowNnz(r)) + 1;
+    std::vector<NodeId> cols(ne);
+    std::vector<float> pre(ne * size_t(heads)), alpha(ne * size_t(heads));
+    attentionWeightsInto(adj, h, a_src, a_dst, heads, head_dim, r,
+                         cols.data(), pre.data(), alpha.data());
 
     // Aggregate values in edge -> head -> feature order.
     const int odim = concat_heads ? heads * head_dim : head_dim;
@@ -399,235 +448,180 @@ supportedRecipeFamilies()
            "Attention (GAT), Max (ResGCN)";
 }
 
-ForwardRecipe
-forwardRecipeFor(GnnModel &model, const GraphContext &ctx)
+namespace {
+
+Family
+requireFamily(const ModelSpec &spec)
 {
-    const ModelSpec &spec = model.spec();
     const Family fam = familyOf(spec);
     if (fam == Family::Unsupported)
         GCOD_FATAL("no op-graph recipe for model '", spec.name,
                    "': its layer stack matches no supported family "
                    "(supported: ", supportedRecipeFamilies(), ")");
+    return fam;
+}
+
+} // namespace
+
+std::vector<std::pair<int64_t, int64_t>>
+recipeWeightShapes(const ModelSpec &spec)
+{
+    const Family fam = requireFamily(spec);
+    std::vector<std::pair<int64_t, int64_t>> shapes;
+    const int64_t hidden = spec.layers.front().outDim;
+    for (const LayerSpec &l : spec.layers) {
+        switch (fam) {
+        case Family::PlainMean:
+        case Family::ResGcn:
+            shapes.emplace_back(l.inDim, l.outDim);
+            break;
+        case Family::SageMean:
+            shapes.emplace_back(2 * int64_t(l.inDim), l.outDim);
+            break;
+        case Family::Gin:
+            shapes.emplace_back(l.inDim, hidden);
+            shapes.emplace_back(hidden, l.outDim);
+            break;
+        case Family::Gat:
+            shapes.emplace_back(l.inDim, int64_t(l.heads) * l.outDim);
+            shapes.emplace_back(l.heads, l.outDim);
+            shapes.emplace_back(l.heads, l.outDim);
+            break;
+        case Family::Unsupported:
+            break;
+        }
+    }
+    return shapes;
+}
+
+ForwardRecipe
+onLayerOperators(const ForwardRecipe &base, const std::vector<CsrMatrix> &ops)
+{
+    ForwardRecipe r = base;
+    r.operators.clear();
+    for (const CsrMatrix &op : ops)
+        r.operators.push_back(&op);
+    for (size_t l = 0; l < r.layers.size(); ++l)
+        for (OpStep &op : r.layers[l].ops)
+            if (op.kind == OpKind::SpMM)
+                op.opIndex = int(l);
+    return r;
+}
+
+CsrMatrix
+sampleMeanOperator(const Graph &g, int k, Rng &rng)
+{
+    CooMatrix coo(g.numNodes(), g.numNodes());
+    const CsrMatrix &adj = g.adjacency();
+    std::vector<NodeId> nbrs;
+    for (NodeId i = 0; i < g.numNodes(); ++i) {
+        nbrs.clear();
+        adj.forEachInRow(i, [&](NodeId j, float) { nbrs.push_back(j); });
+        if (nbrs.empty())
+            continue;
+        if (int(nbrs.size()) > k) {
+            rng.shuffle(nbrs);
+            nbrs.resize(size_t(k));
+        }
+        float wgt = 1.0f / float(nbrs.size());
+        for (NodeId j : nbrs)
+            coo.add(i, j, wgt);
+    }
+    return std::move(coo).toCsr();
+}
+
+ForwardRecipe
+forwardRecipeFor(const GnnModel &model, const GraphContext &ctx)
+{
+    const ModelSpec &spec = model.spec();
+    const Family fam = requireFamily(spec);
 
     ForwardRecipe m;
     m.spec = &spec;
-    for (Matrix *w : model.parameters())
-        m.weights.push_back(w);
+    for (const Matrix &w : model.weights())
+        m.weights.push_back(&w);
     const size_t L = spec.layers.size();
-    auto expectWeights = [&](size_t per_layer) {
-        GCOD_ASSERT(m.weights.size() == per_layer * L, "model '", spec.name,
-                    "' carries ", m.weights.size(), " parameters but its ",
-                    L, "-layer recipe places ", per_layer, " per layer");
-    };
     m.layers.resize(L);
-
     switch (fam) {
-    case Family::PlainMean: {
-        // GCN: Z = relu(Â X W) per hidden layer.
+    case Family::PlainMean:
         m.operators = {&ctx.normalized()};
-        expectWeights(1);
-        for (size_t l = 0; l < L; ++l) {
-            LayerGraph &g = m.layers[l];
-            OpStep agg;
-            agg.kind = OpKind::SpMM;
-            agg.in = 0;
-            agg.opIndex = 0;
-            int s = push(g, agg);
-            OpStep comb;
-            comb.kind = OpKind::GEMM;
-            comb.in = s;
-            comb.weight = int(l);
-            int z = push(g, comb);
-            if (l + 1 < L) {
-                OpStep act;
-                act.kind = OpKind::Activation;
-                act.act = ActKind::Relu;
-                act.in = z;
-                push(g, act);
-            } else {
-                OpStep ro;
-                ro.kind = OpKind::Readout;
-                ro.in = z;
-                push(g, ro);
-            }
-        }
         break;
-    }
-    case Family::SageMean: {
-        // GraphSAGE: Z = relu([X | mean(N) X] W). The canonical recipe
-        // shares ONE row-mean operator; neighbor-sampled serving clones
-        // the recipe with per-layer sampled operators (neighbor_sampler).
+    case Family::SageMean:
         m.operators = {&ctx.rowMean()};
-        expectWeights(1);
-        for (size_t l = 0; l < L; ++l) {
-            LayerGraph &g = m.layers[l];
-            OpStep agg;
-            agg.kind = OpKind::SpMM;
-            agg.in = 0;
-            agg.opIndex = 0;
-            int s = push(g, agg);
-            OpStep cat;
-            cat.kind = OpKind::ConcatSelf;
-            cat.in = s;
-            cat.aux = 0;
-            int c = push(g, cat);
-            OpStep comb;
-            comb.kind = OpKind::GEMM;
-            comb.in = c;
-            comb.weight = int(l);
-            int z = push(g, comb);
-            if (l + 1 < L) {
-                OpStep act;
-                act.kind = OpKind::Activation;
-                act.act = ActKind::Relu;
-                act.in = z;
-                push(g, act);
-            } else {
-                OpStep ro;
-                ro.kind = OpKind::Readout;
-                ro.in = z;
-                push(g, ro);
-            }
-        }
+        break;
+    default: // GIN, GAT and ResGCN aggregate over the binary adjacency.
+        m.operators = {&ctx.binary()};
         break;
     }
-    case Family::Gin: {
-        // GIN: Z = MLP((1+eps) X + A X); eps is fixed at 0 (GinConv's
-        // default, never trained), so the residual scale is exactly 1.
-        m.operators = {&ctx.binary()};
-        expectWeights(2);
-        for (size_t l = 0; l < L; ++l) {
-            LayerGraph &g = m.layers[l];
-            OpStep agg;
-            agg.kind = OpKind::SpMM;
-            agg.in = 0;
-            agg.opIndex = 0;
-            int s = push(g, agg);
-            OpStep res;
-            res.kind = OpKind::Residual;
-            res.in = s;
-            res.aux = 0;
-            res.scale = 1.0f;
-            int r = push(g, res);
-            OpStep mlp1;
-            mlp1.kind = OpKind::GEMM;
-            mlp1.in = r;
-            mlp1.weight = int(2 * l);
-            int h = push(g, mlp1);
-            OpStep act;
-            act.kind = OpKind::Activation;
-            act.act = ActKind::Relu;
-            act.in = h;
-            int hr = push(g, act);
-            OpStep mlp2;
-            mlp2.kind = OpKind::GEMM;
-            mlp2.in = hr;
-            mlp2.weight = int(2 * l + 1);
-            int z = push(g, mlp2);
-            if (l + 1 < L) {
-                OpStep out;
-                out.kind = OpKind::Activation;
-                out.act = ActKind::Relu;
-                out.in = z;
-                push(g, out);
-            } else {
-                OpStep ro;
-                ro.kind = OpKind::Readout;
-                ro.in = z;
-                push(g, ro);
-            }
+    const size_t expected = recipeWeightShapes(spec).size();
+    GCOD_ASSERT(m.weights.size() == expected, "model '", spec.name,
+                "' carries ", m.weights.size(), " parameters but its ", L,
+                "-layer recipe places ", expected);
+
+    for (size_t l = 0; l < L; ++l) {
+        LayerGraph &g = m.layers[l];
+        const bool last = l + 1 == L;
+        switch (fam) {
+        case Family::PlainMean: {
+            // GCN: Z = relu(Â X W) per hidden layer.
+            int s = push(g, aggregationOf(OpKind::SpMM));
+            closeLayer(g, push(g, gemmOf(s, l)), last, ActKind::Relu);
+            break;
         }
-        break;
-    }
-    case Family::Gat: {
-        // GAT: h = X W, additive-attention aggregation, ELU between
-        // layers. Heads > 1 concatenate (GatLayer's hidden setting);
-        // heads == 1 runs the same math either way, bit-exactly.
-        m.operators = {&ctx.binary()};
-        expectWeights(3);
-        for (size_t l = 0; l < L; ++l) {
+        case Family::SageMean: {
+            // GraphSAGE: Z = relu([X | mean(N) X] W). The canonical
+            // recipe shares ONE row-mean operator; neighbor sampling
+            // swaps in per-layer operators (onLayerOperators).
+            int s = push(g, aggregationOf(OpKind::SpMM));
+            int c = push(g, stepOf(OpKind::ConcatSelf, s, 0));
+            closeLayer(g, push(g, gemmOf(c, l)), last, ActKind::Relu);
+            break;
+        }
+        case Family::Gin: {
+            // GIN: Z = MLP((1+eps) X + A X); eps is fixed at 0 (never
+            // trained), so the residual scale is exactly 1.
+            int s = push(g, aggregationOf(OpKind::SpMM));
+            int r = push(g, stepOf(OpKind::Residual, s, 0));
+            int h = push(g, gemmOf(r, 2 * l));
+            int hr = push(g, stepOf(OpKind::Activation, h));
+            closeLayer(g, push(g, gemmOf(hr, 2 * l + 1)), last,
+                       ActKind::Relu);
+            break;
+        }
+        case Family::Gat: {
+            // GAT: h = X W, additive-attention aggregation, ELU between
+            // layers. Heads > 1 concatenate (the hidden layers); one
+            // head averages over itself, which is the same math.
             const LayerSpec &ls = spec.layers[l];
-            LayerGraph &g = m.layers[l];
-            OpStep proj;
-            proj.kind = OpKind::GEMM;
-            proj.in = 0;
-            proj.weight = int(3 * l);
-            int h = push(g, proj);
-            OpStep att;
-            att.kind = OpKind::AttentionScore;
-            att.in = h;
-            att.opIndex = 0;
+            int h = push(g, gemmOf(0, 3 * l));
+            OpStep att = aggregationOf(OpKind::AttentionScore, h);
             att.aSrc = int(3 * l + 1);
             att.aDst = int(3 * l + 2);
             att.heads = ls.heads;
             att.concatHeads = ls.heads > 1;
             // LayerSpec::outDim is the PER-HEAD width for attention
-            // layers (GatLayer concatenates heads into heads * outDim
-            // columns); the projection weight must agree.
+            // layers (concatenated heads take heads * outDim columns);
+            // the projection weight must agree.
             att.headDim = ls.outDim;
-            GCOD_ASSERT(m.weights[size_t(3 * l)]->cols() ==
+            GCOD_ASSERT(m.weights[3 * l]->cols() ==
                             int64_t(ls.heads) * ls.outDim,
                         "GAT projection must be heads x outDim wide");
-            int z = push(g, att);
-            if (l + 1 < L) {
-                OpStep act;
-                act.kind = OpKind::Activation;
-                act.act = ActKind::Elu;
-                act.in = z;
-                push(g, act);
-            } else {
-                OpStep ro;
-                ro.kind = OpKind::Readout;
-                ro.in = z;
-                push(g, ro);
-            }
+            closeLayer(g, push(g, att), last, ActKind::Elu);
+            break;
         }
-        break;
-    }
-    case Family::ResGcn: {
-        // ResGCN: input conv + residual blocks + output conv, all with
-        // Max aggregation over the closed neighborhood.
-        m.operators = {&ctx.binary()};
-        expectWeights(1);
-        for (size_t l = 0; l < L; ++l) {
-            LayerGraph &g = m.layers[l];
-            bool first = l == 0;
-            bool last = l + 1 == L;
-            OpStep agg;
-            agg.kind = OpKind::MaxAgg;
-            agg.in = 0;
-            agg.opIndex = 0;
-            int s = push(g, agg);
-            OpStep comb;
-            comb.kind = OpKind::GEMM;
-            comb.in = s;
-            comb.weight = int(l);
-            int z = push(g, comb);
-            if (last) {
-                OpStep ro;
-                ro.kind = OpKind::Readout;
-                ro.in = z;
-                push(g, ro);
-                break;
-            }
-            OpStep act;
-            act.kind = OpKind::Activation;
-            act.act = ActKind::Relu;
-            act.in = z;
-            int r = push(g, act);
-            if (!first) {
-                OpStep res;
-                res.kind = OpKind::Residual;
-                res.in = r;
-                res.aux = 0;
-                res.scale = 1.0f;
-                push(g, res);
-            }
+        case Family::ResGcn: {
+            // ResGCN: input conv + residual blocks + output conv, all
+            // with Max aggregation over the closed neighborhood.
+            int s = push(g, aggregationOf(OpKind::MaxAgg));
+            int r = closeLayer(g, push(g, gemmOf(s, l)), last,
+                               ActKind::Relu);
+            if (!last && l > 0)
+                push(g, stepOf(OpKind::Residual, r, 0));
+            break;
         }
-        break;
-    }
-    case Family::Unsupported:
-        break;
+        case Family::Unsupported:
+            break;
+        }
     }
     return m;
 }
@@ -665,9 +659,8 @@ evalRowLocalOp(const OpStep &op, const Matrix &in, const Matrix *aux)
 {
     switch (op.kind) {
     case OpKind::Residual: {
-        // Two separate elementwise passes, replicating GinConv
-        // (`scaled *= (1+eps); s += scaled`) and the ResGCN block
-        // (`r += h`) exactly — no fused multiply-add creeps in.
+        // Two separate elementwise passes (`t = aux; t *= scale;
+        // o = in; o += t`), so no fused multiply-add creeps in.
         GCOD_ASSERT(aux != nullptr, "Residual needs its aux slot");
         Matrix t = *aux;
         t *= op.scale;
@@ -870,19 +863,22 @@ namespace {
 
 /**
  * The layer loop of every whole-matrix pass: each op of @p layer over
- * all rows of @p input at @p q's precision (fp32 when null). @p branch_of
- * gives the branch of each input row (q's own split when null).
- * @p spmm_in, when set, supplies the SpMM's operator and packed input
- * (quantizedForwardRows). @p agg_input: see referenceForwardLayer.
+ * all rows of @p input at @p q's precision (fp32 when null), every slot
+ * into @p slots (slot 0, the input, stays empty). Returns the output
+ * slot. @p branch_of gives the branch of each input row (q's own split
+ * when null). @p spmm_in, when set, supplies the SpMM's operator and
+ * packed input (quantizedForwardRows). @p agg_input: see
+ * referenceForwardLayer.
  */
-Matrix
+Matrix &
 forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
              const Matrix &input, const std::vector<uint8_t> *branch_of,
-             const OpPack *spmm_in, Matrix *agg_input)
+             const OpPack *spmm_in, Matrix *agg_input,
+             std::vector<Matrix> &slots)
 {
     const LayerGraph &g = m.layers[layer];
     GCOD_ASSERT(!g.ops.empty(), "empty layer graph");
-    std::vector<Matrix> slots(size_t(g.numSlots));
+    slots.assign(size_t(g.numSlots), Matrix());
     auto at = [&](int s) -> const Matrix & {
         return s == 0 ? input : slots[size_t(s)];
     };
@@ -904,7 +900,7 @@ forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
         runOp(m, q, op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr,
               *pack, nullptr, slots[size_t(op.out)]);
     }
-    return std::move(slots[size_t(g.ops.back().out)]);
+    return slots[size_t(g.ops.back().out)];
 }
 
 } // namespace
@@ -913,8 +909,9 @@ Matrix
 referenceForwardLayer(const ForwardRecipe &m, size_t layer,
                       const Matrix &input, Matrix *agg_input)
 {
-    return forwardLayer(m, nullptr, layer, input, nullptr, nullptr,
-                        agg_input);
+    std::vector<Matrix> slots;
+    return std::move(forwardLayer(m, nullptr, layer, input, nullptr,
+                                  nullptr, agg_input, slots));
 }
 
 Matrix
@@ -927,6 +924,31 @@ referenceForward(const ForwardRecipe &m, const Matrix &x)
     for (size_t l = 0; l < m.layers.size(); ++l)
         cur = referenceForwardLayer(m, l, cur);
     return cur;
+}
+
+const Matrix &
+ForwardTape::at(const ForwardRecipe &m, size_t l, int s) const
+{
+    if (s != 0)
+        return slots[l][size_t(s)];
+    if (l == 0)
+        return *input;
+    return slots[l - 1][size_t(m.layers[l - 1].ops.back().out)];
+}
+
+Matrix
+tapedForward(const ForwardRecipe &m, const Matrix &x, ForwardTape &tape)
+{
+    GCOD_ASSERT(!m.operators.empty() &&
+                    x.rows() == int64_t(m.operators[0]->rows()),
+                "activation rows must match the operator");
+    tape.input = &x;
+    tape.slots.resize(m.layers.size());
+    const Matrix *cur = &x;
+    for (size_t l = 0; l < m.layers.size(); ++l)
+        cur = &forwardLayer(m, nullptr, l, *cur, nullptr, nullptr, nullptr,
+                            tape.slots[l]);
+    return *cur;
 }
 
 Matrix
@@ -942,8 +964,9 @@ quantizedForwardRows(const QuantizedGnn &q, size_t layer, const Matrix &self,
     OpPack spmm_in;
     spmm_in.op = &op;
     spmm_in.x = &agg_in;
-    return forwardLayer(q.recipe, &q, layer, self, &branch_of, &spmm_in,
-                        nullptr);
+    std::vector<Matrix> slots;
+    return std::move(forwardLayer(q.recipe, &q, layer, self, &branch_of,
+                                  &spmm_in, nullptr, slots));
 }
 
 Matrix
@@ -954,8 +977,11 @@ quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
                     x.rows() == int64_t(m.operators[0]->rows()),
                 "activation rows must match the operator");
     Matrix cur = x;
-    for (size_t l = 0; l < m.layers.size(); ++l)
-        cur = forwardLayer(m, &q, l, cur, nullptr, nullptr, nullptr);
+    for (size_t l = 0; l < m.layers.size(); ++l) {
+        std::vector<Matrix> slots;
+        cur = std::move(forwardLayer(m, &q, l, cur, nullptr, nullptr,
+                                     nullptr, slots));
+    }
     return cur;
 }
 

@@ -14,8 +14,10 @@
  * its rows are split; runOp() then runs the batch kernels over all rows
  * or the serial row kernels over a row set.
  *
- *  - referenceForward(): stateless fp32 pass, memcmp-identical to the
- *    family's GnnModel::forward;
+ *  - referenceForward(): stateless fp32 pass — what evaluation, serving
+ *    and the quantization baseline read;
+ *  - tapedForward(): the same pass, keeping every slot for training's
+ *    backward (nn/backward.hpp, one rule per OpKind);
  *  - quantizeGnn() / quantizedForwardMixed(): the GCoD mixed-precision
  *    integer path (low-bit dense branch, degree-protected tail);
  *  - shard/executor.hpp: each op over every shard's owned rows into the
@@ -150,11 +152,11 @@ struct LayerGraph
 
 /**
  * Stateless execution recipe: the per-layer op graphs plus every tensor
- * they reference, with no mutable caches — safe to run concurrently,
- * unlike GnnModel::forward. Pointees (spec, operators, weights) must
- * outlive the recipe; they normally belong to a GnnModel + GraphContext
- * pair. `weights` is exactly model.parameters() order (the store's
- * Weights section depends on that).
+ * they reference, with no mutable caches — safe to run concurrently.
+ * Pointees (spec, operators, weights) must outlive the recipe; they
+ * normally belong to a GnnModel + GraphContext pair. `weights` is
+ * exactly model.parameters() order (the store's Weights section depends
+ * on that).
  */
 struct ForwardRecipe
 {
@@ -177,15 +179,71 @@ bool supportsRecipeForward(const ModelSpec &spec);
 const char *supportedRecipeFamilies();
 
 /**
+ * Shapes of the weights @p spec's recipe indexes, in recipe (and
+ * GnnModel::parameters()) order — the one place a family's parameter
+ * layout is spelled:
+ *
+ *  - Mean: W (in x out); with concatSelf (GraphSAGE) W is (2in x out);
+ *  - Add (GIN): the MLP W1 (in x hidden), W2 (hidden x out), with
+ *    hidden the first layer's width;
+ *  - Attention (GAT): W (in x heads*out), then aSrc and aDst
+ *    (heads x out);
+ *  - Max (ResGCN): W (in x out).
+ *
+ * Fatal for a spec forwardRecipeFor does not lower.
+ */
+std::vector<std::pair<int64_t, int64_t>>
+recipeWeightShapes(const ModelSpec &spec);
+
+/**
  * Lower a trainable model into its op-graph recipe, driven by the
  * ModelSpec (aggregation kinds, heads, concatSelf), not name matching.
  * Fatal for unsupported families, naming the family and listing the
  * supported ones.
  */
-ForwardRecipe forwardRecipeFor(GnnModel &model, const GraphContext &ctx);
+ForwardRecipe forwardRecipeFor(const GnnModel &model,
+                               const GraphContext &ctx);
+
+/**
+ * @p base with layer l's SpMM rewired onto ops[l] (one operator per
+ * layer; @p ops must outlive the result). GraphSAGE's per-epoch
+ * training sample and the sampled serving pass both swap operators
+ * this way.
+ */
+ForwardRecipe onLayerOperators(const ForwardRecipe &base,
+                               const std::vector<CsrMatrix> &ops);
+
+/**
+ * GraphSAGE's training sample: each node's row mean over at most @p k
+ * neighbors, drawn without replacement by shuffling its neighbor list
+ * with @p rng (node order). Isolated nodes get an empty row.
+ */
+CsrMatrix sampleMeanOperator(const Graph &g, int k, Rng &rng);
 
 /** One stateless fp32 forward pass of @p m (the quantization baseline). */
 Matrix referenceForward(const ForwardRecipe &m, const Matrix &x);
+
+/**
+ * Every slot of one fp32 forward pass, for backpropagation. slots[l][s]
+ * is slot s of layer l; slot 0 is kept only by reference: it is the
+ * previous layer's output, or `input` for layer 0.
+ */
+struct ForwardTape
+{
+    const Matrix *input = nullptr;
+    std::vector<std::vector<Matrix>> slots;
+
+    /** Slot @p s of layer @p l of @p m, resolving slot 0. */
+    const Matrix &at(const ForwardRecipe &m, size_t l, int s) const;
+};
+
+/**
+ * referenceForward that records @p tape (which then points at @p x and
+ * must not outlive it). Same kernels, same bytes: the logits equal
+ * referenceForward(m, x).
+ */
+Matrix tapedForward(const ForwardRecipe &m, const Matrix &x,
+                    ForwardTape &tape);
 
 /**
  * Interpret one layer of @p m in fp32 over the full node set.
@@ -217,10 +275,21 @@ Matrix evalRowLocalOp(const OpStep &op, const Matrix &in, const Matrix *aux);
 
 // ---------------------------------------------------------------------
 // Shared per-row op workers. Every interpreter (reference, sharded,
-// incremental) funnels through these, which replicate the exact
-// per-element order of the corresponding GnnModel kernels — the basis of
-// the memcmp parity and bit-identical-stitch invariants.
+// incremental) funnels through these, with one fixed per-element order
+// per op — the basis of the bit-identical-stitch invariants.
 // ---------------------------------------------------------------------
+
+/**
+ * Row @p r's attention weights: its edges (@p adj's row entries in
+ * order, then a self loop) into @p cols, and per edge e and head k the
+ * pre-LeakyReLU score s_r + t_j into pre[e*heads+k] and the softmax
+ * weight into alpha[e*heads+k]. Each array holds rowNnz(r)+1 edges.
+ * attentionRowInto and the AttentionScore backward both read these.
+ */
+void attentionWeightsInto(const CsrMatrix &adj, const Matrix &h,
+                          const Matrix &a_src, const Matrix &a_dst,
+                          int heads, int head_dim, NodeId r, NodeId *cols,
+                          float *pre, float *alpha);
 
 /**
  * Row @p r of the GAT attention aggregation: additive scores over

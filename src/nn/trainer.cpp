@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/backward.hpp"
 #include "sim/logging.hpp"
 
 namespace gcod {
@@ -65,14 +66,10 @@ train(GnnModel &model, const GraphContext &ctx, const Dataset &ds,
     std::vector<Matrix> best_params;
     double best_val = -1.0;
 
+    TrainingGraph graph(model, ctx);
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
-        model.resampleNeighborhoods(ctx, rng);
-        Matrix logits = model.forward(ctx, ds.features);
-        Matrix probs = softmaxRows(logits);
-        double loss = crossEntropy(probs, ds.labels, ds.trainMask);
-        Matrix dlogits =
-            softmaxCrossEntropyBackward(probs, ds.labels, ds.trainMask);
-        model.backward(ctx, ds.features, dlogits);
+        double loss = 0.0;
+        Matrix logits = graph.step(ds, rng, &loss);
         adam.step(model.gradients());
 
         double val_acc = accuracy(logits, ds.labels, ds.valMask);
@@ -108,6 +105,7 @@ train(GnnModel &model, const GraphContext &ctx, const Dataset &ds,
             *params[i] = best_params[i];
     }
     report.bestValAccuracy = best_val;
+    // Test accuracy on the full operators, as serving runs the model.
     report.testAccuracy = evaluate(model, ctx, ds);
     report.testAccuracyInt8 = evaluateQuantized(model, ctx, ds, 8);
     report.trainingCostProxy =
@@ -118,7 +116,8 @@ train(GnnModel &model, const GraphContext &ctx, const Dataset &ds,
 double
 evaluate(GnnModel &model, const GraphContext &ctx, const Dataset &ds)
 {
-    Matrix logits = model.forward(ctx, ds.features);
+    Matrix logits = referenceForward(forwardRecipeFor(model, ctx),
+                                     ds.features);
     return accuracy(logits, ds.labels, ds.testMask);
 }
 

@@ -48,11 +48,16 @@ struct TrainReport
     double trainingCostProxy = 0.0;
 };
 
-/** Train @p model on @p ds; evaluates val each epoch, test at the end. */
+/**
+ * Train @p model on @p ds through its op graph (nn/backward.hpp);
+ * evaluates val each epoch, test at the end. A model with fanouts
+ * trains on a fresh neighbor sample each epoch; its test accuracies
+ * are measured on the full operators.
+ */
 TrainReport train(GnnModel &model, const GraphContext &ctx,
                   const Dataset &ds, const TrainOptions &opts = {});
 
-/** Evaluate test accuracy of the model as-is (no training). */
+/** Test accuracy of the model as-is over the full operators. */
 double evaluate(GnnModel &model, const GraphContext &ctx, const Dataset &ds);
 
 /** Evaluate test accuracy under b-bit fake quantization. */

@@ -193,10 +193,10 @@ buildArtifact(const ArtifactKey &key, const GcodOptions &opts, double scale,
     // results are deterministic per bundle.
     if (hostExec) {
         Rng wrng(seed + 17);
-        bundle->hostModel = makeModel(
+        bundle->hostModel = std::make_shared<GnnModel>(makeModel(
             key.model, int(bundle->hostFeatures.cols()),
             bundle->profile.classes,
-            bundle->profile.nodes >= kLargeGraphNodes, wrng);
+            bundle->profile.nodes >= kLargeGraphNodes, wrng));
         bundle->hostCtx =
             std::make_shared<GraphContext>(bundle->synth.graph);
         bundle->hostRecipe =

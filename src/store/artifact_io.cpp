@@ -636,10 +636,10 @@ loadArtifactBundle(const std::string &path)
         // Host model: construct at the stored shape, then overwrite the
         // freshly initialized weights with the stored ones.
         Rng rng(1);
-        bundle->hostModel = makeModel(
+        bundle->hostModel = std::make_shared<GnnModel>(makeModel(
             bundle->key.model, int(bundle->hostFeatures.cols()),
             bundle->profile.classes,
-            bundle->profile.nodes >= kLargeGraphNodes, rng);
+            bundle->profile.nodes >= kLargeGraphNodes, rng));
 
         const Section &ws = reader.require(SectionType::Weights);
         ByteCursor wc(ws.data, ws.size, "weights section");

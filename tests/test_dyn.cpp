@@ -388,7 +388,7 @@ TEST(IncrementalForward, DirtyRowRecomputeIsBitIdenticalAtAnyThreadCount)
     DynState st(g0, {});
     std::optional<GraphContext> ctx;
     ctx.emplace(st.graph(), st.normalized(), st.rowMean());
-    ForwardRecipe recipe = forwardRecipeFor(*model, *ctx);
+    ForwardRecipe recipe = forwardRecipeFor(model, *ctx);
     IncrementalForward fwd = IncrementalForward::fromScratch(recipe, x);
     expectMatrixEq(fwd.logits(), referenceForward(recipe, x));
 
@@ -415,7 +415,7 @@ TEST(IncrementalForward, DirtyRowRecomputeIsBitIdenticalAtAnyThreadCount)
         if (us.applied.noop())
             continue;
         ctx.emplace(st.graph(), st.normalized(), st.rowMean());
-        recipe = forwardRecipeFor(*model, *ctx);
+        recipe = forwardRecipeFor(model, *ctx);
         std::vector<DirtyRegion> levels = dirtyLevels(
             us.dirty, st.graph(), int(recipe.spec->layers.size()));
         fwd = fwd.applied(recipe, x, levels);
@@ -444,7 +444,7 @@ TEST(IncrementalForward, NodeGrowthRecomputesNewRows)
     DynState st(g0, {});
     std::optional<GraphContext> ctx;
     ctx.emplace(st.graph(), st.normalized(), st.rowMean());
-    ForwardRecipe recipe = forwardRecipeFor(*model, *ctx);
+    ForwardRecipe recipe = forwardRecipeFor(model, *ctx);
     IncrementalForward fwd = IncrementalForward::fromScratch(recipe, x0);
 
     GraphDelta d;
@@ -460,7 +460,7 @@ TEST(IncrementalForward, NodeGrowthRecomputesNewRows)
             x1(v, j) = float(xrng.normal(0.0, 1.0));
 
     ctx.emplace(st.graph(), st.normalized(), st.rowMean());
-    recipe = forwardRecipeFor(*model, *ctx);
+    recipe = forwardRecipeFor(model, *ctx);
     std::vector<DirtyRegion> levels = dirtyLevels(
         us.dirty, st.graph(), int(recipe.spec->layers.size()));
     fwd = fwd.applied(recipe, x1, levels);
@@ -497,7 +497,7 @@ TEST_P(IncrementalZoo, DeltaRecomputeMatchesFromScratch)
     DynState st(g0, {});
     std::optional<GraphContext> ctx;
     ctx.emplace(st.graph(), st.normalized(), st.rowMean());
-    ForwardRecipe recipe = forwardRecipeFor(*model, *ctx);
+    ForwardRecipe recipe = forwardRecipeFor(model, *ctx);
     IncrementalForward fwd = IncrementalForward::fromScratch(recipe, x);
     expectMatrixEq(fwd.logits(), referenceForward(recipe, x));
 
@@ -523,7 +523,7 @@ TEST_P(IncrementalZoo, DeltaRecomputeMatchesFromScratch)
         if (us.applied.noop())
             continue;
         ctx.emplace(st.graph(), st.normalized(), st.rowMean());
-        recipe = forwardRecipeFor(*model, *ctx);
+        recipe = forwardRecipeFor(model, *ctx);
         std::vector<DirtyRegion> levels = dirtyLevels(
             us.dirty, st.graph(), int(recipe.spec->layers.size()));
         fwd = fwd.applied(recipe, x, levels);

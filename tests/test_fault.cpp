@@ -346,7 +346,7 @@ TEST(ShardFaultTest, HaloDropsRecoverBitIdenticallyFp32)
     shard::ShardPlanOptions popts;
     popts.shards = 3;
     shard::ShardPlan plan = shard::buildShardPlan(g, popts);
-    ForwardRecipe m = forwardRecipeFor(*model, ctx);
+    ForwardRecipe m = forwardRecipeFor(model, ctx);
 
     Matrix clean = shard::shardedForward(plan, m, x);
 

@@ -14,7 +14,6 @@
 #include "gcod/reorder.hpp"
 #include "gcod/structural.hpp"
 #include "gcod/workload.hpp"
-#include "nn/gcn.hpp"
 
 using namespace gcod;
 
@@ -217,7 +216,8 @@ TEST(Polarize, AchievesTargetPruneRatio)
         Rng r2(2);
         ds = materialize(s, r2);
     }
-    GcnModel aux(ds.featureDim(), 16, ds.numClasses(), rng);
+    GnnModel aux =
+        makeModel("GCN", ds.featureDim(), ds.numClasses(), false, rng);
     auto params = aux.parameters();
     PolarizeOptions opts;
     opts.pruneRatio = 0.15;
@@ -242,7 +242,8 @@ TEST(Polarize, PolarizationTermPrefersNearDiagonalEdges)
         Rng r2(4);
         ds = materialize(s, r2);
     }
-    GcnModel aux(ds.featureDim(), 16, ds.numClasses(), rng);
+    GnnModel aux =
+        makeModel("GCN", ds.featureDim(), ds.numClasses(), false, rng);
     auto params = aux.parameters();
     PolarizeOptions opts;
     opts.pruneRatio = 0.3;

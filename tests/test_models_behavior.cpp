@@ -7,10 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "nn/backward.hpp"
 #include "nn/dataset.hpp"
-#include "nn/gat.hpp"
-#include "nn/sage.hpp"
 #include "nn/trainer.hpp"
+#include "sim/parallel.hpp"
 
 using namespace gcod;
 
@@ -34,18 +36,63 @@ lossAfter(GnnModel &m, const GraphContext &ctx, const Dataset &ds,
     Adam adam(m.parameters(), aopts);
     Rng rng(1);
     double loss = 0.0;
+    TrainingGraph graph(m, ctx);
     for (int e = 0; e < epochs; ++e) {
-        m.resampleNeighborhoods(ctx, rng);
-        Matrix logits = m.forward(ctx, ds.features);
-        Matrix probs = softmaxRows(logits);
-        loss = crossEntropy(probs, ds.labels, ds.trainMask);
-        Matrix g = softmaxCrossEntropyBackward(probs, ds.labels,
-                                               ds.trainMask);
-        m.backward(ctx, ds.features, g);
+        graph.step(ds, rng, &loss);
         adam.step(m.gradients());
     }
     return loss;
 }
+
+/** A two-layer GraphSAGE with 8 hidden units, trained unsampled. */
+GnnModel
+smallSage(const Dataset &ds, Rng &rng)
+{
+    return GnnModel(ModelSpec{"GraphSAGE",
+                              {{ds.featureDim(), 8, Aggregation::Mean, 1,
+                                true},
+                               {8, ds.numClasses(), Aggregation::Mean, 1,
+                                true}}},
+                    rng);
+}
+
+/** One sampleMeanOperator per fanout, drawn in order. */
+std::vector<CsrMatrix>
+sampleOperators(const Dataset &ds, const std::vector<int> &fanouts,
+                Rng &rng)
+{
+    std::vector<CsrMatrix> ops;
+    for (int k : fanouts)
+        ops.push_back(sampleMeanOperator(ds.synth.graph, k, rng));
+    return ops;
+}
+
+/**
+ * One GAT layer's weights, Glorot-initialized in parameter order: the
+ * projection W, then the attention vectors. forward() runs the
+ * projection and attentionForward with heads concatenated.
+ */
+struct AttentionWeights
+{
+    int heads, dim;
+    Matrix w, aSrc, aDst;
+
+    AttentionWeights(int in, int out, int heads_, Rng &rng)
+        : heads(heads_), dim(out), w(in, int64_t(heads_) * out),
+          aSrc(heads_, out), aDst(heads_, out)
+    {
+        w.glorotInit(rng);
+        aSrc.glorotInit(rng);
+        aDst.glorotInit(rng);
+    }
+
+    Matrix
+    forward(const CsrMatrix &adj, const Matrix &x) const
+    {
+        return attentionForward(adj, matmul(x, w), aSrc, aDst, heads, dim,
+                                true);
+    }
+};
 
 } // namespace
 
@@ -57,12 +104,12 @@ TEST_P(TrainingReducesLoss, LossDropsMateriallyWithinTwentyEpochs)
     Dataset ds = smallDataset(50);
     GraphContext ctx(ds.synth.graph);
     Rng rng(2);
-    auto m = makeModel(GetParam(), ds.featureDim(), ds.numClasses(), false,
-                       rng);
-    Matrix logits0 = m->forward(ctx, ds.features);
+    GnnModel m = makeModel(GetParam(), ds.featureDim(), ds.numClasses(),
+                           false, rng);
+    Matrix logits0 = referenceForward(forwardRecipeFor(m, ctx), ds.features);
     double loss0 = crossEntropy(softmaxRows(logits0), ds.labels,
                                 ds.trainMask);
-    double loss20 = lossAfter(*m, ctx, ds, 20);
+    double loss20 = lossAfter(m, ctx, ds, 20);
     EXPECT_LT(loss20, loss0 * 0.8) << GetParam();
 }
 
@@ -75,7 +122,7 @@ TEST(Gat, HeadsProduceDistinctAttention)
     // With independently initialized attention vectors, two heads must
     // not produce identical outputs.
     Rng rng(3);
-    GatLayer layer(6, 4, 2, true, rng);
+    AttentionWeights layer(6, 4, 2, rng);
     Graph g(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}});
     Matrix x(6, 6);
     for (auto &v : x.data())
@@ -94,7 +141,7 @@ TEST(Gat, IsolatedNodeAttendsOnlyToItself)
     // Node 3 has no neighbors: its output must equal its own projected
     // features (softmax over the single self-loop edge = 1).
     Rng rng(4);
-    GatLayer layer(4, 3, 1, true, rng);
+    AttentionWeights layer(4, 3, 1, rng);
     Graph g(4, {{0, 1}, {1, 2}});
     Matrix x(4, 4);
     for (auto &v : x.data())
@@ -111,11 +158,12 @@ TEST(Sage, SampledOperatorIsRowStochasticAndCapped)
     SyntheticGraph s = synthesize(profileByName("Cora"), 0.2, rng);
     Dataset ds = materialize(s, rng);
     GraphContext ctx(ds.synth.graph);
-    SageModel m(ds.featureDim(), 8, ds.numClasses(), 3, 2, rng);
-    m.resampleNeighborhoods(ctx, rng);
+    GnnModel m = smallSage(ds, rng);
+    std::vector<CsrMatrix> ops = sampleOperators(ds, {3, 2}, rng);
     // The sampled forward must run and produce finite logits even though
     // every node sees at most 3 neighbors.
-    Matrix logits = m.forward(ctx, ds.features);
+    Matrix logits = referenceForward(
+        onLayerOperators(forwardRecipeFor(m, ctx), ops), ds.features);
     for (float v : logits.data())
         EXPECT_TRUE(std::isfinite(v));
 }
@@ -126,11 +174,12 @@ TEST(Sage, ResamplingChangesTheStochasticForward)
     SyntheticGraph s = synthesize(profileByName("Cora"), 0.15, rng);
     Dataset ds = materialize(s, rng);
     GraphContext ctx(ds.synth.graph);
-    SageModel m(ds.featureDim(), 8, ds.numClasses(), 2, 2, rng);
-    m.resampleNeighborhoods(ctx, rng);
-    Matrix a = m.forward(ctx, ds.features);
-    m.resampleNeighborhoods(ctx, rng);
-    Matrix b = m.forward(ctx, ds.features);
+    GnnModel m = smallSage(ds, rng);
+    ForwardRecipe full = forwardRecipeFor(m, ctx);
+    std::vector<CsrMatrix> first = sampleOperators(ds, {2, 2}, rng);
+    Matrix a = referenceForward(onLayerOperators(full, first), ds.features);
+    std::vector<CsrMatrix> second = sampleOperators(ds, {2, 2}, rng);
+    Matrix b = referenceForward(onLayerOperators(full, second), ds.features);
     EXPECT_GT(Matrix::maxAbsDiff(a, b), 1e-6);
 }
 
@@ -140,11 +189,13 @@ TEST(Sage, ClearSamplingRestoresDeterminism)
     SyntheticGraph s = synthesize(profileByName("Cora"), 0.15, rng);
     Dataset ds = materialize(s, rng);
     GraphContext ctx(ds.synth.graph);
-    SageModel m(ds.featureDim(), 8, ds.numClasses(), 2, 2, rng);
-    m.resampleNeighborhoods(ctx, rng);
-    m.clearSampling();
-    Matrix a = m.forward(ctx, ds.features);
-    Matrix b = m.forward(ctx, ds.features);
+    GnnModel m = smallSage(ds, rng);
+    m.fanouts = {2, 2};
+    TrainingGraph graph(m, ctx);
+    graph.resample(rng);
+    // The model's own recipe keeps the full operators.
+    Matrix a = referenceForward(forwardRecipeFor(m, ctx), ds.features);
+    Matrix b = referenceForward(forwardRecipeFor(m, ctx), ds.features);
     EXPECT_LT(Matrix::maxAbsDiff(a, b), 1e-9);
 }
 
@@ -153,19 +204,20 @@ TEST(ResGcn, DeepModelGradientsReachTheFirstLayer)
     // Residual connections must keep layer-0 gradients alive through all
     // 28 layers (a plain deep GCN would vanish).
     Rng rng(8);
-    auto m = makeModel("ResGCN", 5, 3, false, rng);
+    GnnModel m = makeModel("ResGCN", 5, 3, false, rng);
     Graph g(8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}});
     GraphContext ctx(g);
     Matrix x(8, 5);
     for (auto &v : x.data())
         v = float(rng.normal(0.0, 1.0));
-    Matrix logits = m->forward(ctx, x);
+    TrainingGraph graph(m, ctx);
+    Matrix logits = graph.forward(x);
     Matrix probs = softmaxRows(logits);
     std::vector<int> labels = {0, 1, 2, 0, 1, 2, 0, 1};
     Matrix dl = softmaxCrossEntropyBackward(probs, labels);
-    m->backward(ctx, x, dl);
+    graph.backward(dl);
     // First parameter = input projection; its gradient must be nonzero.
-    EXPECT_GT(m->gradients().front()->frobeniusNorm(), 1e-8);
+    EXPECT_GT(m.gradients().front()->frobeniusNorm(), 1e-8);
 }
 
 TEST(EarlyBird, MatchesFullTrainingAccuracyClosely)
@@ -177,12 +229,66 @@ TEST(EarlyBird, MatchesFullTrainingAccuracyClosely)
     TrainOptions full;
     full.epochs = 120;
     Rng r1(9), r2(9);
-    auto m1 = makeModel("GCN", ds.featureDim(), ds.numClasses(), false, r1);
-    TrainReport full_rep = train(*m1, ctx, ds, full);
+    GnnModel m1 =
+        makeModel("GCN", ds.featureDim(), ds.numClasses(), false, r1);
+    TrainReport full_rep = train(m1, ctx, ds, full);
     TrainOptions eb = full;
     eb.earlyBird = true;
-    auto m2 = makeModel("GCN", ds.featureDim(), ds.numClasses(), false, r2);
-    TrainReport eb_rep = train(*m2, ctx, ds, eb);
+    GnnModel m2 =
+        makeModel("GCN", ds.featureDim(), ds.numClasses(), false, r2);
+    TrainReport eb_rep = train(m2, ctx, ds, eb);
     EXPECT_LT(eb_rep.epochsRun, full_rep.epochsRun);
     EXPECT_GT(eb_rep.testAccuracy, full_rep.testAccuracy - 0.12);
+}
+
+TEST(Training, TestAccuracyIsMeasuredOnTheFullOperators)
+{
+    // GraphSAGE trains on a fresh neighbor sample each epoch, but its
+    // reported accuracy must be the one serving gets: the full row mean.
+    // On this dataset the last epoch's sample scores a different test
+    // accuracy than the full operators do.
+    Dataset ds = smallDataset(64);
+    GraphContext ctx(ds.synth.graph);
+    Rng rng(10);
+    GnnModel m = makeModel("GraphSAGE", ds.featureDim(), ds.numClasses(),
+                           false, rng);
+    TrainOptions opts;
+    opts.epochs = 30;
+    TrainReport rep = train(m, ctx, ds, opts);
+    Matrix full = referenceForward(forwardRecipeFor(m, ctx), ds.features);
+    EXPECT_EQ(rep.testAccuracy, accuracy(full, ds.labels, ds.testMask));
+    EXPECT_EQ(rep.testAccuracyInt8,
+              accuracy(quantizedForward(m, ctx, ds.features, 8), ds.labels,
+                       ds.testMask));
+}
+
+TEST(Training, BitIdenticalAcrossThreadCounts)
+{
+    Dataset ds = smallDataset(62);
+    GraphContext ctx(ds.synth.graph);
+    TrainOptions opts;
+    opts.epochs = 4;
+    const int before = currentThreads();
+    for (const char *family : {"GCN", "GraphSAGE", "GAT", "GIN", "ResGCN"}) {
+        std::vector<std::vector<Matrix>> trained;
+        for (int threads : {1, 4}) {
+            setThreads(threads);
+            Rng rng(11);
+            GnnModel m = makeModel(family, ds.featureDim(), ds.numClasses(),
+                                   false, rng);
+            train(m, ctx, ds, opts);
+            trained.push_back(m.weights());
+        }
+        ASSERT_EQ(trained[0].size(), trained[1].size());
+        for (size_t i = 0; i < trained[0].size(); ++i) {
+            const std::vector<float> &a = trained[0][i].data();
+            const std::vector<float> &b = trained[1][i].data();
+            ASSERT_EQ(a.size(), b.size());
+            EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                                  a.size() * sizeof(float)),
+                      0)
+                << family << " parameter " << i;
+        }
+    }
+    setThreads(before);
 }

@@ -46,7 +46,8 @@ struct Fixture
         : graph(hubsAndIsolate(nodes, seed)), ctx(graph)
     {
         Rng rng(seed + 1);
-        model = makeModel(family, features, 5, false, rng);
+        model = std::make_unique<GnnModel>(
+            makeModel(family, features, 5, false, rng));
         x = Matrix(graph.numNodes(), features);
         for (auto &v : x.data())
             v = float(rng.normal(0.0, 1.0));

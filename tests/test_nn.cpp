@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for the NN library: model shapes, exact numerical gradient checks
- * for every model family's hand-written backward pass, Adam, dataset
- * materialization, and the training loop.
+ * for every model family and for every OpKind's backward rule, Adam,
+ * dataset materialization, and the training loop.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 
 #include "nn/adam.hpp"
+#include "nn/backward.hpp"
 #include "nn/dataset.hpp"
 #include "nn/models.hpp"
-#include "nn/resgcn.hpp"
-#include "nn/sage.hpp"
 #include "nn/trainer.hpp"
 
 using namespace gcod;
@@ -41,30 +41,21 @@ const std::vector<int> kTinyLabels = {0, 1, 2, 0, 1, 2, 0, 1};
 double
 lossOf(GnnModel &m, const GraphContext &ctx, const Matrix &x)
 {
-    Matrix logits = m.forward(ctx, x);
+    Matrix logits = referenceForward(forwardRecipeFor(m, ctx), x);
     return crossEntropy(softmaxRows(logits), kTinyLabels);
 }
 
 /**
- * Numerical gradient check: perturb a sample of each parameter's entries
- * and compare the finite-difference quotient against the analytic
- * gradient from backward().
+ * Finite-difference check: perturb a sample of each parameter's entries
+ * and compare the central-difference quotient of @p loss against the
+ * analytic gradient.
  */
+template <typename Loss>
 void
-checkGradients(GnnModel &m, double tol = 0.08)
+expectFiniteDifferences(const std::vector<Matrix *> &params,
+                        const std::vector<Matrix *> &grads, Loss &&loss,
+                        double tol)
 {
-    Graph g = tinyGraph();
-    GraphContext ctx(g);
-    Rng rng(77);
-    Matrix x = tinyFeatures(rng);
-
-    Matrix logits = m.forward(ctx, x);
-    Matrix probs = softmaxRows(logits);
-    Matrix dlogits = softmaxCrossEntropyBackward(probs, kTinyLabels);
-    m.backward(ctx, x, dlogits);
-
-    auto params = m.parameters();
-    auto grads = m.gradients();
     ASSERT_EQ(params.size(), grads.size());
     const float eps = 3e-3f;
     for (size_t pi = 0; pi < params.size(); ++pi) {
@@ -76,9 +67,9 @@ checkGradients(GnnModel &m, double tol = 0.08)
         for (int64_t k = 0; k < p.size(); k += stride) {
             float saved = p.data()[size_t(k)];
             p.data()[size_t(k)] = saved + eps;
-            double lp = lossOf(m, ctx, x);
+            double lp = loss();
             p.data()[size_t(k)] = saved - eps;
-            double lm = lossOf(m, ctx, x);
+            double lm = loss();
             p.data()[size_t(k)] = saved;
             double numeric = (lp - lm) / (2.0 * eps);
             double analytic = gmat.data()[size_t(k)];
@@ -88,6 +79,152 @@ checkGradients(GnnModel &m, double tol = 0.08)
                 << "param " << pi << " entry " << k;
         }
     }
+}
+
+/**
+ * Numerical gradient check of a model: the analytic gradient comes from
+ * the training graph's backward.
+ */
+void
+checkGradients(GnnModel &m, double tol = 0.08)
+{
+    Graph g = tinyGraph();
+    GraphContext ctx(g);
+    Rng rng(77);
+    Matrix x = tinyFeatures(rng);
+
+    TrainingGraph graph(m, ctx);
+    Matrix logits = graph.forward(x);
+    Matrix probs = softmaxRows(logits);
+    Matrix dlogits = softmaxCrossEntropyBackward(probs, kTinyLabels);
+    graph.backward(dlogits);
+
+    expectFiniteDifferences(m.parameters(), m.gradients(),
+                            [&] { return lossOf(m, ctx, x); }, tol);
+}
+
+/**
+ * A hand-built two-layer recipe for one OpKind's backward rule. Layer 0
+ * projects the features (GEMM + Readout), so the op under test, in
+ * layer 1, lies on the gradient path of that projection's weight.
+ */
+struct OpRecipe
+{
+    std::deque<Matrix> weights; // stable addresses: the recipe points in
+    ForwardRecipe recipe;
+    std::vector<const CsrMatrix *> transposes;
+
+    OpRecipe(int features, int width, Rng &rng)
+    {
+        recipe.layers.resize(2);
+        int w0 = weight(features, width, rng);
+        push(0, gemm(0, w0));
+        push(0, unary(OpKind::Readout, 1));
+    }
+
+    int
+    weight(int64_t rows, int64_t cols, Rng &rng)
+    {
+        weights.emplace_back(rows, cols);
+        weights.back().glorotInit(rng);
+        recipe.weights.push_back(&weights.back());
+        return int(weights.size()) - 1;
+    }
+
+    int
+    op(const CsrMatrix &a, const CsrMatrix &a_t)
+    {
+        recipe.operators.push_back(&a);
+        transposes.push_back(&a_t);
+        return int(recipe.operators.size()) - 1;
+    }
+
+    /** Append @p step to layer @p l as its next slot. */
+    int
+    push(size_t l, OpStep step)
+    {
+        LayerGraph &g = recipe.layers[l];
+        step.out = g.numSlots++;
+        g.ops.push_back(step);
+        return step.out;
+    }
+
+    static OpStep
+    gemm(int in, int w)
+    {
+        OpStep s;
+        s.kind = OpKind::GEMM;
+        s.in = in;
+        s.weight = w;
+        return s;
+    }
+
+    static OpStep
+    unary(OpKind kind, int in)
+    {
+        OpStep s;
+        s.kind = kind;
+        s.in = in;
+        return s;
+    }
+
+    std::vector<Matrix *>
+    params()
+    {
+        std::vector<Matrix *> ps;
+        for (Matrix &w : weights)
+            ps.push_back(&w);
+        return ps;
+    }
+
+    /** backwardPass's gradients for @p x, one per weight. */
+    std::vector<Matrix>
+    gradients(const Matrix &x) const
+    {
+        ForwardTape tape;
+        Matrix logits = tapedForward(recipe, x, tape);
+        Matrix dl = softmaxCrossEntropyBackward(softmaxRows(logits),
+                                                kTinyLabels);
+        std::vector<Matrix> grads;
+        for (const Matrix &w : weights)
+            grads.emplace_back(w.rows(), w.cols());
+        std::vector<Matrix *> gp;
+        for (Matrix &g : grads)
+            gp.push_back(&g);
+        backwardPass(recipe, transposes, tape, dl, gp);
+        return grads;
+    }
+
+    void
+    check(const Matrix &x, double tol = 0.08)
+    {
+        std::vector<Matrix> grads = gradients(x);
+        std::vector<Matrix *> gp;
+        for (Matrix &g : grads)
+            gp.push_back(&g);
+        expectFiniteDifferences(params(), gp, [&] {
+            return crossEntropy(softmaxRows(referenceForward(recipe, x)),
+                                kTinyLabels);
+        }, tol);
+    }
+};
+
+/** A directed, weighted 8-node operator: A != Aᵀ. */
+CsrMatrix
+directedOperator()
+{
+    CooMatrix coo(8, 8);
+    coo.add(0, 1, 0.5f);
+    coo.add(0, 4, -0.3f);
+    coo.add(1, 2, -1.2f);
+    coo.add(2, 0, 0.7f);
+    coo.add(2, 6, 0.6f);
+    coo.add(3, 5, 1.1f);
+    coo.add(4, 4, 0.9f);
+    coo.add(5, 7, 0.3f);
+    coo.add(6, 1, 0.25f);
+    coo.add(7, 3, -0.4f);
+    return std::move(coo).toCsr();
 }
 
 } // namespace
@@ -114,11 +251,11 @@ class ModelShapes : public ::testing::TestWithParam<const char *>
 TEST_P(ModelShapes, ForwardProducesLogitsPerNode)
 {
     Rng rng(1);
-    auto m = makeModel(GetParam(), 5, 3, false, rng);
+    GnnModel m = makeModel(GetParam(), 5, 3, false, rng);
     Graph g = tinyGraph();
     GraphContext ctx(g);
     Matrix x = tinyFeatures(rng);
-    Matrix logits = m->forward(ctx, x);
+    Matrix logits = referenceForward(forwardRecipeFor(m, ctx), x);
     EXPECT_EQ(logits.rows(), 8);
     EXPECT_EQ(logits.cols(), 3);
     for (float v : logits.data())
@@ -128,28 +265,28 @@ TEST_P(ModelShapes, ForwardProducesLogitsPerNode)
 TEST_P(ModelShapes, ParametersAndGradientsAreParallel)
 {
     Rng rng(2);
-    auto m = makeModel(GetParam(), 5, 3, false, rng);
-    auto ps = m->parameters();
-    auto gs = m->gradients();
+    GnnModel m = makeModel(GetParam(), 5, 3, false, rng);
+    auto ps = m.parameters();
+    auto gs = m.gradients();
     ASSERT_EQ(ps.size(), gs.size());
     for (size_t i = 0; i < ps.size(); ++i)
         EXPECT_TRUE(ps[i]->sameShape(*gs[i]));
-    EXPECT_GT(m->spec().weightCount(), 0);
+    EXPECT_GT(m.spec().weightCount(), 0);
 }
 
 TEST_P(ModelShapes, QuantizedForwardRestoresWeights)
 {
     Rng rng(3);
-    auto m = makeModel(GetParam(), 5, 3, false, rng);
+    GnnModel m = makeModel(GetParam(), 5, 3, false, rng);
     Graph g = tinyGraph();
     GraphContext ctx(g);
     Matrix x = tinyFeatures(rng);
     std::vector<Matrix> before;
-    for (Matrix *p : m->parameters())
+    for (Matrix *p : m.parameters())
         before.push_back(*p);
-    Matrix logits = quantizedForward(*m, ctx, x, 8);
+    Matrix logits = quantizedForward(m, ctx, x, 8);
     EXPECT_EQ(logits.rows(), 8);
-    auto after = m->parameters();
+    auto after = m.parameters();
     for (size_t i = 0; i < after.size(); ++i)
         EXPECT_LT(Matrix::maxAbsDiff(before[i], *after[i]), 1e-7);
 }
@@ -162,29 +299,32 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ModelShapes,
 TEST(Gradients, GcnBackwardIsExact)
 {
     Rng rng(10);
-    auto m = makeModel("GCN", 5, 3, false, rng);
-    checkGradients(*m);
+    GnnModel m = makeModel("GCN", 5, 3, false, rng);
+    checkGradients(m);
 }
 
 TEST(Gradients, GinBackwardIsExact)
 {
     Rng rng(11);
-    auto m = makeModel("GIN", 5, 3, false, rng);
-    checkGradients(*m);
+    GnnModel m = makeModel("GIN", 5, 3, false, rng);
+    checkGradients(m);
 }
 
 TEST(Gradients, GatBackwardIsExact)
 {
     Rng rng(12);
-    auto m = makeModel("GAT", 5, 3, false, rng);
-    checkGradients(*m, 0.12); // attention softmax is float-noisier
+    GnnModel m = makeModel("GAT", 5, 3, false, rng);
+    checkGradients(m, 0.12); // attention softmax is float-noisier
 }
 
 TEST(Gradients, SageBackwardIsExact)
 {
     Rng rng(13);
     // Unsampled (full-mean) variant so the operator is deterministic.
-    SageModel m(5, 7, 3, 0, 0, rng);
+    GnnModel m(ModelSpec{"GraphSAGE",
+                         {{5, 7, Aggregation::Mean, 1, true},
+                          {7, 3, Aggregation::Mean, 1, true}}},
+               rng);
     checkGradients(m);
 }
 
@@ -193,9 +333,156 @@ TEST(Gradients, ResGcnBackwardIsExact)
     // A shallow instance: 28 float32 layers accumulate too much rounding
     // for finite differences, but the backward code is depth-independent.
     Rng rng(14);
-    ResGcnModel m(5, 8, 3, 4, rng);
+    GnnModel m(ModelSpec{"ResGCN",
+                         {{5, 8, Aggregation::Max, 1, false},
+                          {8, 8, Aggregation::Max, 1, false},
+                          {8, 8, Aggregation::Max, 1, false},
+                          {8, 3, Aggregation::Max, 1, false}}},
+               rng);
     checkGradients(m, 0.15);
 }
+
+// ------------------------------------------------ per-OpKind backward rules
+TEST(OpGradients, SpmmUsesTheTransposeOfANonSymmetricOperator)
+{
+    Rng rng(30);
+    CsrMatrix a = directedOperator();
+    CsrMatrix at = a.transpose();
+    OpRecipe r(5, 4, rng);
+    int op = r.op(a, at);
+    int w1 = r.weight(4, 3, rng);
+    OpStep spmm = OpRecipe::unary(OpKind::SpMM, 0);
+    spmm.opIndex = op;
+    int s = r.push(1, spmm);
+    int z = r.push(1, OpRecipe::gemm(s, w1));
+    r.push(1, OpRecipe::unary(OpKind::Readout, z));
+    r.check(tinyFeatures(rng));
+}
+
+TEST(OpGradients, ResidualScalesTheAuxGradient)
+{
+    Rng rng(31);
+    Graph g = tinyGraph();
+    OpRecipe r(5, 4, rng);
+    r.op(g.adjacency(), g.adjacency()); // passes check rows against it
+    int w1 = r.weight(4, 4, rng);
+    int w2 = r.weight(4, 3, rng);
+    int h = r.push(1, OpRecipe::gemm(0, w1));
+    OpStep res = OpRecipe::unary(OpKind::Residual, h);
+    res.aux = 0;
+    res.scale = 1.7f;
+    int o = r.push(1, res);
+    int z = r.push(1, OpRecipe::gemm(o, w2));
+    r.push(1, OpRecipe::unary(OpKind::Readout, z));
+    r.check(tinyFeatures(rng));
+}
+
+namespace {
+
+/** Layer 1 = MaxAgg over the tiny graph, then a GEMM to 3 classes. */
+OpRecipe
+maxAggRecipe(int features, const CsrMatrix &adj, Rng &rng)
+{
+    OpRecipe r(features, 4, rng);
+    int op = r.op(adj, adj);
+    int w1 = r.weight(4, 3, rng);
+    OpStep agg = OpRecipe::unary(OpKind::MaxAgg, 0);
+    agg.opIndex = op;
+    int s = r.push(1, agg);
+    int z = r.push(1, OpRecipe::gemm(s, w1));
+    r.push(1, OpRecipe::unary(OpKind::Readout, z));
+    return r;
+}
+
+} // namespace
+
+TEST(OpGradients, MaxAggRoutesTiesToOneWinner)
+{
+    // Neighbors 0-1, 3-4 and 6-7 share feature rows, so their projected
+    // rows tie under every perturbation: the max stays differentiable,
+    // and a tie routed to both candidates would double the gradient.
+    Rng rng(32);
+    Graph g = tinyGraph();
+    Matrix x = tinyFeatures(rng);
+    for (auto [from, to] : {std::pair{0, 1}, {3, 4}, {6, 7}})
+        std::copy(x.row(from), x.row(from) + x.cols(), x.row(to));
+    OpRecipe r = maxAggRecipe(5, g.adjacency(), rng);
+    r.check(x);
+}
+
+TEST(OpGradients, MaxAggTieGoesToTheFirstCandidate)
+{
+    // One-hot features make W0's rows the projected rows, so dW0 row j
+    // is exactly the gradient routed to node j. Rows 0 and 1 tie; the
+    // winner is the first candidate: the node itself, then neighbors in
+    // row order.
+    Rng rng(33);
+    Graph g = tinyGraph();
+    Matrix x(8, 8, 0.0f);
+    for (int64_t i = 0; i < 8; ++i)
+        x(i, i) = 1.0f;
+    OpRecipe r = maxAggRecipe(8, g.adjacency(), rng);
+    Matrix &w0 = r.weights[0];
+    std::copy(w0.row(0), w0.row(0) + w0.cols(), w0.row(1));
+    std::vector<Matrix> grads = r.gradients(x);
+
+    Matrix h = matmul(x, w0);
+    ForwardTape tape;
+    Matrix logits = tapedForward(r.recipe, x, tape);
+    Matrix dl =
+        softmaxCrossEntropyBackward(softmaxRows(logits), kTinyLabels);
+    Matrix ds = matmulTransposedB(dl, r.weights[1]);
+    Matrix expect(8, 4, 0.0f);
+    for (NodeId i = 0; i < 8; ++i)
+        for (int64_t c = 0; c < 4; ++c) {
+            NodeId win = i;
+            g.adjacency().forEachInRow(i, [&](NodeId j, float) {
+                if (h(j, c) > h(win, c))
+                    win = j;
+            });
+            expect(win, c) += ds(i, c);
+        }
+    EXPECT_EQ(Matrix::maxAbsDiff(grads[0], expect), 0.0);
+    // Node 2 reads both tied rows; the first in its row, node 0, wins.
+    bool tie_decided = false;
+    for (int64_t c = 0; c < 4; ++c)
+        tie_decided |= h(0, c) > h(2, c) && h(0, c) > h(7, c);
+    EXPECT_TRUE(tie_decided);
+}
+
+class AttentionGradients
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{};
+
+TEST_P(AttentionGradients, MatchFiniteDifferences)
+{
+    const auto [heads, concat] = GetParam();
+    Rng rng(34 + uint64_t(heads) * 2 + (concat ? 1 : 0));
+    Graph g = tinyGraph();
+    const int dim = 3;
+    OpRecipe r(5, 4, rng);
+    int op = r.op(g.adjacency(), g.adjacency());
+    int w = r.weight(4, int64_t(heads) * dim, rng);
+    int a_src = r.weight(heads, dim, rng);
+    int a_dst = r.weight(heads, dim, rng);
+    int w2 = r.weight(concat ? heads * dim : dim, 3, rng);
+    int h = r.push(1, OpRecipe::gemm(0, w));
+    OpStep att = OpRecipe::unary(OpKind::AttentionScore, h);
+    att.opIndex = op;
+    att.aSrc = a_src;
+    att.aDst = a_dst;
+    att.heads = heads;
+    att.headDim = dim;
+    att.concatHeads = concat;
+    int o = r.push(1, att);
+    int z = r.push(1, OpRecipe::gemm(o, w2));
+    r.push(1, OpRecipe::unary(OpKind::Readout, z));
+    r.check(tinyFeatures(rng));
+}
+
+INSTANTIATE_TEST_SUITE_P(HeadsAndMerge, AttentionGradients,
+                         ::testing::Combine(::testing::Values(1, 2),
+                                            ::testing::Bool()));
 
 // ------------------------------------------------------------------- adam
 TEST(Adam, MinimizesQuadratic)
@@ -290,10 +577,11 @@ TEST(Trainer, GcnLearnsAboveChance)
     SyntheticGraph synth = synthesize(profileByName("Cora"), 0.15, rng);
     Dataset ds = materialize(synth, rng);
     GraphContext ctx(ds.synth.graph);
-    auto m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false, rng);
+    GnnModel m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false,
+                           rng);
     TrainOptions topts;
     topts.epochs = 40;
-    TrainReport rep = train(*m, ctx, ds, topts);
+    TrainReport rep = train(m, ctx, ds, topts);
     double chance = 1.0 / double(ds.numClasses());
     EXPECT_GT(rep.testAccuracy, chance * 2.0);
     EXPECT_EQ(rep.epochsRun, 40);
@@ -306,11 +594,12 @@ TEST(Trainer, EarlyBirdStopsEarly)
     SyntheticGraph synth = synthesize(profileByName("Cora"), 0.15, rng);
     Dataset ds = materialize(synth, rng);
     GraphContext ctx(ds.synth.graph);
-    auto m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false, rng);
+    GnnModel m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false,
+                           rng);
     TrainOptions topts;
     topts.epochs = 300;
     topts.earlyBird = true;
-    TrainReport rep = train(*m, ctx, ds, topts);
+    TrainReport rep = train(m, ctx, ds, topts);
     EXPECT_LT(rep.epochsRun, 300);
     EXPECT_GE(rep.epochsRun, topts.minEpochs);
 }
@@ -321,10 +610,11 @@ TEST(Trainer, QuantizedEvalCloseToFloat)
     SyntheticGraph synth = synthesize(profileByName("Cora"), 0.15, rng);
     Dataset ds = materialize(synth, rng);
     GraphContext ctx(ds.synth.graph);
-    auto m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false, rng);
+    GnnModel m = makeModel("GCN", ds.featureDim(), ds.numClasses(), false,
+                           rng);
     TrainOptions topts;
     topts.epochs = 40;
-    TrainReport rep = train(*m, ctx, ds, topts);
+    TrainReport rep = train(m, ctx, ds, topts);
     EXPECT_GT(rep.testAccuracyInt8, rep.testAccuracy - 0.15);
 }
 

@@ -74,7 +74,8 @@ struct QuantFixture
           ctx(graph)
     {
         Rng rng(seed + 1);
-        model = makeModel("GCN", features, 7, false, rng);
+        model = std::make_unique<GnnModel>(
+            makeModel("GCN", features, 7, false, rng));
         x = randomDense(nodes, features, rng);
         recipe = forwardRecipeFor(*model, ctx);
     }
@@ -235,9 +236,9 @@ TEST(QuantExecTest, BitIdenticalAcrossShardCounts)
 
 // -------------------------------------------------------------- model zoo
 // The op-graph interpreter is the execution contract for every family:
-// referenceForward must reproduce GnnModel::forward bit for bit (memcmp)
-// at every thread count 1..8, and the quantized interpreter must be
-// thread-stable over the same recipes.
+// training's taped forward must reproduce referenceForward bit for bit
+// (memcmp), both must hold at every thread count 1..8, and the quantized
+// interpreter must be thread-stable over the same recipes.
 class ZooParity : public ::testing::TestWithParam<std::string>
 {};
 
@@ -248,14 +249,15 @@ TEST_P(ZooParity, RecipeMatchesModelForwardAtThreads1To8)
     Graph g = barabasiAlbert(300, 4, grng);
     GraphContext ctx(g);
     Rng rng(31);
-    auto model = makeModel(family, 16, 6, false, rng);
+    GnnModel model = makeModel(family, 16, 6, false, rng);
     Matrix x = randomDense(g.numNodes(), 16, rng);
-    ForwardRecipe recipe = forwardRecipeFor(*model, ctx);
-    EXPECT_TRUE(supportsRecipeForward(model->spec()));
+    ForwardRecipe recipe = forwardRecipeFor(model, ctx);
+    EXPECT_TRUE(supportsRecipeForward(model.spec()));
 
     int before = currentThreads();
     setThreads(1);
-    Matrix mono = model->forward(ctx, x);
+    ForwardTape tape;
+    Matrix mono = tapedForward(recipe, x, tape);
     Matrix serial = referenceForward(recipe, x);
     EXPECT_TRUE(bitIdentical(mono, serial))
         << family << " recipe diverged from model forward, maxAbsDiff="
@@ -264,7 +266,7 @@ TEST_P(ZooParity, RecipeMatchesModelForwardAtThreads1To8)
     Matrix qserial = quantizedForwardMixed(q, x);
     for (int t = 2; t <= 8; ++t) {
         setThreads(t);
-        EXPECT_TRUE(bitIdentical(mono, model->forward(ctx, x)))
+        EXPECT_TRUE(bitIdentical(mono, tapedForward(recipe, x, tape)))
             << family << " model forward at threads " << t;
         EXPECT_TRUE(bitIdentical(serial, referenceForward(recipe, x)))
             << family << " recipe forward at threads " << t;

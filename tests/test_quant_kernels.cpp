@@ -353,7 +353,7 @@ TEST(FastMatmulTest, RowWorkerGemmEqualsMatmulRow)
     // GCN: SpMM then GEMM per layer; the second layer's 7 outputs take
     // the ragged-tile path, the first layer's 16 the full tile.
     auto model = makeModel("GCN", 21, 7, false, rng);
-    ForwardRecipe m = forwardRecipeFor(*model, ctx);
+    ForwardRecipe m = forwardRecipeFor(model, ctx);
     Matrix in = activations(60, 21, rng);
     for (size_t l = 0; l < m.layers.size(); ++l) {
         const LayerGraph &lg = m.layers[l];

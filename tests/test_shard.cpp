@@ -188,13 +188,13 @@ TEST_P(ShardedForwardK, GcnMatchesMonolithicBitForBit)
     auto model = makeModel("GCN", 24, 5, false, rng);
     Matrix x(g.numNodes(), 24);
     x.glorotInit(rng);
-    Matrix mono = model->forward(ctx, x);
+    Matrix mono = referenceForward(forwardRecipeFor(model, ctx), x);
 
     ShardPlanOptions opts;
     opts.shards = GetParam();
     ShardPlan plan = buildShardPlan(g, opts);
     Matrix sharded =
-        shardedForward(plan, forwardRecipeFor(*model, ctx), x);
+        shardedForward(plan, forwardRecipeFor(model, ctx), x);
     EXPECT_TRUE(bitIdentical(mono, sharded))
         << "GCN diverged at K=" << GetParam()
         << " maxAbsDiff=" << Matrix::maxAbsDiff(mono, sharded);
@@ -208,13 +208,13 @@ TEST_P(ShardedForwardK, SageMatchesMonolithicBitForBit)
     auto model = makeModel("GraphSAGE", 20, 6, false, rng);
     Matrix x(g.numNodes(), 20);
     x.glorotInit(rng);
-    Matrix mono = model->forward(ctx, x);
+    Matrix mono = referenceForward(forwardRecipeFor(model, ctx), x);
 
     ShardPlanOptions opts;
     opts.shards = GetParam();
     ShardPlan plan = buildShardPlan(g, opts);
     Matrix sharded =
-        shardedForward(plan, forwardRecipeFor(*model, ctx), x);
+        shardedForward(plan, forwardRecipeFor(model, ctx), x);
     EXPECT_TRUE(bitIdentical(mono, sharded))
         << "GraphSAGE diverged at K=" << GetParam()
         << " maxAbsDiff=" << Matrix::maxAbsDiff(mono, sharded);
@@ -239,12 +239,12 @@ TEST_P(ShardedZoo, FamilyMatchesMonolithicBitForBit)
     auto model = makeModel(family, 12, 5, false, rng);
     Matrix x(g.numNodes(), 12);
     x.glorotInit(rng);
-    Matrix mono = model->forward(ctx, x);
+    Matrix mono = referenceForward(forwardRecipeFor(model, ctx), x);
 
     ShardPlanOptions opts;
     opts.shards = k;
     ShardPlan plan = buildShardPlan(g, opts);
-    ForwardRecipe recipe = forwardRecipeFor(*model, ctx);
+    ForwardRecipe recipe = forwardRecipeFor(model, ctx);
     Matrix sharded = shardedForward(plan, recipe, x);
     EXPECT_TRUE(bitIdentical(mono, sharded))
         << family << " fp32 diverged at K=" << k
@@ -283,12 +283,12 @@ TEST(ShardedForward, ManyShardsOnTinyGraphStillExact)
     auto model = makeModel("GCN", 6, 2, false, rng);
     Matrix x(g.numNodes(), 6);
     x.glorotInit(rng);
-    Matrix mono = model->forward(ctx, x);
+    Matrix mono = referenceForward(forwardRecipeFor(model, ctx), x);
 
     ShardPlanOptions opts;
     opts.shards = 8;
     ShardPlan plan = buildShardPlan(g, opts);
-    ForwardRecipe recipe = forwardRecipeFor(*model, ctx);
+    ForwardRecipe recipe = forwardRecipeFor(model, ctx);
     Matrix sharded = shardedForward(plan, recipe, x);
     EXPECT_TRUE(bitIdentical(mono, sharded));
 
@@ -306,7 +306,7 @@ TEST(ShardScheduler, MixedChipFleetRunsExactAndCosts)
     auto model = makeModel("GCN", 32, 7, false, rng);
     Matrix x(g.numNodes(), 32);
     x.glorotInit(rng);
-    Matrix mono = model->forward(ctx, x);
+    Matrix mono = referenceForward(forwardRecipeFor(model, ctx), x);
 
     ShardPlanOptions popts;
     popts.shards = 4;
@@ -318,11 +318,11 @@ TEST(ShardScheduler, MixedChipFleetRunsExactAndCosts)
     ShardScheduler sched(sopts);
     EXPECT_EQ(sched.fleetName(), "shard[GCoD,GCoD@bits=8,HyGCN]");
 
-    Matrix output = shardedForward(plan, forwardRecipeFor(*model, ctx), x);
+    Matrix output = shardedForward(plan, forwardRecipeFor(model, ctx), x);
     EXPECT_TRUE(bitIdentical(mono, output))
         << "numerics must not depend on the chip mix";
 
-    const ShardScheduleResult c = sched.schedule(plan, units, model->spec());
+    const ShardScheduleResult c = sched.schedule(plan, units, model.spec());
     ASSERT_EQ(c.chipOf.size(), size_t(plan.numShards));
     for (int chip : c.chipOf) {
         EXPECT_GE(chip, 0);
