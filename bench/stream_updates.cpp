@@ -28,12 +28,15 @@
  *
  * check=1 gates the run on the tentpole acceptance criteria:
  * incremental update >= 5x faster than a full rebuild for these small
- * deltas, and zero dropped requests during concurrent swaps.
+ * deltas, and zero dropped requests during concurrent swaps. It also
+ * exits 1 unless the resident fp32 logits after phase 2 memcmp-equal a
+ * full referenceForward of that epoch.
  */
 #include "bench_common.hpp"
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "dyn/delta.hpp"
@@ -74,7 +77,8 @@ toggleDelta(const Graph &g, int count, uint64_t seed)
     return d;
 }
 
-void
+/** The bench body; returns 1 when check=1 finds wrong logits. */
+int
 streamUpdates(Config &cfg)
 {
     const std::string dataset = cfg.getString("dataset", "Cora");
@@ -151,6 +155,20 @@ streamUpdates(Config &cfg)
     const double speedup = meanUpdateS > 0.0 ? fullRebuildS / meanUpdateS
                                              : 0.0;
     const double meanDirtyFraction = sumDirtyFraction / double(applied);
+
+    // The last phase-2 epoch's fp32 logits came from dirty-row
+    // recomputes stacked on one full pass; a fresh full pass over the
+    // same epoch must reproduce them byte for byte.
+    bool logitsMatch = true;
+    if (check != 0) {
+        auto bundle = engine.cache().peek(key);
+        const Matrix &stored = bundle->storedLogits.at(32);
+        const Matrix full =
+            referenceForward(bundle->hostRecipe, bundle->hostFeatures);
+        logitsMatch = stored.sameShape(full) &&
+                      std::memcmp(stored.data().data(), full.data().data(),
+                                  full.data().size() * sizeof(float)) == 0;
+    }
 
     // ---- Phase 3: concurrent serving under a live update stream ------
     std::atomic<bool> stop{false};
@@ -279,7 +297,16 @@ streamUpdates(Config &cfg)
                     dropped);
         GCOD_ASSERT(retiredLeft == 0,
                     "retired epochs leaked after drain: ", retiredLeft);
+        if (!logitsMatch) {
+            std::fprintf(stderr,
+                         "FAIL: incremental fp32 logits of dyn epoch %llu "
+                         "differ from a full referenceForward of that "
+                         "epoch\n",
+                         static_cast<unsigned long long>(lastDynEpoch));
+            return 1;
+        }
     }
+    return 0;
 }
 
 /** Microbenchmark: one small-delta applyUpdate() against a warm engine. */
@@ -307,5 +334,8 @@ BENCHMARK(BM_ApplyUpdateSmallDelta);
 int
 main(int argc, char **argv)
 {
-    return benchMain(argc, argv, streamUpdates);
+    int status = 0;
+    int rc = benchMain(argc, argv,
+                       [&](Config &cfg) { status = streamUpdates(cfg); });
+    return rc != 0 ? rc : status;
 }

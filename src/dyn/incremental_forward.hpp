@@ -4,15 +4,15 @@
  *
  * Holds every layer's activation matrix — plus, for layers whose
  * aggregation input is produced inside the layer (GAT's h = X W), that
- * aggregation-input matrix — for one epoch. On update, clean rows are
- * copied forward verbatim and only the dirty rows of each layer
- * (dirty.hpp level sets) are recomputed, op by op, on nn/quant_exec's
- * fp32 row worker (runRowOps / layerRowInto), which mirrors the batch
- * kernels' per-element accumulation order exactly.
+ * aggregation-input matrix — for one epoch. On update, each layer runs
+ * through nn/quant_exec's one layer loop (forwardLayer) over its dirty
+ * level only (dirty.hpp level sets), into output and aggregation-input
+ * slots pre-filled from the previous epoch, so clean rows keep their
+ * bytes.
  *
- * Since the batch kernels guarantee thread-count-invariant per-element
- * accumulation (see tensor/ops.cpp), a per-row recompute in the same
- * order is bit-identical to a full referenceForward over the final
+ * The row kernels runOp runs over a row set keep the batch kernels'
+ * per-element accumulation order (see tensor/ops.cpp), so a dirty-row
+ * recompute is bit-identical to a full referenceForward over the final
  * graph — the invariant the dyn test suite memcmp-checks. Soundness of
  * the aggregation-input cache: its row j changes only when input row j
  * changes, and every such j is inside the layer's dirty level, whose
@@ -54,6 +54,15 @@ class IncrementalForward
                                const std::vector<DirtyRegion> &levels) const;
 
   private:
+    /**
+     * One pass over every layer: over every row when @p prev is null,
+     * else over each layer's dirty level into slots pre-filled from
+     * @p prev.
+     */
+    static IncrementalForward pass(const ForwardRecipe &m, const Matrix &x,
+                                   const IncrementalForward *prev,
+                                   const std::vector<DirtyRegion> *levels);
+
     std::vector<Matrix> acts_;
     /**
      * Per layer, the aggregation op's input matrix when it is produced

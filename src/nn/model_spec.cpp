@@ -1,5 +1,7 @@
 #include "model_spec.hpp"
 
+#include "nn/quant_exec.hpp"
+
 namespace gcod {
 
 ModelSpec
@@ -31,6 +33,15 @@ makeModelSpec(const std::string &model, int features, int classes, bool large)
         GCOD_FATAL("unknown model '", model, "'");
     }
     return spec;
+}
+
+int64_t
+ModelSpec::weightCount() const
+{
+    int64_t total = 0;
+    for (const auto &[rows, cols] : recipeWeightShapes(*this))
+        total += rows * cols;
+    return total;
 }
 
 } // namespace gcod

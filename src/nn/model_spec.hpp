@@ -24,7 +24,7 @@ struct LayerSpec
     int inDim = 0;
     int outDim = 0;
     Aggregation agg = Aggregation::Mean;
-    /** Attention heads (GAT) or MLP depth (GIN); 1 otherwise. */
+    /** Attention heads (GAT); 1 otherwise. */
     int heads = 1;
     /** True when the layer concatenates self features (GraphSAGE). */
     bool concatSelf = false;
@@ -36,17 +36,12 @@ struct ModelSpec
     std::string name;
     std::vector<LayerSpec> layers;
 
-    /** Total weight parameter count. */
-    int64_t
-    weightCount() const
-    {
-        int64_t total = 0;
-        for (const auto &l : layers) {
-            int64_t in = l.concatSelf ? 2 * l.inDim : l.inDim;
-            total += in * int64_t(l.outDim) * l.heads;
-        }
-        return total;
-    }
+    /**
+     * Total weight parameter count: the entries of every matrix
+     * recipeWeightShapes places (GIN's two MLP matrices, GAT's attention
+     * vectors). Fatal for a spec no recipe lowers.
+     */
+    int64_t weightCount() const;
 };
 
 /**

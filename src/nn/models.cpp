@@ -5,12 +5,16 @@
 
 namespace gcod {
 
-GnnModel::GnnModel(ModelSpec spec, Rng &rng) : spec_(std::move(spec))
+GnnModel::GnnModel(ModelSpec spec) : spec_(std::move(spec))
 {
     for (const auto &[rows, cols] : recipeWeightShapes(spec_)) {
         weights_.emplace_back(rows, cols);
         grads_.emplace_back(rows, cols);
     }
+}
+
+GnnModel::GnnModel(ModelSpec spec, Rng &rng) : GnnModel(std::move(spec))
+{
     std::vector<size_t> order(weights_.size());
     for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;

@@ -27,10 +27,17 @@ class GnnModel
 {
   public:
     /**
-     * Glorot-initialized weights in the layout forwardRecipeFor expects
-     * for @p spec, drawn from @p rng in parameters() order — except that
-     * a Max (ResGCN) stack draws its output layer right after its input
-     * layer, so seeded weights stay what they always were.
+     * Zeroed weights (and gradients) in the layout forwardRecipeFor
+     * expects for @p spec (recipeWeightShapes) — for a caller that
+     * overwrites every weight, such as a store load.
+     */
+    explicit GnnModel(ModelSpec spec);
+
+    /**
+     * Glorot-initialized weights in that layout, drawn from @p rng in
+     * parameters() order — except that a Max (ResGCN) stack draws its
+     * output layer right after its input layer, so seeded weights stay
+     * what they always were.
      */
     GnnModel(ModelSpec spec, Rng &rng);
 

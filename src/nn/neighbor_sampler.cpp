@@ -90,6 +90,18 @@ gatherRows(const Matrix &x, const std::vector<NodeId> &rows)
     return out;
 }
 
+/** forwardRows at @p q's precision: @p op over the packed @p agg_in. */
+Matrix
+quantizedRows(const QuantizedGnn &q, size_t layer, const Matrix &self,
+              const std::vector<uint8_t> &branch_of, const QuantizedCsr &op,
+              const MixedQuantizedMatrix &agg_in)
+{
+    OpPack spmm_in;
+    spmm_in.op = &op;
+    spmm_in.x = &agg_in;
+    return forwardRows(q.recipe, &q, layer, self, &branch_of, spmm_in);
+}
+
 /** peak = max(peak, max |row|): chooseQuantParams's reduction, by row. */
 void
 foldPeak(float &peak, const float *row, int64_t cols)
@@ -216,20 +228,21 @@ sampledForwardRow(const ForwardRecipe &base, const Graph &g, const Matrix &x,
     Matrix cur;
     size_t interpreted = 0;
     for (size_t l = 0; l < L; ++l) {
+        // Layer 0's operator columns are node ids into the features;
+        // deeper ones index the previous compact layer.
         const Matrix &in = l == 0 ? x : cur;
-        std::vector<int64_t> widths = layerSlotWidths(sub, l, in.cols());
-        RowSlots buf(size_t(sub.layers[l].numSlots));
-        Matrix next(int64_t(out[l].size()),
-                    widths[size_t(sub.layers[l].ops.back().out)]);
-        for (size_t k = 0; k < out[l].size(); ++k) {
-            const NodeId v = out[l][k];
-            const float *self =
-                l == 0 ? x.row(v) : in.row(positionIn(out[l - 1], v));
-            layerRowInto(sub, l, in, NodeId(k), self, buf, widths,
-                         next.row(int64_t(k)));
+        OpPack spmm_in;
+        spmm_in.in = &in;
+        Matrix self;
+        if (sub.layers[l].readsSelf()) {
+            std::vector<NodeId> at = out[l];
+            if (l > 0)
+                for (NodeId &v : at)
+                    v = NodeId(positionIn(out[l - 1], v));
+            self = gatherRows(in, at);
         }
+        cur = forwardRows(sub, nullptr, l, self, nullptr, spmm_in);
         interpreted += out[l].size();
-        cur = std::move(next);
     }
     if (rows != nullptr)
         *rows = interpreted;
@@ -254,7 +267,7 @@ buildSampledQuantMemo(const QuantizedGnn &base, const Graph &g,
     // computes are placeholders that every query recomputes.
     CsrMatrix op0 = sampledMeanOperator(g, fanout, 0, 0);
     QuantizedCsr q0 = quantizeCsr(op0, m.opParams);
-    m.layer0 = quantizedForwardRows(base, 0, x, base.branchOf, q0, m.input);
+    m.layer0 = quantizedRows(base, 0, x, base.branchOf, q0, m.input);
     size_t next_hub = 0;
     for (NodeId r = 0; r < g.numNodes(); ++r) {
         if (next_hub < m.hubs.size() && m.hubs[next_hub] == r) {
@@ -290,8 +303,8 @@ sampledQuantizedForwardRow(const QuantizedGnn &base,
         std::vector<uint8_t> branch(memo.hubs.size());
         for (size_t k = 0; k < branch.size(); ++k)
             branch[k] = branchOf[size_t(memo.hubs[k])];
-        hubOut = quantizedForwardRows(base, 0, gatherRows(x, memo.hubs),
-                                      branch, qop, memo.input);
+        hubOut = quantizedRows(base, 0, gatherRows(x, memo.hubs), branch,
+                               qop, memo.input);
         for (size_t k = 0; k < branch.size(); ++k)
             foldPeak(peak[branch[k]], hubOut.row(int64_t(k)),
                      hubOut.cols());
@@ -322,7 +335,7 @@ sampledQuantizedForwardRow(const QuantizedGnn &base,
         MixedQuantizedMatrix packed =
             mixedQuantize(full, branchOf, base.localIndex,
                           base.policy.denseBits, base.policy.sparseBits);
-        full = quantizedForwardRows(base, l, full, branchOf, qop, packed);
+        full = quantizedRows(base, l, full, branchOf, qop, packed);
         interpreted += size_t(full.rows());
         peak[0] = peak[1] = 0.0f;
         for (int64_t r = 0; r < full.rows(); ++r)
@@ -361,9 +374,8 @@ sampledQuantizedForwardRow(const QuantizedGnn &base,
         Matrix self(1, width);
         std::memcpy(self.row(0), rowOf(target),
                     size_t(width) * sizeof(float));
-        result = quantizedForwardRows(base, last, self,
-                                      {branchOf[size_t(target)]}, qop,
-                                      packed);
+        result = quantizedRows(base, last, self,
+                               {branchOf[size_t(target)]}, qop, packed);
         interpreted += 1;
     }
     if (rows != nullptr)

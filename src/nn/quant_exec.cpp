@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "sim/logging.hpp"
 #include "sim/parallel.hpp"
@@ -44,10 +45,19 @@ int
 LayerGraph::aggOp() const
 {
     for (size_t i = 0; i < ops.size(); ++i)
-        if (ops[i].kind == OpKind::SpMM || ops[i].kind == OpKind::MaxAgg ||
-            ops[i].kind == OpKind::AttentionScore)
+        if (isAggregation(ops[i].kind))
             return int(i);
     return -1;
+}
+
+bool
+LayerGraph::readsSelf() const
+{
+    const int agg = aggOp();
+    for (size_t i = 0; i < ops.size(); ++i)
+        if (int(i) != agg && (ops[i].in == 0 || ops[i].aux == 0))
+            return true;
+    return false;
 }
 
 bool
@@ -153,17 +163,6 @@ float
 leaky(float x)
 {
     return x > 0.0f ? x : kLeakySlope * x;
-}
-
-/** ELU: v < 0 ? exp(v) - 1 : v, elementwise. */
-Matrix
-eluMatrix(const Matrix &x)
-{
-    Matrix y = x;
-    for (auto &v : y.data())
-        if (v < 0.0f)
-            v = std::exp(v) - 1.0f;
-    return y;
 }
 
 /** Per-head additive score a · h_v, ascending-feature accumulation. */
@@ -322,118 +321,51 @@ spmmRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r, float *out)
     });
 }
 
-/** One aggregation-op row: @p src is the aggregation's input matrix. */
+/**
+ * Row @p r of a row-local op (Residual / ConcatSelf / Activation /
+ * Readout): the one kernel both of runOp's forms run.
+ */
 void
-aggregateRowInto(const ForwardRecipe &m, const OpStep &op, const Matrix &src,
-                 NodeId r, float *out)
+rowLocalInto(const OpStep &op, const Matrix &in, const Matrix *aux,
+             NodeId r, float *out)
 {
-    const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+    const float *x = in.row(r);
+    const int64_t cols = in.cols();
     switch (op.kind) {
-    case OpKind::SpMM:
-        spmmRowInto(adj, src, r, out);
+    case OpKind::Residual: {
+        GCOD_ASSERT(aux != nullptr, "Residual needs its aux slot");
+        // Two passes: the scaled aux is stored before the add, so no
+        // fused multiply-add can contract them.
+        const float *a = aux->row(r);
+        for (int64_t j = 0; j < cols; ++j)
+            out[j] = a[j] * op.scale;
+        for (int64_t j = 0; j < cols; ++j)
+            out[j] = x[j] + out[j];
         break;
-    case OpKind::AttentionScore:
-        attentionRowInto(adj, src, *m.weights[size_t(op.aSrc)],
-                         *m.weights[size_t(op.aDst)], op.heads, op.headDim,
-                         op.concatHeads, r, out);
+    }
+    case OpKind::ConcatSelf:
+        GCOD_ASSERT(aux != nullptr, "ConcatSelf needs its aux slot");
+        std::memcpy(out, aux->row(r), size_t(aux->cols()) * sizeof(float));
+        std::memcpy(out + aux->cols(), x, size_t(cols) * sizeof(float));
         break;
-    case OpKind::MaxAgg:
-        maxAggRowInto(adj, src, r, out);
+    case OpKind::Activation:
+        if (op.act == ActKind::Relu) {
+            for (int64_t j = 0; j < cols; ++j)
+                out[j] = std::max(x[j], 0.0f);
+        } else {
+            for (int64_t j = 0; j < cols; ++j)
+                out[j] = x[j] < 0.0f ? std::exp(x[j]) - 1.0f : x[j];
+        }
+        break;
+    case OpKind::Readout:
+        std::memcpy(out, x, size_t(cols) * sizeof(float));
         break;
     default:
-        GCOD_FATAL("op ", opKindName(op.kind), " is not an aggregation");
+        GCOD_FATAL("op ", opKindName(op.kind), " is not row-local");
     }
 }
 
 } // namespace
-
-void
-runRowOps(const ForwardRecipe &m, size_t layer, size_t begin, size_t end,
-          const float *input_row, RowSlots &buf,
-          const std::vector<int64_t> &widths)
-{
-    const LayerGraph &g = m.layers[layer];
-    auto rowOf = [&](int sl) -> const float * {
-        if (sl == 0)
-            return input_row;
-        GCOD_ASSERT(!buf[size_t(sl)].empty(),
-                    "row-local chain reads an unfilled slot");
-        return buf[size_t(sl)].data();
-    };
-    for (size_t oi = begin; oi < end; ++oi) {
-        const OpStep &op = g.ops[oi];
-        std::vector<float> &out = buf[size_t(op.out)];
-        out.assign(size_t(widths[size_t(op.out)]), 0.0f);
-        switch (op.kind) {
-        case OpKind::GEMM:
-            // matmul's own row kernel: the batch bytes by construction.
-            matmulRowInto(rowOf(op.in), *m.weights[size_t(op.weight)],
-                          out.data());
-            break;
-        case OpKind::Residual: {
-            GCOD_ASSERT(op.aux == 0, "row recompute expects the residual "
-                                     "stream to be the layer input");
-            const float *in = rowOf(op.in);
-            const float *aux = rowOf(op.aux);
-            const int64_t nvals = widths[size_t(op.in)];
-            // Two passes, matching evalRowLocalOp's `t *= scale; o += t`.
-            for (int64_t j = 0; j < nvals; ++j)
-                out[size_t(j)] = aux[j] * op.scale;
-            for (int64_t j = 0; j < nvals; ++j)
-                out[size_t(j)] = in[j] + out[size_t(j)];
-            break;
-        }
-        case OpKind::ConcatSelf: {
-            const float *aux = rowOf(op.aux);
-            const float *in = rowOf(op.in);
-            const int64_t ac = widths[size_t(op.aux)];
-            const int64_t ic = widths[size_t(op.in)];
-            std::memcpy(out.data(), aux, size_t(ac) * sizeof(float));
-            std::memcpy(out.data() + ac, in, size_t(ic) * sizeof(float));
-            break;
-        }
-        case OpKind::Activation: {
-            const float *in = rowOf(op.in);
-            const int64_t nvals = widths[size_t(op.in)];
-            if (op.act == ActKind::Relu) {
-                for (int64_t j = 0; j < nvals; ++j)
-                    out[size_t(j)] = std::max(in[j], 0.0f);
-            } else {
-                for (int64_t j = 0; j < nvals; ++j) {
-                    float v = in[j];
-                    out[size_t(j)] = v < 0.0f ? std::exp(v) - 1.0f : v;
-                }
-            }
-            break;
-        }
-        case OpKind::Readout:
-            std::memcpy(out.data(), rowOf(op.in),
-                        size_t(widths[size_t(op.in)]) * sizeof(float));
-            break;
-        default:
-            GCOD_FATAL("op ", opKindName(op.kind),
-                       " cannot run in the row-local chain");
-        }
-    }
-}
-
-void
-layerRowInto(const ForwardRecipe &m, size_t layer, const Matrix &agg_src,
-             NodeId r, const float *input_row, RowSlots &buf,
-             const std::vector<int64_t> &widths, float *out)
-{
-    const LayerGraph &g = m.layers[layer];
-    const int aggIdx = g.aggOp();
-    GCOD_ASSERT(aggIdx >= 0, "row recompute needs one aggregation per layer");
-    const OpStep &agg = g.ops[size_t(aggIdx)];
-    buf[size_t(agg.out)].assign(size_t(widths[size_t(agg.out)]), 0.0f);
-    aggregateRowInto(m, agg, agg_src, r, buf[size_t(agg.out)].data());
-    runRowOps(m, layer, size_t(aggIdx) + 1, g.ops.size(), input_row, buf,
-              widths);
-    const int fin = g.ops.back().out;
-    std::memcpy(out, buf[size_t(fin)].data(),
-                size_t(widths[size_t(fin)]) * sizeof(float));
-}
 
 bool
 supportsRecipeForward(const ModelSpec &spec)
@@ -654,32 +586,6 @@ layerSlotWidths(const ForwardRecipe &m, size_t layer, int64_t input_cols)
     return w;
 }
 
-Matrix
-evalRowLocalOp(const OpStep &op, const Matrix &in, const Matrix *aux)
-{
-    switch (op.kind) {
-    case OpKind::Residual: {
-        // Two separate elementwise passes (`t = aux; t *= scale;
-        // o = in; o += t`), so no fused multiply-add creeps in.
-        GCOD_ASSERT(aux != nullptr, "Residual needs its aux slot");
-        Matrix t = *aux;
-        t *= op.scale;
-        Matrix o = in;
-        o += t;
-        return o;
-    }
-    case OpKind::ConcatSelf:
-        GCOD_ASSERT(aux != nullptr, "ConcatSelf needs its aux slot");
-        return hconcat(*aux, in);
-    case OpKind::Activation:
-        return op.act == ActKind::Relu ? relu(in) : eluMatrix(in);
-    case OpKind::Readout:
-        return in;
-    default:
-        GCOD_FATAL("op ", opKindName(op.kind), " is not row-local");
-    }
-}
-
 std::vector<uint8_t>
 protectedBranchOf(const std::vector<int32_t> &degrees, double protect_ratio)
 {
@@ -851,67 +757,80 @@ runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
             out = maxAggregate(adj, in);
         break;
     }
-    default:
-        GCOD_ASSERT(rows == nullptr, "row-local op ", opKindName(op.kind),
-                    " runs over whole matrices");
-        out = evalRowLocalOp(op, in, aux);
+    default: {
+        auto rowInto = [&](NodeId r, float *o) {
+            rowLocalInto(op, in, aux, r, o);
+        };
+        if (rows != nullptr) {
+            eachRow(rowInto);
+            break;
+        }
+        const int64_t width =
+            op.kind == OpKind::ConcatSelf ? aux->cols() + in.cols()
+                                          : in.cols();
+        out = Matrix(in.rows(), width);
+        ParallelZone zone(opKindName(op.kind));
+        parallelFor(
+            0, in.rows(),
+            [&](const Range &rg, size_t) {
+                for (int64_t i = rg.begin; i < rg.end; ++i)
+                    rowInto(NodeId(i), out.row(i));
+            },
+            rowGrain(width));
         break;
+    }
     }
 }
 
-namespace {
-
-/**
- * The layer loop of every whole-matrix pass: each op of @p layer over
- * all rows of @p input at @p q's precision (fp32 when null), every slot
- * into @p slots (slot 0, the input, stays empty). Returns the output
- * slot. @p branch_of gives the branch of each input row (q's own split
- * when null). @p spmm_in, when set, supplies the SpMM's operator and
- * packed input (quantizedForwardRows). @p agg_input: see
- * referenceForwardLayer.
- */
 Matrix &
 forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
-             const Matrix &input, const std::vector<uint8_t> *branch_of,
-             const OpPack *spmm_in, Matrix *agg_input,
-             std::vector<Matrix> &slots)
+             const Matrix &input, const std::vector<NodeId> *rows,
+             std::vector<Matrix> &slots, const std::vector<uint8_t> *branch_of,
+             const OpPack *agg_in)
 {
     const LayerGraph &g = m.layers[layer];
     GCOD_ASSERT(!g.ops.empty(), "empty layer graph");
-    slots.assign(size_t(g.numSlots), Matrix());
+    const Matrix *agg_src = agg_in != nullptr ? agg_in->in : nullptr;
+    if (rows == nullptr) {
+        slots.assign(size_t(g.numSlots), Matrix());
+    } else {
+        // Slots the caller left empty get the aggregation operator's
+        // row count; pre-filled ones keep every row outside the set.
+        const int agg = g.aggOp();
+        GCOD_ASSERT(agg >= 0, "a row-set layer needs an aggregation");
+        const int64_t n =
+            m.operators[size_t(g.ops[size_t(agg)].opIndex)]->rows();
+        const std::vector<int64_t> widths = layerSlotWidths(
+            m, layer, (agg_src != nullptr ? *agg_src : input).cols());
+        slots.resize(size_t(g.numSlots));
+        for (size_t s = 1; s < slots.size(); ++s) {
+            if (slots[s].rows() == 0)
+                slots[s] = Matrix(n, widths[s]);
+            GCOD_ASSERT(slots[s].rows() == n && slots[s].cols() == widths[s],
+                        "pre-filled slot ", s, " has the wrong shape");
+        }
+    }
     auto at = [&](int s) -> const Matrix & {
         return s == 0 ? input : slots[size_t(s)];
     };
-    if (agg_input != nullptr)
-        *agg_input = Matrix();
     for (const OpStep &op : g.ops) {
-        if (agg_input != nullptr && isAggregation(op.kind) && op.in != 0)
-            *agg_input = at(op.in);
         OpPack own;
         const OpPack *pack = &own;
-        if (spmm_in != nullptr && isAggregation(op.kind)) {
+        const Matrix *src = &at(op.in);
+        if (agg_in != nullptr && isAggregation(op.kind)) {
             GCOD_ASSERT(op.kind == OpKind::SpMM && op.in == 0,
                         "row-subset layers aggregate the layer input "
                         "with SpMM only");
-            pack = spmm_in;
+            pack = agg_in;
+            if (agg_src != nullptr)
+                src = agg_src;
         } else {
-            packOp(q, op, at(op.in), own, branch_of);
+            packOp(q, op, *src, own, branch_of);
         }
-        runOp(m, q, op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr,
-              *pack, nullptr, slots[size_t(op.out)]);
+        runOp(m, q, op, *src, op.aux >= 0 ? &at(op.aux) : nullptr, *pack,
+              rows, slots[size_t(op.out)]);
     }
     return slots[size_t(g.ops.back().out)];
-}
-
-} // namespace
-
-Matrix
-referenceForwardLayer(const ForwardRecipe &m, size_t layer,
-                      const Matrix &input, Matrix *agg_input)
-{
-    std::vector<Matrix> slots;
-    return std::move(forwardLayer(m, nullptr, layer, input, nullptr,
-                                  nullptr, agg_input, slots));
 }
 
 Matrix
@@ -921,8 +840,10 @@ referenceForward(const ForwardRecipe &m, const Matrix &x)
                     x.rows() == int64_t(m.operators[0]->rows()),
                 "activation rows must match the operator");
     Matrix cur = x;
-    for (size_t l = 0; l < m.layers.size(); ++l)
-        cur = referenceForwardLayer(m, l, cur);
+    for (size_t l = 0; l < m.layers.size(); ++l) {
+        std::vector<Matrix> slots;
+        cur = std::move(forwardLayer(m, nullptr, l, cur, nullptr, slots));
+    }
     return cur;
 }
 
@@ -946,27 +867,37 @@ tapedForward(const ForwardRecipe &m, const Matrix &x, ForwardTape &tape)
     tape.slots.resize(m.layers.size());
     const Matrix *cur = &x;
     for (size_t l = 0; l < m.layers.size(); ++l)
-        cur = &forwardLayer(m, nullptr, l, *cur, nullptr, nullptr, nullptr,
-                            tape.slots[l]);
+        cur = &forwardLayer(m, nullptr, l, *cur, nullptr, tape.slots[l]);
     return *cur;
 }
 
 Matrix
-quantizedForwardRows(const QuantizedGnn &q, size_t layer, const Matrix &self,
-                     const std::vector<uint8_t> &branch_of,
-                     const QuantizedCsr &op,
-                     const MixedQuantizedMatrix &agg_in)
+forwardRows(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
+            const Matrix &self, const std::vector<uint8_t> *branch_of,
+            const OpPack &spmm_in)
 {
-    GCOD_ASSERT(self.rows() == int64_t(op.pattern->rows()) &&
-                    branch_of.size() == size_t(self.rows()),
-                "row-subset layer needs one operator row, input row and "
-                "branch per output row");
-    OpPack spmm_in;
-    spmm_in.op = &op;
-    spmm_in.x = &agg_in;
+    const LayerGraph &g = m.layers[layer];
+    const int agg = g.aggOp();
+    GCOD_ASSERT(agg >= 0, "a row-subset layer needs an aggregation");
+    const int64_t n = q != nullptr
+                          ? int64_t(spmm_in.op->pattern->rows())
+                          : int64_t(m.operators[size_t(
+                                g.ops[size_t(agg)].opIndex)]->rows());
+    GCOD_ASSERT(self.rows() == n || (self.rows() == 0 && !g.readsSelf()),
+                "row-subset layer needs one input row per output row");
+    GCOD_ASSERT(q == nullptr ||
+                    (branch_of != nullptr && branch_of->size() == size_t(n)),
+                "row-subset layer needs one branch per output row");
     std::vector<Matrix> slots;
-    return std::move(forwardLayer(q.recipe, &q, layer, self, &branch_of,
-                                  &spmm_in, nullptr, slots));
+    if (q != nullptr)
+        return std::move(forwardLayer(m, q, layer, self, nullptr, slots,
+                                      branch_of, &spmm_in));
+    // fp32 runs the serial row kernels: no parallel region, so
+    // concurrent callers do not queue on the pool.
+    std::vector<NodeId> all(static_cast<size_t>(n));
+    std::iota(all.begin(), all.end(), NodeId(0));
+    return std::move(forwardLayer(m, nullptr, layer, self, &all, slots,
+                                  nullptr, &spmm_in));
 }
 
 Matrix
@@ -979,8 +910,7 @@ quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
     Matrix cur = x;
     for (size_t l = 0; l < m.layers.size(); ++l) {
         std::vector<Matrix> slots;
-        cur = std::move(forwardLayer(m, &q, l, cur, nullptr, nullptr,
-                                     nullptr, slots));
+        cur = std::move(forwardLayer(m, &q, l, cur, nullptr, slots));
     }
     return cur;
 }

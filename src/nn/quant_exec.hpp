@@ -8,11 +8,13 @@
  * tensor slots. Every fast path is then an *interpreter* of that graph
  * instead of a bespoke plain-Mean loop.
  *
- * Whole-matrix interpreters run every op through one executor, runOp(),
- * at the precision of the pack they hold: a `const QuantizedGnn *` that
- * is null for fp32. packOp() codes an op's input once, globally, before
- * its rows are split; runOp() then runs the batch kernels over all rows
- * or the serial row kernels over a row set.
+ * Every interpreter runs every op through one executor, runOp(), at
+ * the precision of the pack it holds: a `const QuantizedGnn *` that is
+ * null for fp32. packOp() codes an op's input once, globally, before its
+ * rows are split; runOp() then runs the batch kernels over all rows or
+ * the serial row kernels over a row set. Each OpKind has one row kernel;
+ * a row-local op's whole-matrix form is that kernel over every row.
+ * forwardLayer() is the one layer loop, over all rows or a row set:
  *
  *  - referenceForward(): stateless fp32 pass — what evaluation, serving
  *    and the quantization baseline read;
@@ -21,14 +23,11 @@
  *  - quantizeGnn() / quantizedForwardMixed(): the GCoD mixed-precision
  *    integer path (low-bit dense branch, degree-protected tail);
  *  - shard/executor.hpp: each op over every shard's owned rows into the
- *    global staging slot, bit-identical at any shard count.
- *
- * The fp32 row worker (runRowOps / layerRowInto) chains one row through
- * a layer instead:
- *
- *  - dyn/incremental_forward.hpp: per-op dirty-row recompute;
- *  - nn/neighbor_sampler.hpp: sampled point queries over the rows one
- *    node's answer reads.
+ *    global staging slot, bit-identical at any shard count;
+ *  - dyn/incremental_forward.hpp: each layer over its dirty rows, into
+ *    slots pre-filled from the previous epoch;
+ *  - nn/neighbor_sampler.hpp: sampled point queries, each layer over
+ *    the compact rows one node's answer reads (forwardRows()).
  *
  * Supported families: GCN (plain Mean), GraphSAGE (Mean + self concat,
  * full or neighbor-sampled operators), GIN (Add + eps-residual + 2-layer
@@ -148,6 +147,13 @@ struct LayerGraph
 
     /** Index into ops of the single aggregation op; -1 when none. */
     int aggOp() const;
+
+    /**
+     * True when an op other than the aggregation reads slot 0, the layer
+     * input (GraphSAGE's ConcatSelf, GIN's and ResGCN's Residual, GAT's
+     * projection).
+     */
+    bool readsSelf() const;
 };
 
 /**
@@ -246,17 +252,6 @@ Matrix tapedForward(const ForwardRecipe &m, const Matrix &x,
                     ForwardTape &tape);
 
 /**
- * Interpret one layer of @p m in fp32 over the full node set.
- * @p agg_input, when non-null, receives the aggregation op's input slot
- * if that slot is produced inside the layer (GAT's h = X W); it is left
- * empty when the aggregation reads the layer input directly. Used by the
- * incremental path to cache per-layer aggregation inputs.
- */
-Matrix referenceForwardLayer(const ForwardRecipe &m, size_t layer,
-                             const Matrix &input,
-                             Matrix *agg_input = nullptr);
-
-/**
  * Column width of every slot of @p layer, given the layer input width
  * (slot 0). Interpreters allocate staging matrices from this — LayerSpec
  * outDim is the per-head width for multi-head GAT layers, so it must not
@@ -265,18 +260,10 @@ Matrix referenceForwardLayer(const ForwardRecipe &m, size_t layer,
 std::vector<int64_t> layerSlotWidths(const ForwardRecipe &m, size_t layer,
                                      int64_t input_cols);
 
-/**
- * fp32 evaluation of one row-local op (Residual / ConcatSelf /
- * Activation / Readout) over whole matrices. Shared by every interpreter
- * so their float sequences match; row-pure, so it may be applied to any
- * row subset (e.g. a shard's owned rows) with identical bits.
- */
-Matrix evalRowLocalOp(const OpStep &op, const Matrix &in, const Matrix *aux);
-
 // ---------------------------------------------------------------------
-// Shared per-row op workers. Every interpreter (reference, sharded,
-// incremental) funnels through these, with one fixed per-element order
-// per op — the basis of the bit-identical-stitch invariants.
+// Aggregation row kernels. runOp's both forms and the AttentionScore /
+// MaxAgg backward funnel through these, with one fixed per-element
+// order per op — the basis of the bit-identical-stitch invariants.
 // ---------------------------------------------------------------------
 
 /**
@@ -308,51 +295,13 @@ void maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r,
                    float *out_row);
 
 /**
- * Whole-matrix wrappers over the per-row workers (row-parallel; each
+ * Whole-matrix wrappers over the row kernels (row-parallel; each
  * output row is pure, so results are thread-count invariant).
  */
 Matrix attentionForward(const CsrMatrix &adj, const Matrix &h,
                         const Matrix &a_src, const Matrix &a_dst, int heads,
                         int head_dim, bool concat_heads);
 Matrix maxAggregate(const CsrMatrix &adj, const Matrix &x);
-
-/** Per-slot row buffers of one layer for the fp32 row worker. */
-using RowSlots = std::vector<std::vector<float>>;
-
-/**
- * The fp32 row worker: run ops [begin, end) of @p layer for one row,
- * chaining through @p buf (one buffer per slot, reused across rows).
- * Slot 0 reads @p input_row, the row's layer input; every other slot
- * must have been filled by an earlier op or by the caller. Each op
- * keeps its batch kernel's per-element order, so the row is
- * bit-identical to the same row of referenceForwardLayer:
- *
- *  - GEMM: matmulRowInto, the row kernel matmul itself runs;
- *  - Residual / ConcatSelf / Activation / Readout: evalRowLocalOp's
- *    two-pass and per-element loops.
- *
- * Aggregation ops go through layerRowInto. The incremental pass
- * (dyn/incremental_forward) and the sampled row pass
- * (nn/neighbor_sampler) both run on this worker.
- */
-void runRowOps(const ForwardRecipe &m, size_t layer, size_t begin,
-               size_t end, const float *input_row, RowSlots &buf,
-               const std::vector<int64_t> &widths);
-
-/**
- * Row @p r of @p layer from its aggregation on, the layer output written
- * to @p out. The aggregation reads @p agg_src (rows indexed by its
- * operator's columns) in the batch kernel's order — SpMM in
- * operator-row entry order, += v * x[c][j] (spmmRowWise); attention and
- * Max through attentionRowInto / maxAggRowInto — then runRowOps runs
- * the ops after it. Ops before the aggregation (GAT's projection) are
- * the caller's; for Mean stacks the aggregation is the first op, so
- * this is the whole layer.
- */
-void layerRowInto(const ForwardRecipe &m, size_t layer,
-                  const Matrix &agg_src, NodeId r, const float *input_row,
-                  RowSlots &buf, const std::vector<int64_t> &widths,
-                  float *out);
 
 /**
  * Branch assignment per node under @p protect_ratio: 1 for the protected
@@ -414,8 +363,9 @@ QuantizedGnn quantizeGnn(const ForwardRecipe &m,
  * before its rows are split: SpMM codes its input per branch with the
  * whole matrix's scales, GEMM codes each row with its own scale. Every
  * row subset and every shard then reads the codes the whole-matrix pass
- * reads. Empty at fp32 and for the ops that run in fp32 at every
- * precision. Not copyable: `x` may point at `packed`.
+ * reads. Empty at fp32 (but for forwardRows' SpMM input) and for the
+ * ops that run in fp32 at every precision. Not copyable: `x` may point
+ * at `packed`.
  */
 struct OpPack
 {
@@ -424,6 +374,11 @@ struct OpPack
     const MixedQuantizedMatrix *x = nullptr;
     /** GEMM: the row-coded input. */
     RowQuantizedMatrix rows;
+    /**
+     * fp32 SpMM: the rows the operator's columns index, when they are
+     * not the op's input slot (forwardRows). Unused at int8.
+     */
+    const Matrix *in = nullptr;
     /** Storage behind `x` when packOp coded the input. */
     MixedQuantizedMatrix packed;
 
@@ -445,18 +400,48 @@ void packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
  * the precision of @p q (fp32 when null; then @p pack is unused), over
  *
  *  - every row (@p rows null): the batch kernels — spmm, matmul,
- *    qspmmMixed, qmatmulRowScaled, attentionForward, maxAggregate,
- *    evalRowLocalOp — assigned to @p out;
- *  - the rows in @p rows: the serial row kernels of the same math,
- *    written into those rows of @p out, which the caller sized. Only
- *    aggregations and GEMM have a row form.
+ *    qspmmMixed, qmatmulRowScaled, attentionForward, maxAggregate, and
+ *    for the row-local ops (Residual / ConcatSelf / Activation /
+ *    Readout) their row kernel over every row — assigned to @p out;
+ *  - the rows in @p rows: the serial row kernels of the same math
+ *    (spmm's entry order, matmulRowInto, qspmmMixedRows,
+ *    qmatmulRowScaledRows, attentionRowInto, maxAggRowInto, the
+ *    row-local kernel), written into those rows of @p out, which the
+ *    caller sized; no parallel region opens.
  *
  * Each row's bytes are the same either way, so stitching the row sets
  * of a partition reproduces the whole-matrix op (shard/executor).
+ * Residual stores the scaled aux before adding it, in two passes, so no
+ * fused multiply-add contracts them.
  */
 void runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
            const Matrix &in, const Matrix *aux, const OpPack &pack,
            const std::vector<NodeId> *rows, Matrix &out);
+
+/**
+ * The layer loop of every interpreter: each op of @p layer through
+ * runOp at @p q's precision (fp32 when null), every slot into @p slots,
+ * slot 0 being @p input. Returns the output slot.
+ *
+ *  - @p rows null: every row; @p slots is reassigned (slot 0 stays
+ *    empty).
+ *  - @p rows set: those rows only. Slots the caller pre-filled keep
+ *    their bytes outside the set; slots left empty are zero-filled,
+ *    with the aggregation operator's row count. The incremental pass
+ *    pre-fills the aggregation input and the output from the previous
+ *    epoch.
+ *
+ * @p branch_of gives the branch of each input row (q's own split when
+ * null). @p agg_in, when set, replaces the operands of the layer's
+ * aggregation, an SpMM of slot 0: at int8 its `op` and packed `x`, at
+ * fp32 its `in` (the operator stays m's).
+ */
+Matrix &forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q,
+                     size_t layer, const Matrix &input,
+                     const std::vector<NodeId> *rows,
+                     std::vector<Matrix> &slots,
+                     const std::vector<uint8_t> *branch_of = nullptr,
+                     const OpPack *agg_in = nullptr);
 
 /**
  * One mixed-precision integer forward pass: SpMM/GEMM ops run on
@@ -466,21 +451,25 @@ void runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
 Matrix quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x);
 
 /**
- * One Mean-aggregation layer of @p q over a subset of its output rows.
- * @p self holds those rows' layer inputs (slot 0, read by row-local
- * ops) and @p branch_of their branches. The SpMM runs @p op — one row
- * per output row, columns indexing the rows of @p agg_in — over
- * @p agg_in, layer-input rows already packed at the full input's
- * per-branch scales. When @p op's rows and @p agg_in's codes equal the
- * full pass's, every output row is bit-identical to the same row of
- * that layer in quantizedForwardMixed: SpMM mixes rows only inside one row's integer
- * accumulators, and GEMM inputs carry per-row scales.
+ * One Mean-aggregation layer of @p m over a compact set of output rows,
+ * at @p q's precision (fp32 when null). The SpMM reads @p spmm_in: its
+ * operator has one row per output row, and its columns index the rows
+ * of the aggregation input — at int8 `spmm_in.op` over `spmm_in.x`,
+ * layer-input rows already packed at the full input's per-branch
+ * scales; at fp32 m's operator over `spmm_in.in`. @p self holds the
+ * output rows' layer inputs (slot 0); it may be empty when no op but
+ * the aggregation reads slot 0 (LayerGraph::readsSelf). @p branch_of
+ * gives their branches (int8 only). When the operator rows and the
+ * aggregation input equal the full pass's, every output row is
+ * bit-identical to the same row of that layer in referenceForward or
+ * quantizedForwardMixed: SpMM mixes rows only inside one row's
+ * accumulators, and GEMM inputs carry per-row scales. fp32 runs the
+ * serial row kernels and opens no parallel region.
  */
-Matrix quantizedForwardRows(const QuantizedGnn &q, size_t layer,
-                            const Matrix &self,
-                            const std::vector<uint8_t> &branch_of,
-                            const QuantizedCsr &op,
-                            const MixedQuantizedMatrix &agg_in);
+Matrix forwardRows(const ForwardRecipe &m, const QuantizedGnn *q,
+                   size_t layer, const Matrix &self,
+                   const std::vector<uint8_t> *branch_of,
+                   const OpPack &spmm_in);
 
 } // namespace gcod
 

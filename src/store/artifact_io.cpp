@@ -7,7 +7,6 @@
 #include "graph/profiles.hpp"
 #include "nn/models.hpp"
 #include "shard/scheduler.hpp"
-#include "sim/rng.hpp"
 #include "store/bytes.hpp"
 #include "store/file.hpp"
 
@@ -633,13 +632,12 @@ loadArtifactBundle(const std::string &path)
     }
 
     if (features != nullptr) {
-        // Host model: construct at the stored shape, then overwrite the
-        // freshly initialized weights with the stored ones.
-        Rng rng(1);
-        bundle->hostModel = std::make_shared<GnnModel>(makeModel(
+        // Host model: zeroed weights at the stored shape, each then
+        // overwritten with the stored one.
+        bundle->hostModel = std::make_shared<GnnModel>(makeModelSpec(
             bundle->key.model, int(bundle->hostFeatures.cols()),
             bundle->profile.classes,
-            bundle->profile.nodes >= kLargeGraphNodes, rng));
+            bundle->profile.nodes >= kLargeGraphNodes));
 
         const Section &ws = reader.require(SectionType::Weights);
         ByteCursor wc(ws.data, ws.size, "weights section");

@@ -648,3 +648,42 @@ TEST(ModelSpec, WeightCountAccountsConcatAndHeads)
     // Layer 0: 2*10*16, layer 1: 2*16*2.
     EXPECT_EQ(sage.weightCount(), 2 * 10 * 16 + 2 * 16 * 2);
 }
+
+TEST(ModelSpec, WeightCountSumsEveryRecipeMatrix)
+{
+    // A GIN layer runs a two-GEMM MLP: W1 (in x hidden), W2 (hidden x
+    // out), with hidden the first layer's width (16 here).
+    ModelSpec gin = makeModelSpec("GIN", 10, 3, false);
+    ModelSpec one = gin;
+    one.layers.resize(1);
+    EXPECT_EQ(one.weightCount(), 10 * 16 + 16 * 16);
+    EXPECT_EQ(gin.weightCount(),
+              (10 * 16 + 16 * 16) + (16 * 16 + 16 * 16) + (16 * 16 + 16 * 3));
+    // GAT adds its two attention vectors (heads x out) per layer.
+    ModelSpec gat = makeModelSpec("GAT", 10, 3, false);
+    EXPECT_EQ(gat.weightCount(),
+              (10 * 64 + 2 * 8 * 8) + (64 * 3 + 2 * 1 * 3));
+    // Every family: the entries of the model's own parameters.
+    for (const char *name : {"GCN", "GraphSAGE", "GIN", "GAT", "ResGCN"}) {
+        Rng rng(4);
+        GnnModel m = makeModel(name, 10, 3, false, rng);
+        int64_t entries = 0;
+        for (const Matrix &w : m.weights())
+            entries += w.size();
+        EXPECT_EQ(m.spec().weightCount(), entries) << name;
+    }
+}
+
+TEST(ModelSpec, SpecOnlyModelHasZeroedRecipeShapedWeights)
+{
+    ModelSpec spec = makeModelSpec("GIN", 10, 3, false);
+    Rng rng(5);
+    GnnModel seeded(spec, rng);
+    GnnModel zeroed(spec);
+    ASSERT_EQ(zeroed.weights().size(), seeded.weights().size());
+    for (size_t i = 0; i < zeroed.weights().size(); ++i) {
+        EXPECT_TRUE(zeroed.weights()[i].sameShape(seeded.weights()[i]));
+        for (float v : zeroed.weights()[i].data())
+            ASSERT_EQ(v, 0.0f);
+    }
+}

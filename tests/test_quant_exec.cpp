@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <set>
 
 #include "graph/generate.hpp"
 #include "nn/quant_exec.hpp"
@@ -279,6 +281,193 @@ TEST_P(ZooParity, RecipeMatchesModelForwardAtThreads1To8)
 INSTANTIATE_TEST_SUITE_P(Zoo, ZooParity,
                          ::testing::Values("GCN", "GraphSAGE", "GAT",
                                            "GIN", "ResGCN"));
+
+// ------------------------------------------------------------- row forms
+// runOp's row form over a row set must write exactly those rows, each
+// memcmp-equal to the same row of the whole-matrix form, for every op
+// of every family at both precisions and any thread count.
+
+constexpr float kUnwritten = -7.25f;
+
+/** Every third node from a random offset, in shuffled order. */
+std::vector<NodeId>
+randomRowSet(NodeId n, Rng &rng)
+{
+    std::vector<NodeId> rows;
+    for (NodeId r = NodeId(rng.uniformInt(0, 2)); r < n; r += 3)
+        rows.push_back(r);
+    rng.shuffle(rows);
+    return rows;
+}
+
+/**
+ * @p op over @p rows into a sentinel-filled matrix shaped like @p whole;
+ * expects the set's rows equal to @p whole's and every other row
+ * untouched.
+ */
+void
+expectRowFormMatches(const ForwardRecipe &m, const QuantizedGnn *q,
+                     const OpStep &op, const Matrix &in, const Matrix *aux,
+                     const OpPack &pack, const std::vector<NodeId> &rows,
+                     const Matrix &whole, const std::string &what)
+{
+    Matrix got(whole.rows(), whole.cols(), kUnwritten);
+    runOp(m, q, op, in, aux, pack, &rows, got);
+    std::vector<char> inSet(size_t(whole.rows()), 0);
+    for (NodeId r : rows)
+        inSet[size_t(r)] = 1;
+    const size_t bytes = size_t(whole.cols()) * sizeof(float);
+    for (int64_t r = 0; r < whole.rows(); ++r) {
+        if (inSet[size_t(r)]) {
+            ASSERT_EQ(std::memcmp(got.row(r), whole.row(r), bytes), 0)
+                << what << " row " << r;
+        } else {
+            for (int64_t j = 0; j < whole.cols(); ++j)
+                ASSERT_EQ(got(r, j), kUnwritten)
+                    << what << " wrote row " << r << " outside its set";
+        }
+    }
+}
+
+class RowForms : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(RowForms, EveryOpRowSetEqualsWholeMatrixRows)
+{
+    const std::string family = GetParam();
+    Rng grng(41);
+    Graph g = barabasiAlbert(90, 3, grng);
+    GraphContext ctx(g);
+    Rng rng(43);
+    GnnModel model = makeModel(family, 12, 5, false, rng);
+    ForwardRecipe m = forwardRecipeFor(model, ctx);
+    QuantizedGnn pack = quantizeGnn(m, g.degrees());
+    Matrix x = randomDense(g.numNodes(), 12, rng);
+    const int before = currentThreads();
+    std::set<OpKind> seen;
+    for (int t : {1, 4}) {
+        setThreads(t);
+        Matrix cur = x;
+        for (size_t l = 0; l < m.layers.size(); ++l) {
+            std::vector<Matrix> slots;
+            forwardLayer(m, nullptr, l, cur, nullptr, slots);
+            auto at = [&](int s) -> const Matrix & {
+                return s == 0 ? cur : slots[size_t(s)];
+            };
+            for (const OpStep &op : m.layers[l].ops) {
+                seen.insert(op.kind);
+                const Matrix *aux = op.aux >= 0 ? &at(op.aux) : nullptr;
+                const std::vector<NodeId> rows =
+                    randomRowSet(g.numNodes(), rng);
+                for (const QuantizedGnn *q : {(const QuantizedGnn *)nullptr,
+                                              (const QuantizedGnn *)&pack}) {
+                    OpPack opPack;
+                    packOp(q, op, at(op.in), opPack);
+                    Matrix whole;
+                    runOp(m, q, op, at(op.in), aux, opPack, nullptr, whole);
+                    expectRowFormMatches(
+                        m, q, op, at(op.in), aux, opPack, rows, whole,
+                        family + " layer " + std::to_string(l) + " " +
+                            opKindName(op.kind) +
+                            (q != nullptr ? " int8" : " fp32") +
+                            " threads " + std::to_string(t));
+                }
+            }
+            cur = std::move(slots[size_t(m.layers[l].ops.back().out)]);
+        }
+    }
+    setThreads(before);
+    EXPECT_TRUE(seen.count(OpKind::Readout));
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, RowForms,
+                         ::testing::Values("GCN", "GraphSAGE", "GAT",
+                                           "GIN", "ResGCN"));
+
+/** Columns cycling through negatives, ±0, NaN, ±inf and positives. */
+Matrix
+specialValues(int64_t rows, int64_t cols, Rng &rng)
+{
+    const float special[] = {-3.5f,
+                             -0.0f,
+                             0.0f,
+                             std::nanf(""),
+                             -std::nanf(""),
+                             2.0f,
+                             -1e-8f,
+                             -100.0f,
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min()};
+    const size_t ns = sizeof(special) / sizeof(special[0]);
+    Matrix x(rows, cols);
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t j = 0; j < cols; ++j)
+            x(r, j) = (r + j) % 2 == 0 ? special[size_t(r + j) / 2 % ns]
+                                       : float(rng.normal(0.0, 2.0));
+    return x;
+}
+
+TEST(RowLocalOps, RowAndWholeFormsMatchIndependentOraclesOnSpecialValues)
+{
+    Rng rng(47);
+    ForwardRecipe m; // row-local ops read no operator or weight
+    // Enough rows that the whole-matrix form splits across 4 threads.
+    const NodeId n = 6000;
+    const Matrix in = specialValues(n, 13, rng);
+    const Matrix aux = specialValues(n, 13, rng);
+    const Matrix self = specialValues(n, 6, rng);
+
+    auto stepOf = [](OpKind kind) {
+        OpStep s;
+        s.kind = kind;
+        return s;
+    };
+    OpStep residual = stepOf(OpKind::Residual);
+    residual.scale = 1.7f;
+    OpStep relu_ = stepOf(OpKind::Activation);
+    relu_.act = ActKind::Relu;
+    OpStep elu = stepOf(OpKind::Activation);
+    elu.act = ActKind::Elu;
+    const OpStep concat = stepOf(OpKind::ConcatSelf);
+    const OpStep readout = stepOf(OpKind::Readout);
+
+    // The oracles: whole-matrix library arithmetic, one pass per
+    // operation (Residual stores the scaled aux before the add).
+    Matrix scaled = aux;
+    scaled *= 1.7f;
+    Matrix residualWant = in;
+    residualWant += scaled;
+    Matrix eluWant = in;
+    for (float &v : eluWant.data())
+        v = v < 0.0f ? std::exp(v) - 1.0f : v;
+    struct Case
+    {
+        const OpStep &op;
+        const Matrix *aux;
+        Matrix want;
+    };
+    const Case cases[] = {{residual, &aux, residualWant},
+                          {relu_, nullptr, relu(in)},
+                          {elu, nullptr, eluWant},
+                          {concat, &self, hconcat(self, in)},
+                          {readout, nullptr, in}};
+    const int before = currentThreads();
+    for (int t : {1, 4}) {
+        setThreads(t);
+        for (const Case &c : cases) {
+            const std::string what = std::string(opKindName(c.op.kind)) +
+                                     " threads " + std::to_string(t);
+            Matrix whole;
+            runOp(m, nullptr, c.op, in, c.aux, OpPack(), nullptr, whole);
+            EXPECT_TRUE(bitIdentical(whole, c.want)) << what;
+            expectRowFormMatches(m, nullptr, c.op, in, c.aux, OpPack(),
+                                 randomRowSet(n, rng), whole, what);
+        }
+    }
+    setThreads(before);
+}
 
 // ----------------------------------------------------------------- serve
 TEST(QuantServeTest, GcodBits8RouteExecutesInt8ArtifactPack)

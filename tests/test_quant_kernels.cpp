@@ -13,8 +13,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "graph/generate.hpp"
-#include "nn/quant_exec.hpp"
 #include "sim/parallel.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qops.hpp"
@@ -342,40 +340,6 @@ TEST(FastMatmulTest, MatchesIkjOracleAcrossShapes)
             }
         }
     setThreads(0);
-}
-
-TEST(FastMatmulTest, RowWorkerGemmEqualsMatmulRow)
-{
-    Rng grng(29);
-    Graph g = barabasiAlbert(60, 3, grng);
-    GraphContext ctx(g);
-    Rng rng(31);
-    // GCN: SpMM then GEMM per layer; the second layer's 7 outputs take
-    // the ragged-tile path, the first layer's 16 the full tile.
-    auto model = makeModel("GCN", 21, 7, false, rng);
-    ForwardRecipe m = forwardRecipeFor(model, ctx);
-    Matrix in = activations(60, 21, rng);
-    for (size_t l = 0; l < m.layers.size(); ++l) {
-        const LayerGraph &lg = m.layers[l];
-        ASSERT_EQ(lg.ops[1].kind, OpKind::GEMM);
-        const Matrix &w = *m.weights[size_t(lg.ops[1].weight)];
-        Matrix agg = spmm(*m.operators[0], in);
-        Matrix want = matmul(agg, w);
-        std::vector<int64_t> widths = layerSlotWidths(m, l, in.cols());
-        RowSlots buf(size_t(lg.numSlots));
-        for (NodeId r = 0; r < agg.rows(); ++r) {
-            buf[size_t(lg.ops[0].out)].assign(agg.row(r),
-                                             agg.row(r) + agg.cols());
-            runRowOps(m, l, 1, 2, in.row(r), buf, widths);
-            const std::vector<float> &got = buf[size_t(lg.ops[1].out)];
-            ASSERT_EQ(int64_t(got.size()), w.cols());
-            ASSERT_EQ(std::memcmp(got.data(), want.row(r),
-                                  got.size() * sizeof(float)),
-                      0)
-                << "layer " << l << " row " << r;
-        }
-        in = relu(want);
-    }
 }
 
 } // namespace
