@@ -20,7 +20,8 @@ ArtifactCache::get(const ArtifactKey &key)
             // Hit: move to the MRU front.
             lru_.splice(lru_.begin(), lru_, it->second);
             ++hits_;
-            return {it->second->bundle, true, it->second->version};
+            const Entry &e = *it->second;
+            return {e.bundle, true, e.version, e.memo};
         }
         if (building_.count(key) == 0)
             break;
@@ -57,13 +58,15 @@ ArtifactCache::get(const ArtifactKey &key)
         // backwards in time. Our build is simply dropped.
         lru_.splice(lru_.begin(), lru_, raced->second);
         buildDone_.notify_all();
-        return {raced->second->bundle, false, raced->second->version};
+        const Entry &e = *raced->second;
+        return {e.bundle, false, e.version, e.memo};
     }
-    lru_.push_front(Entry{key, bundle, ++nextVersion_});
+    lru_.push_front(
+        Entry{key, bundle, ++nextVersion_, std::make_shared<EpochMemo>()});
     map_[key] = lru_.begin();
     evictLocked();
     buildDone_.notify_all();
-    return {bundle, false, lru_.front().version};
+    return {bundle, false, lru_.front().version, lru_.front().memo};
 }
 
 uint64_t
@@ -73,6 +76,9 @@ ArtifactCache::publish(const ArtifactKey &key,
     GCOD_ASSERT(bundle != nullptr, "cannot publish a null bundle");
     std::lock_guard<std::mutex> lock(mu_);
     uint64_t version = ++nextVersion_;
+    // A fresh memo even when republishing the resident bundle: a publish
+    // always starts a new epoch.
+    auto memo = std::make_shared<EpochMemo>();
     auto it = map_.find(key);
     if (it != map_.end()) {
         // Swap in place: retire the old epoch (readers holding it are
@@ -84,21 +90,26 @@ ArtifactCache::publish(const ArtifactKey &key,
             retired_.push_back(std::move(it->second->bundle));
         it->second->bundle = std::move(bundle);
         it->second->version = version;
+        it->second->memo = std::move(memo);
         lru_.splice(lru_.begin(), lru_, it->second);
     } else {
-        lru_.push_front(Entry{key, std::move(bundle), version});
+        lru_.push_front(
+            Entry{key, std::move(bundle), version, std::move(memo)});
         map_[key] = lru_.begin();
         evictLocked();
     }
     return version;
 }
 
-uint64_t
-ArtifactCache::residentVersion(const ArtifactKey &key) const
+ArtifactCache::Lookup
+ArtifactCache::peekEpoch(const ArtifactKey &key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    return it == map_.end() ? 0 : it->second->version;
+    if (it == map_.end())
+        return {};
+    const Entry &e = *it->second;
+    return {e.bundle, true, e.version, e.memo};
 }
 
 size_t

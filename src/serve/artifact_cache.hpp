@@ -18,6 +18,12 @@
  * bundles park on a retired list; reclaimRetired() frees the ones whose
  * last outside reader has drained (use_count back to one), which is the
  * RCU grace period made explicit and testable.
+ *
+ * Each epoch owns an EpochMemo of the results derived from it. Every
+ * epoch the cache installs (a build's insert, every publish()) starts
+ * with an empty memo, and eviction, a swap or clear() drops it with the
+ * entry: a result computed for one epoch is never served for another,
+ * and nothing but in-flight readers keeps it past its epoch.
  */
 #ifndef GCOD_SERVE_ARTIFACT_CACHE_HPP
 #define GCOD_SERVE_ARTIFACT_CACHE_HPP
@@ -25,15 +31,51 @@
 #include <condition_variable>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serve/artifact.hpp"
 
+namespace gcod {
+struct SampledQuantMemo;
+}
+
 namespace gcod::serve {
+
+/**
+ * Request-independent results of one artifact epoch, paid once and
+ * reused by every batch on that epoch. Values are computed outside
+ * @ref mu; racing workers compute identical values and the first insert
+ * wins, so a value, once set, never changes.
+ */
+struct EpochMemo
+{
+    /**
+     * Most (bits, fanout) sampled memos kept at once. Fanouts are
+     * client-chosen, so a full table starts over instead of growing.
+     */
+    static constexpr size_t kMaxSampledMemos = 8;
+
+    std::mutex mu;
+    /** Host-execution logits by executed bits. */
+    std::map<int, std::shared_ptr<const Matrix>> logits;
+    /**
+     * Seed-invariant rows of sub-32-bit sampled passes by (bits,
+     * fanout). Each points into the epoch bundle's quantized pack: read
+     * it only while holding that bundle (a Lookup holds both).
+     */
+    std::map<std::pair<int, int>, std::shared_ptr<const SampledQuantMemo>>
+        sampled;
+    /** Simulated seconds of one pass over the shard fleet; < 0 = unset. */
+    double fleetSeconds = -1.0;
+    /** BackendRouter::estimateAll of the bundle; empty = unset. */
+    std::vector<double> routeEstimates;
+};
 
 class ArtifactCache
 {
@@ -46,12 +88,10 @@ class ArtifactCache
     {
         std::shared_ptr<const ArtifactBundle> bundle;
         bool hit = false;
-        /**
-         * Epoch of the returned bundle (> 0): bumped every time
-         * publish() swaps the key. Execution memos key on it so results
-         * computed against one epoch are never served for another.
-         */
+        /** Epoch of the returned bundle (> 0): bumped by every publish(). */
         uint64_t version = 0;
+        /** That epoch's memo. */
+        std::shared_ptr<EpochMemo> memo;
     };
 
     /**
@@ -74,8 +114,11 @@ class ArtifactCache
     uint64_t publish(const ArtifactKey &key,
                      std::shared_ptr<const ArtifactBundle> bundle);
 
-    /** Current version of @p key (0 when not resident); no recency touch. */
-    uint64_t residentVersion(const ArtifactKey &key) const;
+    /**
+     * Resident epoch of @p key (bundle, version, memo) without building
+     * or touching recency; a null bundle and version 0 when not resident.
+     */
+    Lookup peekEpoch(const ArtifactKey &key) const;
 
     /** Retired bundles still waiting for their readers to drain. */
     size_t retiredCount() const;
@@ -114,6 +157,7 @@ class ArtifactCache
         ArtifactKey key;
         std::shared_ptr<const ArtifactBundle> bundle;
         uint64_t version = 0;
+        std::shared_ptr<EpochMemo> memo;
     };
 
     void evictLocked();

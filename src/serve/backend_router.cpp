@@ -42,15 +42,8 @@ BackendRouter::BackendRouter(const std::vector<std::string> &names,
 }
 
 double
-BackendRouter::estimateSeconds(int i, const ArtifactBundle &bundle)
+BackendRouter::estimateSeconds(int i, const ArtifactBundle &bundle) const
 {
-    {
-        std::lock_guard<std::mutex> lock(memoMu_);
-        auto it = memo_.find({bundle.key, i});
-        if (it != memo_.end())
-            return it->second;
-    }
-
     const Backend &b = *backends_[i];
     const PlatformConfig &cfg = b.model->config();
     const GraphInput &in = inputFor(i, bundle);
@@ -87,40 +80,25 @@ BackendRouter::estimateSeconds(int i, const ArtifactBundle &bundle)
     // MAC and edge counts grow ~linearly with graph size, so extrapolate
     // the synthesized stand-in to the published dataset size.
     double cycles = (comb_cycles + agg_cycles + overhead) * in.sizeScale();
-    double est = cycles / (cfg.freqGHz * 1e9);
+    return cycles / (cfg.freqGHz * 1e9);
+}
 
-    std::lock_guard<std::mutex> lock(memoMu_);
-    memo_[{bundle.key, i}] = est;
+std::vector<double>
+BackendRouter::estimateAll(const ArtifactBundle &bundle) const
+{
+    std::vector<double> est(backends_.size());
+    parallelFor(0, int64_t(est.size()), [&](const Range &r, size_t) {
+        for (int64_t i = r.begin; i < r.end; ++i)
+            est[size_t(i)] = estimateSeconds(int(i), bundle);
+    });
     return est;
 }
 
 RouteDecision
-BackendRouter::choose(const ArtifactBundle &bundle)
+BackendRouter::choose(const std::vector<double> &estimates, SloTier tier)
 {
-    return choose(bundle, SloTier::Standard);
-}
-
-RouteDecision
-BackendRouter::choose(const ArtifactBundle &bundle, SloTier tier)
-{
-    // Estimates are independent per backend and memoized per
-    // (key, backend): a cold artifact prices its unpriced backends
-    // concurrently on the kernel pool, while the warm path (every
-    // batch after the first per artifact) stays pool-free — memoized
-    // lookups must not queue behind an unrelated kernel region.
-    std::vector<int> cold;
-    {
-        std::lock_guard<std::mutex> lock(memoMu_);
-        for (int i = 0; i < int(backends_.size()); ++i)
-            if (memo_.find({bundle.key, i}) == memo_.end())
-                cold.push_back(i);
-    }
-    if (!cold.empty())
-        parallelFor(0, int64_t(cold.size()), [&](const Range &r, size_t) {
-            for (int64_t k = r.begin; k < r.end; ++k)
-                estimateSeconds(cold[size_t(k)], bundle);
-        });
-
+    GCOD_ASSERT(estimates.size() == backends_.size(),
+                "choose() needs one estimate per backend");
     // Health gate: only Closed backends score. A tripped backend whose
     // cooldown has elapsed may instead claim this batch as its single
     // half-open probe — but never a Latency batch while a healthy
@@ -172,7 +150,7 @@ BackendRouter::choose(const ArtifactBundle &bundle, SloTier tier)
         RouteDecision d;
         d.backend = probe_candidate;
         d.name = backends_[probe_candidate]->name;
-        d.estimatedSeconds = estimateSeconds(probe_candidate, bundle);
+        d.estimatedSeconds = estimates[size_t(probe_candidate)];
         d.depthAtChoice = backends_[probe_candidate]->inflight.load();
         d.probe = true;
         return d;
@@ -188,7 +166,7 @@ BackendRouter::choose(const ArtifactBundle &bundle, SloTier tier)
         for (int i = 0; i < int(backends_.size()); ++i) {
             if (!avail[size_t(i)])
                 continue;
-            double base = estimateSeconds(i, bundle);
+            double base = estimates[size_t(i)];
             if (fastest < 0 || base < fastest_base) {
                 fastest = i;
                 fastest_base = base;
@@ -201,7 +179,7 @@ BackendRouter::choose(const ArtifactBundle &bundle, SloTier tier)
     for (int i = 0; i < int(backends_.size()); ++i) {
         if (!avail[size_t(i)] || i == fastest)
             continue;
-        double base = estimateSeconds(i, bundle);
+        double base = estimates[size_t(i)];
         int depth = backends_[i]->inflight.load();
         // Latency tier races to the fastest door now; the other tiers
         // balance virtual completion time (assigned work + this batch),

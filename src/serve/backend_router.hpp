@@ -8,7 +8,9 @@
  * its sparse efficiency, plus per-layer overhead — and, for the GCoD
  * accelerator, the two-pronged schedule simulation (accel/schedule) which
  * captures the denser/sparser branch overlap the closed-form estimate
- * misses. Base estimates are memoized per (artifact, backend).
+ * misses. Estimates are pure functions of (backend, bundle) and the
+ * router keeps none: the engine prices each artifact epoch once
+ * (estimateAll) into that epoch's memo and hands the vector to choose().
  *
  * Dispatch is least-work-left in *virtual* time: each backend carries an
  * accumulator of the simulated seconds already assigned to it, and a
@@ -24,7 +26,6 @@
 #define GCOD_SERVE_BACKEND_ROUTER_HPP
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -111,16 +112,10 @@ class BackendRouter
     }
 
     /**
-     * Pick the least-loaded backend for one batch over @p bundle. Pure
-     * (no state mutated) given the current virtual-work accumulators and
-     * queue depths; ties break toward the earlier platform in
-     * construction order, so routing is deterministic under one worker.
-     * Equivalent to choose(bundle, SloTier::Standard).
-     */
-    RouteDecision choose(const ArtifactBundle &bundle);
-
-    /**
-     * Tier-aware routing:
+     * Pick a backend for one batch whose per-backend pass estimates are
+     * @p estimates (from estimateAll). Ties break toward the earlier
+     * platform in construction order, so routing is deterministic under
+     * one worker. Tier-aware routing:
      *  - Latency: the backend with the smallest raw batch estimate
      *    (scaled by live queue depth) — the fastest door, regardless of
      *    virtual work already assigned;
@@ -129,10 +124,17 @@ class BackendRouter
      *    backend (when more than one exists), keeping the quickest chip
      *    free for latency traffic.
      */
-    RouteDecision choose(const ArtifactBundle &bundle, SloTier tier);
+    RouteDecision choose(const std::vector<double> &estimates,
+                         SloTier tier = SloTier::Standard);
 
     /** Cost-model estimate (seconds) of one pass, ignoring load. */
-    double estimateSeconds(int i, const ArtifactBundle &bundle);
+    double estimateSeconds(int i, const ArtifactBundle &bundle) const;
+
+    /**
+     * estimateSeconds of every backend over @p bundle, in backend
+     * order, priced concurrently on the kernel pool.
+     */
+    std::vector<double> estimateAll(const ArtifactBundle &bundle) const;
 
     /**
      * Load accounting around a dispatched batch: begin charges the
@@ -197,10 +199,6 @@ class BackendRouter
     HealthOptions healthOpts_;
     obs::TraceRecorder *trace_ = nullptr;
     mutable std::mutex healthMu_;
-
-    std::mutex memoMu_;
-    /** (artifact key, backend) -> base estimate, built lazily. */
-    std::map<std::pair<ArtifactKey, int>, double> memo_;
 };
 
 } // namespace gcod::serve

@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "nn/neighbor_sampler.hpp"
 #include "serve/incremental.hpp"
@@ -208,31 +209,6 @@ foldedRow(NodeId node, int64_t rows)
     return NodeId(((int64_t(node) % rows) + rows) % rows);
 }
 
-/**
- * Drop @p memo's entries for @p key at any version but @p version: a
- * result computed against a replaced epoch must never serve the new one.
- * Memo keys are tuples (or pairs) led by (ArtifactKey, version).
- */
-template <typename Memo>
-void
-dropStaleVersions(Memo &memo, const ArtifactKey &key, uint64_t version)
-{
-    for (auto it = memo.begin(); it != memo.end();)
-        it = std::get<0>(it->first) == key && std::get<1>(it->first) != version
-                 ? memo.erase(it)
-                 : std::next(it);
-}
-
-/** Drop @p memo's entries whose artifact is no longer cache-resident. */
-template <typename Memo>
-void
-dropEvicted(Memo &memo, const ArtifactCache &cache)
-{
-    for (auto it = memo.begin(); it != memo.end();)
-        it = cache.contains(std::get<0>(it->first)) ? std::next(it)
-                                                      : memo.erase(it);
-}
-
 } // namespace
 
 ServingEngine::ServingEngine(ServeOptions opts)
@@ -326,75 +302,82 @@ ServingEngine::submit(InferenceRequest req)
 {
     if (req.id == 0)
         req.id = nextId_.fetch_add(1);
+    size_t depth = queue_.depth();
+    PendingRequest p;
+    p.key = ArtifactKey{req.dataset, req.model, optionsHash_};
+    p.req = std::move(req);
     // Root span id of this request's causal tree: drawn here, ridden
     // through the queue on the PendingRequest, and recorded as the
     // "request" span when the reply resolves. 0 = tracing off (no id,
     // no allocations).
-    uint64_t trace_id = trace_.enabled() ? trace_.newId() : 0;
-    size_t depth = queue_.depth();
-    // Records the root "request" span for requests that never reach a
-    // worker (shed / rejected) — otherwise their tree would dangle.
-    auto recordTerminalRequest = [&](const char *outcome) {
-        if (trace_id == 0 || !trace_.enabled())
-            return;
-        obs::TraceSpan s;
-        s.id = trace_id;
-        s.name = "request";
-        s.cat = "serve";
-        s.startNs = trace_.nowNs();
-        s.tid = obs::TraceRecorder::threadId();
-        s.attrs.emplace_back("request", std::to_string(req.id));
-        s.attrs.emplace_back("tier", sloTierName(req.tier));
-        s.attrs.emplace_back("outcome", outcome);
-        trace_.record(std::move(s));
-    };
+    p.traceId = trace_.enabled() ? trace_.newId() : 0;
+    bool shed = false;
     {
         obs::ScopedSpan admit(&trace_, obs::kTraceRequests, "admission",
-                              "serve", trace_id);
+                              "serve", p.traceId);
+        shed = shouldShed(opts_.admission, p.req.tier, depth);
         if (admit.active())
-            admit.attr("request", req.id)
-                .attr("tier", sloTierName(req.tier))
-                .attr("queue_depth", uint64_t(depth));
-        if (shouldShed(opts_.admission, req.tier, depth)) {
-            // Load shed at the door: resolve immediately, count it in
-            // the shed bucket only (never completed/failed), touch no
-            // queue state. The client sees reply.shed and can back off
-            // or retry.
-            admit.attr("outcome", "shed");
-            admit.finish();
-            recordTerminalRequest("shed");
-            InferenceReply reply;
-            reply.id = req.id;
-            reply.tier = req.tier;
-            reply.shed = true;
-            reply.error = "shed by admission control";
-            stats_.recordReply(reply);
-            std::promise<InferenceReply> prom;
-            std::future<InferenceReply> fut = prom.get_future();
-            prom.set_value(std::move(reply));
-            return fut;
-        }
-        admit.attr("outcome", "admitted");
+            admit.attr("request", p.req.id)
+                .attr("tier", sloTierName(p.req.tier))
+                .attr("queue_depth", uint64_t(depth))
+                .attr("outcome", shed ? "shed" : "admitted");
     }
-    PendingRequest p;
-    p.key = ArtifactKey{req.dataset, req.model, optionsHash_};
-    p.req = std::move(req);
     p.enqueued = Clock::now();
-    p.traceId = trace_id;
     std::future<InferenceReply> fut = p.promise.get_future();
+    InferenceReply reply;
+    if (shed) {
+        // Load shed at the door: resolve immediately, count it in the
+        // shed bucket only (never completed/failed), touch no queue
+        // state. The client sees reply.shed and can back off or retry.
+        reply.shed = true;
+        reply.error = "shed by admission control";
+        resolve(p, std::move(reply), "shed");
+        return fut;
+    }
     pending_.fetch_add(1);
     if (!queue_.push(p)) {
         // Shut down (or racing with shutdown): reject through the future
         // rather than throwing into the client thread.
         pending_.fetch_sub(1);
-        req = std::move(p.req);
-        recordTerminalRequest("rejected");
-        InferenceReply reply;
-        reply.id = req.id;
         reply.error = "serving engine is shut down";
-        p.promise.set_value(std::move(reply));
+        resolve(p, std::move(reply), "rejected");
     }
     return fut;
+}
+
+void
+ServingEngine::resolve(PendingRequest &p, InferenceReply reply,
+                       const char *outcome, const obs::ScopedSpan *batch)
+{
+    reply.id = p.req.id;
+    reply.tier = p.req.tier;
+    if (std::strcmp(outcome, "rejected") != 0)
+        stats_.recordReply(reply);
+    // The root span of the request's causal tree (submit -> resolution),
+    // recorded before the promise is fulfilled.
+    if (p.traceId != 0 && trace_.enabled()) {
+        obs::TraceSpan s;
+        s.id = p.traceId;
+        s.name = "request";
+        s.cat = "serve";
+        s.startNs = trace_.toNs(p.enqueued);
+        s.durNs = trace_.nowNs() - s.startNs;
+        s.tid = obs::TraceRecorder::threadId();
+        s.attrs.emplace_back("request", std::to_string(p.req.id));
+        s.attrs.emplace_back("tier", sloTierName(p.req.tier));
+        if (batch != nullptr)
+            s.attrs.emplace_back("artifact", p.key.toString());
+        s.attrs.emplace_back("outcome", outcome);
+        if (!reply.backend.empty())
+            s.attrs.emplace_back("backend", reply.backend);
+        if (reply.executedBits != 0)
+            s.attrs.emplace_back("bits",
+                                 std::to_string(reply.executedBits));
+        if (batch != nullptr && batch->id() != 0)
+            s.attrs.emplace_back("batch_span", std::to_string(batch->id()));
+        trace_.record(std::move(s));
+    }
+    p.promise.set_value(std::move(reply));
 }
 
 void
@@ -427,36 +410,6 @@ ServingEngine::runBatch(Batch &&batch)
             .attr("size", uint64_t(batchTotal))
             .attr("tier", sloTierName(batch.tier));
 
-    // Record one rider's root "request" span (submit -> resolution).
-    // Must run before the promise is fulfilled, so the span exists by
-    // the time a client observes the reply.
-    auto recordRequestSpan = [&](const PendingRequest &p,
-                                 const InferenceReply &reply,
-                                 const char *outcome) {
-        if (p.traceId == 0 || !trace_.enabled())
-            return;
-        obs::TraceSpan s;
-        s.id = p.traceId;
-        s.name = "request";
-        s.cat = "serve";
-        s.startNs = trace_.toNs(p.enqueued);
-        s.durNs = trace_.nowNs() - s.startNs;
-        s.tid = obs::TraceRecorder::threadId();
-        s.attrs.emplace_back("request", std::to_string(p.req.id));
-        s.attrs.emplace_back("tier", sloTierName(p.req.tier));
-        s.attrs.emplace_back("artifact", batch.key.toString());
-        s.attrs.emplace_back("outcome", outcome);
-        if (!reply.backend.empty())
-            s.attrs.emplace_back("backend", reply.backend);
-        if (reply.executedBits != 0)
-            s.attrs.emplace_back("bits",
-                                 std::to_string(reply.executedBits));
-        if (bspan.id() != 0)
-            s.attrs.emplace_back("batch_span",
-                                 std::to_string(bspan.id()));
-        trace_.record(std::move(s));
-    };
-
     // Resolve every request whose wall-clock deadline has expired with a
     // timedOut reply, individually and immediately — an expired request
     // never rides a retry it can no longer benefit from, and is never
@@ -479,16 +432,12 @@ ServingEngine::runBatch(Batch &&batch)
                 continue;
             }
             InferenceReply reply;
-            reply.id = p.req.id;
-            reply.tier = p.req.tier;
             reply.batchSize = batchTotal;
             reply.queueSeconds = waited;
             reply.latencySeconds = waited;
             reply.timedOut = true;
             reply.error = "deadline exceeded";
-            stats_.recordReply(reply);
-            recordRequestSpan(p, reply, "timeout");
-            p.promise.set_value(std::move(reply));
+            resolve(p, std::move(reply), "timeout", &bspan);
         }
         batch.requests.resize(kept);
     };
@@ -498,20 +447,17 @@ ServingEngine::runBatch(Batch &&batch)
     std::shared_ptr<const Matrix> logits;
     // Kept past the try so sampled riders (sampleFanout > 0) can run
     // their own per-request pass in the reply loop below.
-    std::shared_ptr<const ArtifactBundle> servedBundle;
-    uint64_t servedVersion = 0;
+    ArtifactCache::Lookup found;
     try {
         obs::ScopedSpan aspan(&trace_, obs::kTraceRequests,
                               "artifact.get", "serve", bspan.id());
-        ArtifactCache::Lookup found = cache_.get(batch.key);
+        found = cache_.get(batch.key);
         if (aspan.active())
             aspan.attr("hit", found.hit ? "true" : "false")
                 .attr("version", found.version);
         aspan.finish();
         dispatched = Clock::now();
         base.cacheHit = found.hit;
-        servedBundle = found.bundle;
-        servedVersion = found.version;
         expireRequests();
         const ArtifactBundle &bundle = *found.bundle;
         if (batch.requests.empty()) {
@@ -525,31 +471,26 @@ ServingEngine::runBatch(Batch &&batch)
             // the scheduler), but serving stats must stay in one unit
             // system with the single-chip path, which reports costs at
             // the dataset's published size — so apply the same linear
-            // size extrapolation here.
+            // size extrapolation here. The schedule is deterministic in
+            // (plan, units, spec, density, fleet), all fixed per epoch,
+            // so each epoch prices it once.
+            EpochMemo &memo = *found.memo;
             double seconds = -1.0;
-            bool memoHit = false;
-            std::pair<ArtifactKey, uint64_t> skey{batch.key,
-                                                  found.version};
             {
-                std::lock_guard<std::mutex> lock(shardMemoMu_);
-                auto it = shardMemo_.find(skey);
-                if (it != shardMemo_.end()) {
-                    seconds = it->second;
-                    memoHit = true;
-                }
+                std::lock_guard<std::mutex> lock(memo.mu);
+                seconds = memo.fleetSeconds;
             }
+            const bool memoHit = seconds >= 0.0;
             obs::ScopedSpan sspan(&trace_, obs::kTraceRequests,
                                   "shard.schedule", "serve", bspan.id());
-            if (seconds < 0.0) {
+            if (!memoHit) {
                 shard::ShardScheduleResult sched =
                     shardScheduler_->schedule(
                         bundle.sharded->plan, bundle.sharded->units,
                         bundle.spec, bundle.profile.featureDensity);
                 seconds = sched.latencySeconds * bundle.raw.sizeScale();
-                // Racing workers recompute the identical value; last
-                // insert wins harmlessly.
-                std::lock_guard<std::mutex> lock(shardMemoMu_);
-                shardMemo_.emplace(skey, seconds);
+                std::lock_guard<std::mutex> lock(memo.mu);
+                memo.fleetSeconds = seconds;
             }
             if (sspan.active())
                 sspan.attr("memo", memoHit ? "hit" : "miss")
@@ -560,8 +501,7 @@ ServingEngine::runBatch(Batch &&batch)
             base.serviceSeconds = seconds;
             base.executedBits =
                 effectiveExecBits(bundle, fleetExecBits_);
-            logits = logitsFor(found.bundle, found.version,
-                               base.executedBits, bspan.id());
+            logits = logitsFor(found, base.executedBits, bspan.id());
             stats_.recordBatch(base.backend, batch.size(), seconds,
                                seconds, base.executedBits);
         } else {
@@ -573,15 +513,7 @@ ServingEngine::runBatch(Batch &&batch)
             // next-cheapest healthy backend. Deadlines are re-checked
             // before every retry so expired riders resolve instead of
             // burning backoff they cannot use.
-            {
-                obs::ScopedSpan rspan(&trace_, obs::kTraceRequests,
-                                      "route", "serve", bspan.id());
-                route = router_.choose(bundle, batch.tier);
-                if (rspan.active())
-                    rspan.attr("backend", route.name)
-                        .attr("estimate_s", route.estimatedSeconds)
-                        .attr("probe", route.probe ? "true" : "false");
-            }
+            route = routeBatch(found, batch.tier, bspan.id());
             const std::string firstBackend = route.name;
             int attempts = 0;
             for (;;) {
@@ -651,13 +583,7 @@ ServingEngine::runBatch(Batch &&batch)
                                  "during retry";
                     break;
                 }
-                obs::ScopedSpan rspan(&trace_, obs::kTraceRequests,
-                                      "route", "serve", bspan.id());
-                route = router_.choose(bundle, batch.tier);
-                if (rspan.active())
-                    rspan.attr("backend", route.name)
-                        .attr("estimate_s", route.estimatedSeconds)
-                        .attr("probe", route.probe ? "true" : "false");
+                route = routeBatch(found, batch.tier, bspan.id());
             }
             if (base.error.empty() && !batch.requests.empty()) {
                 base.retries = attempts - 1;
@@ -680,8 +606,7 @@ ServingEngine::runBatch(Batch &&batch)
                 base.executedBits = effectiveExecBits(
                     bundle,
                     router_.model(route.backend).config().dataBits);
-                logits = logitsFor(found.bundle, found.version,
-                                   base.executedBits, bspan.id());
+                logits = logitsFor(found, base.executedBits, bspan.id());
                 stats_.recordBatch(route.name, batch.size(),
                                    route.estimatedSeconds,
                                    base.serviceSeconds,
@@ -714,7 +639,6 @@ ServingEngine::runBatch(Batch &&batch)
 
     for (PendingRequest &p : batch.requests) {
         InferenceReply reply = base;
-        reply.id = p.req.id;
         reply.queueSeconds =
             std::chrono::duration<double>(dispatched - p.enqueued).count();
         reply.latencySeconds = reply.queueSeconds + reply.serviceSeconds;
@@ -727,23 +651,23 @@ ServingEngine::runBatch(Batch &&batch)
                 reply.error = "InferenceRequest.sampleFanout must be >= 0 "
                               "(0 serves the full pass), got " +
                               std::to_string(p.req.sampleFanout);
-            } else if (!servedBundle || base.executedBits <= 0 ||
-                       !servedBundle->hasHostExec()) {
+            } else if (!found.bundle || base.executedBits <= 0 ||
+                       !found.bundle->hasHostExec()) {
                 reply.error = "sampled serving needs host execution "
                               "state, which this artifact lacks";
-            } else if (!supportsSampledExecution(servedBundle->spec)) {
+            } else if (!supportsSampledExecution(found.bundle->spec)) {
                 reply.error =
-                    "model family '" + servedBundle->spec.name +
+                    "model family '" + found.bundle->spec.name +
                     "' cannot serve sampled neighborhoods: only Mean-"
                     "aggregation stacks (GraphSAGE, GCN) support "
                     "fanout sampling";
             } else {
                 try {
                     Matrix row = sampledLogits(
-                        *servedBundle, servedVersion, base.executedBits,
-                        p.req.sampleFanout, p.req.sampleSeed,
+                        found, base.executedBits, p.req.sampleFanout,
+                        p.req.sampleSeed,
                         foldedRow(p.req.node,
-                                  servedBundle->hostFeatures.rows()),
+                                  found.bundle->hostFeatures.rows()),
                         p.traceId);
                     reply.prediction = predictFrom(row, 0);
                 } catch (const std::runtime_error &e) {
@@ -754,14 +678,13 @@ ServingEngine::runBatch(Batch &&batch)
             reply.prediction =
                 predictFrom(*logits, foldedRow(p.req.node, logits->rows()));
         }
-        stats_.recordReply(reply);
-        recordRequestSpan(p, reply, reply.ok() ? "ok" : "failed");
+        const char *outcome = reply.ok() ? "ok" : "failed";
         if (p.traceId != 0 && trace_.enabled())
             trace_.instant("reply", "serve", p.traceId,
                            {{"prediction",
                              std::to_string(reply.prediction)},
-                            {"outcome", reply.ok() ? "ok" : "failed"}});
-        p.promise.set_value(std::move(reply));
+                            {"outcome", outcome}});
+        resolve(p, std::move(reply), outcome, &bspan);
     }
 
     // Timed-out riders were resolved (but not uncounted) along the way;
@@ -773,10 +696,38 @@ ServingEngine::runBatch(Batch &&batch)
     }
 }
 
-std::shared_ptr<const Matrix>
-ServingEngine::logitsFor(const std::shared_ptr<const ArtifactBundle> &bundle,
-                         uint64_t version, int bits, uint64_t trace_parent)
+RouteDecision
+ServingEngine::routeBatch(const ArtifactCache::Lookup &epoch, SloTier tier,
+                          uint64_t trace_parent)
 {
+    obs::ScopedSpan rspan(&trace_, obs::kTraceRequests, "route", "serve",
+                          trace_parent);
+    // Priced once per epoch, so every later batch routes without a
+    // kernel-pool region that could queue behind unrelated kernels.
+    EpochMemo &memo = *epoch.memo;
+    std::unique_lock<std::mutex> lock(memo.mu);
+    if (memo.routeEstimates.empty()) {
+        lock.unlock();
+        std::vector<double> priced = router_.estimateAll(*epoch.bundle);
+        lock.lock();
+        if (memo.routeEstimates.empty())
+            memo.routeEstimates = std::move(priced);
+    }
+    lock.unlock();
+    // Set once under the lock and never changed after: read unlocked.
+    RouteDecision route = router_.choose(memo.routeEstimates, tier);
+    if (rspan.active())
+        rspan.attr("backend", route.name)
+            .attr("estimate_s", route.estimatedSeconds)
+            .attr("probe", route.probe ? "true" : "false");
+    return route;
+}
+
+std::shared_ptr<const Matrix>
+ServingEngine::logitsFor(const ArtifactCache::Lookup &epoch, int bits,
+                         uint64_t trace_parent)
+{
+    const std::shared_ptr<const ArtifactBundle> &bundle = epoch.bundle;
     if (bits <= 0 || !bundle->hasHostExec())
         return nullptr;
     obs::ScopedSpan espan(&trace_, obs::kTraceRequests, "host.exec",
@@ -790,11 +741,11 @@ ServingEngine::logitsFor(const std::shared_ptr<const ArtifactBundle> &bundle,
         espan.attr("source", "store");
         return std::shared_ptr<const Matrix>(bundle, &it->second);
     }
-    std::tuple<ArtifactKey, uint64_t, int> key{bundle->key, version, bits};
+    EpochMemo &memo = *epoch.memo;
     {
-        std::lock_guard<std::mutex> lock(execMemoMu_);
-        auto it = execMemo_.find(key);
-        if (it != execMemo_.end()) {
+        std::lock_guard<std::mutex> lock(memo.mu);
+        auto it = memo.logits.find(bits);
+        if (it != memo.logits.end()) {
             espan.attr("source", "memo");
             return it->second;
         }
@@ -822,29 +773,16 @@ ServingEngine::logitsFor(const std::shared_ptr<const ArtifactBundle> &bundle,
         out = referenceForward(bundle->hostRecipe, bundle->hostFeatures);
     }
     auto computed = std::make_shared<const Matrix>(std::move(out));
-    std::lock_guard<std::mutex> lock(execMemoMu_);
-    // A publish() may have swapped this key's epoch while we computed
-    // outside the lock: serve the result to the batch that asked (it
-    // holds the old bundle), but don't memoize it — the entry would
-    // outlive publish()'s eager prune and leak until capacity pressure.
-    if (cache_.residentVersion(std::get<0>(key)) != version)
-        return computed;
-    // Resident artifacts can hold at most capacity x (precisions + 1)
-    // entries; beyond that, everything extra belongs to evicted bundles
-    // and can be dropped (it will be recomputed bit-identically if the
-    // artifact ever returns).
-    size_t cap = std::max<size_t>(8, opts_.cacheCapacity *
-                                         (quantBits_.size() + 1));
-    if (execMemo_.size() >= cap)
-        dropEvicted(execMemo_, cache_);
-    return execMemo_.emplace(key, std::move(computed)).first->second;
+    std::lock_guard<std::mutex> lock(memo.mu);
+    return memo.logits.emplace(bits, std::move(computed)).first->second;
 }
 
 Matrix
-ServingEngine::sampledLogits(const ArtifactBundle &bundle, uint64_t version,
-                             int bits, int fanout, uint64_t seed,
-                             NodeId target, uint64_t trace_parent)
+ServingEngine::sampledLogits(const ArtifactCache::Lookup &epoch, int bits,
+                             int fanout, uint64_t seed, NodeId target,
+                             uint64_t trace_parent)
 {
+    const ArtifactBundle &bundle = *epoch.bundle;
     obs::ScopedSpan span(&trace_, obs::kTraceRequests,
                          "host.exec.sampled", "serve", trace_parent);
     if (span.active())
@@ -856,7 +794,7 @@ ServingEngine::sampledLogits(const ArtifactBundle &bundle, uint64_t version,
     if (bits < 32) {
         bool hit = false;
         std::shared_ptr<const SampledQuantMemo> memo =
-            sampledMemoFor(bundle, version, bits, fanout, span.id(), hit);
+            sampledMemoFor(epoch, bits, fanout, span.id(), hit);
         span.attr("memo", hit ? "hit" : "built");
         out = sampledQuantizedForwardRow(bundle.quantized.at(bits), *memo,
                                          bundle.synth.graph,
@@ -872,16 +810,16 @@ ServingEngine::sampledLogits(const ArtifactBundle &bundle, uint64_t version,
 }
 
 std::shared_ptr<const SampledQuantMemo>
-ServingEngine::sampledMemoFor(const ArtifactBundle &bundle, uint64_t version,
-                              int bits, int fanout, uint64_t trace_parent,
-                              bool &hit)
+ServingEngine::sampledMemoFor(const ArtifactCache::Lookup &epoch, int bits,
+                              int fanout, uint64_t trace_parent, bool &hit)
 {
-    std::tuple<ArtifactKey, uint64_t, int, int> key{bundle.key, version, bits,
-                                                    fanout};
+    const ArtifactBundle &bundle = *epoch.bundle;
+    EpochMemo &memo = *epoch.memo;
+    const std::pair<int, int> key{bits, fanout};
     {
-        std::lock_guard<std::mutex> lock(sampledMemoMu_);
-        auto it = sampledMemo_.find(key);
-        hit = it != sampledMemo_.end();
+        std::lock_guard<std::mutex> lock(memo.mu);
+        auto it = memo.sampled.find(key);
+        hit = it != memo.sampled.end();
         if (hit)
             return it->second;
     }
@@ -897,27 +835,19 @@ ServingEngine::sampledMemoFor(const ArtifactBundle &bundle, uint64_t version,
         if (span.active())
             span.attr("hubs", uint64_t(built->hubs.size()));
     }
-    std::lock_guard<std::mutex> lock(sampledMemoMu_);
-    // Same epoch hygiene as execMemo_: never memoize against a swapped
-    // epoch, and prune evicted artifacts at capacity. Fanouts are
-    // client-chosen, so a memo still full after that starts over.
-    if (cache_.residentVersion(bundle.key) != version)
-        return built;
-    size_t cap = std::max<size_t>(8, opts_.cacheCapacity * quantBits_.size());
-    if (sampledMemo_.size() >= cap) {
-        dropEvicted(sampledMemo_, cache_);
-        if (sampledMemo_.size() >= cap)
-            sampledMemo_.clear();
-    }
-    return sampledMemo_.emplace(key, std::move(built)).first->second;
+    std::lock_guard<std::mutex> lock(memo.mu);
+    if (auto it = memo.sampled.find(key); it != memo.sampled.end())
+        return it->second;
+    if (memo.sampled.size() >= EpochMemo::kMaxSampledMemos)
+        memo.sampled.clear();
+    return memo.sampled.emplace(key, std::move(built)).first->second;
 }
 
 std::shared_ptr<const Matrix>
 ServingEngine::peekLogits(const ArtifactKey &key, int bits)
 {
     ArtifactCache::Lookup found = cache_.get(key);
-    return logitsFor(found.bundle, found.version,
-                     effectiveExecBits(*found.bundle, bits));
+    return logitsFor(found, effectiveExecBits(*found.bundle, bits));
 }
 
 uint64_t
@@ -933,20 +863,6 @@ ServingEngine::publishArtifact(const ArtifactKey &key,
                                std::shared_ptr<const ArtifactBundle> bundle)
 {
     uint64_t version = cache_.publish(key, std::move(bundle));
-    // Results computed against the replaced epoch must never be served
-    // for the new one: drop the key's stale memo entries eagerly.
-    {
-        std::lock_guard<std::mutex> lock(execMemoMu_);
-        dropStaleVersions(execMemo_, key, version);
-    }
-    {
-        std::lock_guard<std::mutex> lock(sampledMemoMu_);
-        dropStaleVersions(sampledMemo_, key, version);
-    }
-    {
-        std::lock_guard<std::mutex> lock(shardMemoMu_);
-        dropStaleVersions(shardMemo_, key, version);
-    }
     if (trace_.enabled())
         trace_.instant("artifact.publish", "store", 0,
                        {{"artifact", key.toString()},
@@ -959,21 +875,19 @@ ServingEngine::saveArtifact(const ArtifactKey &key)
 {
     if (opts_.storeDir.empty())
         return false;
-    std::shared_ptr<const ArtifactBundle> bundle = cache_.peek(key);
-    if (bundle == nullptr)
+    ArtifactCache::Lookup epoch = cache_.peekEpoch(key);
+    if (epoch.bundle == nullptr)
         return false;
-    uint64_t version = cache_.residentVersion(key);
-    // Hand the store every logit matrix memoized against the resident
-    // epoch, so the next process skips even the first execution pass.
+    // Hand the store every logit matrix of the resident epoch's memo, so
+    // the next process skips even the first execution pass.
     std::map<int, Matrix> logits;
     {
-        std::lock_guard<std::mutex> lock(execMemoMu_);
-        for (const auto &[k, m] : execMemo_)
-            if (std::get<0>(k) == key && std::get<1>(k) == version)
-                logits.emplace(std::get<2>(k), *m);
+        std::lock_guard<std::mutex> lock(epoch.memo->mu);
+        for (const auto &[bits, m] : epoch.memo->logits)
+            logits.emplace(bits, *m);
     }
     store::saveArtifactBundle(store::artifactStorePath(opts_.storeDir, key),
-                              *bundle, opts_.gcod.reorder, logits);
+                              *epoch.bundle, opts_.gcod.reorder, logits);
     return true;
 }
 
@@ -1026,27 +940,6 @@ ServingEngine::applyUpdate(const ArtifactKey &key,
     }
     r.version = publishArtifact(key, std::move(next));
     return r;
-}
-
-size_t
-ServingEngine::execMemoEntries() const
-{
-    std::lock_guard<std::mutex> lock(execMemoMu_);
-    return execMemo_.size();
-}
-
-size_t
-ServingEngine::sampledMemoEntries() const
-{
-    std::lock_guard<std::mutex> lock(sampledMemoMu_);
-    return sampledMemo_.size();
-}
-
-size_t
-ServingEngine::shardMemoEntries() const
-{
-    std::lock_guard<std::mutex> lock(shardMemoMu_);
-    return shardMemo_.size();
 }
 
 void

@@ -14,12 +14,17 @@
  * accelerator pass: the co-design artifact AND the execution cost are
  * both amortized. Reported latency combines the real wall-clock batching
  * delay with the simulated accelerator latency of the pass.
+ *
+ * Request-independent results — host logits per precision, sampled
+ * int8 memos, the fleet's schedule seconds and the router's per-backend
+ * estimates — are computed once per artifact epoch into the EpochMemo
+ * the cache hands out with it (serve/artifact_cache.hpp), and die with
+ * that epoch.
  */
 #ifndef GCOD_SERVE_ENGINE_HPP
 #define GCOD_SERVE_ENGINE_HPP
 
 #include <thread>
-#include <tuple>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -29,10 +34,6 @@
 #include "serve/batch_queue.hpp"
 #include "serve/server_stats.hpp"
 #include "shard/scheduler.hpp"
-
-namespace gcod {
-struct SampledQuantMemo;
-}
 
 namespace gcod::dyn {
 class GraphDelta;
@@ -241,13 +242,6 @@ class ServingEngine
     std::shared_ptr<const Matrix> peekLogits(const ArtifactKey &key,
                                              int bits);
 
-    /** Live execution-memo entries (epoch-hygiene tests). */
-    size_t execMemoEntries() const;
-    /** Live sharded-latency-memo entries (epoch-hygiene tests). */
-    size_t shardMemoEntries() const;
-    /** Live sampled-row-memo entries (epoch-hygiene tests). */
-    size_t sampledMemoEntries() const;
-
     /**
      * Hot-swap: rebuild the artifact for @p key from scratch (through
      * the full pipeline, bypassing the store) and atomically install it
@@ -293,9 +287,9 @@ class ServingEngine
                              const dyn::GraphDelta &delta);
 
     /**
-     * Persist the resident bundle for @p key — plus every memoized logit
-     * matrix computed against its current epoch — to the store. Returns
-     * false when storeDir is empty or the key is not resident.
+     * Persist the resident bundle for @p key — plus every logit matrix
+     * in its epoch's memo — to the store. Returns false when storeDir
+     * is empty or the key is not resident.
      */
     bool saveArtifact(const ArtifactKey &key);
 
@@ -318,18 +312,36 @@ class ServingEngine
     void runBatch(Batch &&batch);
 
     /**
-     * Logits of one host execution pass over @p bundle at @p bits (32 =
-     * fp32 reference; otherwise the bundle's quantized pack). Full-batch
-     * inference over fixed features is request-independent, so the pass
-     * runs once per (artifact, version, precision) and is memoized —
-     * keying on the epoch @p version means logits computed against one
-     * published bundle are never served for another. Store-restored
-     * logits (bundle->storedLogits) short-circuit the pass entirely.
-     * Null when the bundle carries no host execution state.
+     * Resolve @p p with @p reply (its id and tier filled in here): count
+     * it in the stats unless @p outcome is "rejected" (turned away at
+     * shutdown), record its root "request" span, and only then fulfil
+     * the promise, so a client that wakes on the reply sees both.
+     * @p batch is the batch span of a request that reached a worker (its
+     * span then names the artifact and links the batch); null for a
+     * request resolved at admission.
      */
-    std::shared_ptr<const Matrix>
-    logitsFor(const std::shared_ptr<const ArtifactBundle> &bundle,
-              uint64_t version, int bits, uint64_t trace_parent = 0);
+    void resolve(PendingRequest &p, InferenceReply reply,
+                 const char *outcome, const obs::ScopedSpan *batch = nullptr);
+
+    /**
+     * Route one batch over @p epoch under a "route" span, pricing the
+     * epoch's backends into its memo on the first batch.
+     */
+    RouteDecision routeBatch(const ArtifactCache::Lookup &epoch,
+                             SloTier tier, uint64_t trace_parent);
+
+    /**
+     * Logits of one host execution pass over @p epoch's bundle at
+     * @p bits (32 = fp32 reference; otherwise the bundle's quantized
+     * pack). Full-batch inference over fixed features is
+     * request-independent, so the pass runs once per epoch and
+     * precision, into the epoch's memo. Store-restored logits
+     * (bundle->storedLogits) short-circuit the pass entirely. Null when
+     * the bundle carries no host execution state.
+     */
+    std::shared_ptr<const Matrix> logitsFor(const ArtifactCache::Lookup &epoch,
+                                            int bits,
+                                            uint64_t trace_parent = 0);
 
     /**
      * Logits row of stand-in node @p target under one
@@ -342,20 +354,21 @@ class ServingEngine
      * layer row, over sampledMemoFor's seed-invariant rows. Throws
      * (runtime_error) for non-Mean model families.
      */
-    Matrix sampledLogits(const ArtifactBundle &bundle, uint64_t version,
-                         int bits, int fanout, uint64_t seed,
-                         NodeId target, uint64_t trace_parent = 0);
+    Matrix sampledLogits(const ArtifactCache::Lookup &epoch, int bits,
+                         int fanout, uint64_t seed, NodeId target,
+                         uint64_t trace_parent = 0);
 
     /**
-     * The seed-invariant rows of @p bundle's int8 (or other sub-32-bit)
-     * sampled passes at @p fanout, memoized per (artifact, version,
-     * bits, fanout). Built by the first rider that needs it — never at
-     * artifact build or publish — under a "sampled.memo.build" span;
-     * @p hit reports whether it already existed.
+     * The seed-invariant rows of @p epoch's int8 (or other sub-32-bit)
+     * sampled passes at @p fanout, kept in the epoch's memo (at most
+     * EpochMemo::kMaxSampledMemos at once). Built by the first rider
+     * that needs it — never at artifact build or publish — under a
+     * "sampled.memo.build" span; @p hit reports whether it already
+     * existed.
      */
     std::shared_ptr<const SampledQuantMemo>
-    sampledMemoFor(const ArtifactBundle &bundle, uint64_t version, int bits,
-                   int fanout, uint64_t trace_parent, bool &hit);
+    sampledMemoFor(const ArtifactCache::Lookup &epoch, int bits, int fanout,
+                   uint64_t trace_parent, bool &hit);
 
     ServeOptions opts_;
     uint64_t optionsHash_;
@@ -397,42 +410,6 @@ class ServingEngine
     std::atomic<uint64_t> pending_{0};
     std::mutex drainMu_;
     std::condition_variable drainCv_;
-
-    /**
-     * Memoized sharded-path latency per (artifact, version): the
-     * schedule is deterministic in (plan, units, spec, density, fleet),
-     * all fixed per bundle epoch, so recomputing the shard-by-chip cost
-     * grid every batch would be pure hot-path waste (mirrors
-     * BackendRouter's estimate memo on the single-chip path). Stale
-     * versions are pruned when a new epoch is published.
-     */
-    mutable std::mutex shardMemoMu_;
-    std::map<std::pair<ArtifactKey, uint64_t>, double> shardMemo_;
-
-    /**
-     * Memoized host-execution logits per (artifact, version, precision).
-     * Bounded: when the entry count reaches the cache capacity times
-     * the served precisions, entries whose artifact is no longer
-     * cache-resident are pruned, so the memo cannot outgrow the
-     * ArtifactCache's own memory bound under rotating traffic. Publish
-     * prunes the replaced version's entries eagerly.
-     */
-    mutable std::mutex execMemoMu_;
-    std::map<std::tuple<ArtifactKey, uint64_t, int>,
-             std::shared_ptr<const Matrix>>
-        execMemo_;
-
-    /**
-     * Sampled-row memos per (artifact, version, bits, fanout), pruned
-     * like execMemo_ (eagerly on publish, evicted artifacts at
-     * capacity). A memo points into its bundle's quantized pack; the
-     * version in its key is unique to that bundle, and a rider holds
-     * the bundle while it reads the memo.
-     */
-    mutable std::mutex sampledMemoMu_;
-    std::map<std::tuple<ArtifactKey, uint64_t, int, int>,
-             std::shared_ptr<const SampledQuantMemo>>
-        sampledMemo_;
 
     std::vector<std::thread> workers_;
     std::atomic<bool> stopped_{false};

@@ -257,8 +257,9 @@ TEST(CircuitBreakerTest, TripsProbesAndClosesThroughTheLifecycle)
     health.tripThreshold = 2;
     health.cooldownSeconds = 0.01;
     BackendRouter router({"GCoD", "HyGCN"}, health);
+    const std::vector<double> est = router.estimateAll(*bundle);
 
-    int favorite = router.choose(*bundle).backend;
+    int favorite = router.choose(est).backend;
     int other = 1 - favorite;
     EXPECT_EQ(router.healthyCount(), 2);
 
@@ -275,19 +276,19 @@ TEST(CircuitBreakerTest, TripsProbesAndClosesThroughTheLifecycle)
     EXPECT_EQ(router.healthState(favorite), HealthState::Open);
     EXPECT_EQ(router.trips(favorite), 1u);
     EXPECT_EQ(router.healthyCount(), 1);
-    RouteDecision d = router.choose(*bundle);
+    RouteDecision d = router.choose(est);
     EXPECT_EQ(d.backend, other);
     EXPECT_FALSE(d.probe);
 
     // After the cooldown the tripped backend gets a single half-open
     // probe...
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    RouteDecision probe = router.choose(*bundle);
+    RouteDecision probe = router.choose(est);
     EXPECT_EQ(probe.backend, favorite);
     EXPECT_TRUE(probe.probe);
     EXPECT_EQ(router.healthState(favorite), HealthState::HalfOpen);
     // ...and only one: the next batch routes around the probe in flight.
-    RouteDecision during = router.choose(*bundle);
+    RouteDecision during = router.choose(est);
     EXPECT_EQ(during.backend, other);
 
     // A failed probe re-opens immediately.
@@ -297,7 +298,7 @@ TEST(CircuitBreakerTest, TripsProbesAndClosesThroughTheLifecycle)
 
     // A successful probe closes the breaker for good.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    RouteDecision again = router.choose(*bundle);
+    RouteDecision again = router.choose(est);
     EXPECT_TRUE(again.probe);
     router.recordSuccess(favorite);
     EXPECT_EQ(router.healthState(favorite), HealthState::Closed);
@@ -314,6 +315,7 @@ TEST(CircuitBreakerTest, AllBackendsTrippedStillRoutesSomewhere)
     health.tripThreshold = 1;
     health.cooldownSeconds = 60.0; // no probe within this test
     BackendRouter router({"GCoD", "HyGCN"}, health);
+    const std::vector<double> est = router.estimateAll(*bundle);
 
     router.recordFailure(0);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -322,12 +324,12 @@ TEST(CircuitBreakerTest, AllBackendsTrippedStillRoutesSomewhere)
 
     // Routing must never hard-fail: with every breaker open the
     // least-recently-tripped backend is drafted back in.
-    RouteDecision d = router.choose(*bundle);
+    RouteDecision d = router.choose(est);
     EXPECT_EQ(d.backend, 0);
 
     // Latency traffic never rides a probe while healthy chips exist,
     // but with none left it takes the forced pick too.
-    RouteDecision lat = router.choose(*bundle, SloTier::Latency);
+    RouteDecision lat = router.choose(est, SloTier::Latency);
     EXPECT_GE(lat.backend, 0);
 }
 

@@ -54,13 +54,13 @@ TEST(HotSwapCacheTest, PublishBumpsVersionAndRetiresOldEpoch)
     ArtifactCache cache(4, fakeBuilder());
     ArtifactCache::Lookup first = cache.get(key("Cora"));
     EXPECT_GT(first.version, 0u);
-    EXPECT_EQ(cache.residentVersion(key("Cora")), first.version);
+    EXPECT_EQ(cache.peekEpoch(key("Cora")).version, first.version);
 
     auto fresh = std::make_shared<ArtifactBundle>();
     fresh->key = key("Cora");
     uint64_t v2 = cache.publish(key("Cora"), fresh);
     EXPECT_GT(v2, first.version);
-    EXPECT_EQ(cache.residentVersion(key("Cora")), v2);
+    EXPECT_EQ(cache.peekEpoch(key("Cora")).version, v2);
     EXPECT_EQ(cache.size(), 1u);
 
     // New lookups see the new epoch; the old one sits retired while we
@@ -75,6 +75,34 @@ TEST(HotSwapCacheTest, PublishBumpsVersionAndRetiresOldEpoch)
     first.bundle.reset();
     EXPECT_EQ(cache.reclaimRetired(), 1u);
     EXPECT_EQ(cache.retiredCount(), 0u);
+}
+
+TEST(HotSwapCacheTest, EveryEpochOwnsAFreshMemoThatDiesWithIt)
+{
+    ArtifactCache cache(1, fakeBuilder());
+    ArtifactCache::Lookup built = cache.get(key("Cora"));
+    ASSERT_NE(built.memo, nullptr);
+    EXPECT_EQ(cache.get(key("Cora")).memo, built.memo);
+    EXPECT_EQ(cache.peekEpoch(key("Cora")).memo, built.memo);
+
+    // Republishing the resident bundle still starts a new epoch.
+    std::weak_ptr<EpochMemo> first = built.memo;
+    cache.publish(key("Cora"), built.bundle);
+    ArtifactCache::Lookup republished = cache.get(key("Cora"));
+    EXPECT_EQ(republished.bundle, built.bundle);
+    EXPECT_NE(republished.memo, built.memo);
+    built = {};
+    EXPECT_TRUE(first.expired());
+
+    // Eviction and clear() drop the memo with the entry.
+    std::weak_ptr<EpochMemo> second = republished.memo;
+    republished = {};
+    cache.get(key("CiteSeer"));
+    EXPECT_TRUE(second.expired());
+    std::weak_ptr<EpochMemo> third = cache.peekEpoch(key("CiteSeer")).memo;
+    cache.clear();
+    EXPECT_TRUE(third.expired());
+    EXPECT_EQ(cache.peekEpoch(key("CiteSeer")).bundle, nullptr);
 }
 
 TEST(HotSwapCacheTest, PublishOnAbsentKeyInserts)
@@ -117,14 +145,14 @@ TEST(HotSwapEngineTest, SameSeedPublishKeepsPredictionsIdentical)
     std::vector<int> before;
     for (int n = 0; n < 6; ++n)
         before.push_back(predict(n));
-    uint64_t v1 = engine.cache().residentVersion(k);
+    uint64_t v1 = engine.cache().peekEpoch(k).version;
     ASSERT_GT(v1, 0u);
 
     // Same options + seed => the rebuilt artifact is semantically
     // identical; the swap must be invisible to clients.
     uint64_t v2 = engine.publishArtifact(k);
     EXPECT_GT(v2, v1);
-    EXPECT_EQ(engine.cache().residentVersion(k), v2);
+    EXPECT_EQ(engine.cache().peekEpoch(k).version, v2);
     for (int n = 0; n < 6; ++n)
         EXPECT_EQ(predict(n), before[size_t(n)]) << "node " << n;
 

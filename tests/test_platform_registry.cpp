@@ -255,7 +255,7 @@ TEST(PlatformRegistry, TestTuPlatformIsConstructibleAndRoutable)
                      256.0);
 
     BackendRouter router({"TestChip-900"});
-    RouteDecision d = router.choose(*coraBundle());
+    RouteDecision d = router.choose(router.estimateAll(*coraBundle()));
     EXPECT_EQ(d.backend, 0);
     EXPECT_EQ(d.name, "TestChip-900");
     EXPECT_GT(d.estimatedSeconds, 0.0);

@@ -5,7 +5,8 @@
  * sampled pass (buildSampledExecution + referenceForward at fp32,
  * quantizeSampled + quantizedForwardMixed at int8), the row pass the
  * engine runs is memcmp-identical to that row, the int8 memo follows
- * streamed updates and publishes, and a negative fanout is an error.
+ * streamed updates and publishes, an epoch keeps a bounded number of
+ * fanout memos, and a negative fanout is an error.
  */
 #include <gtest/gtest.h>
 
@@ -148,6 +149,15 @@ checkEngineParity(ServingEngine &engine, const std::string &model,
     return futs.size();
 }
 
+/** Sampled memos in @p key's resident epoch. */
+size_t
+epochSampledMemos(ServingEngine &engine, const ArtifactKey &key)
+{
+    std::shared_ptr<EpochMemo> memo = engine.cache().peekEpoch(key).memo;
+    std::lock_guard<std::mutex> lock(memo->mu);
+    return memo->sampled.size();
+}
+
 } // namespace
 
 TEST(SampledServing, RepliesMatchTheFullSampledPass)
@@ -171,11 +181,14 @@ TEST(SampledServing, RepliesMatchTheFullSampledPass)
 
 TEST(SampledServing, Int8MemoFollowsUpdatesAndPublishes)
 {
-    ServingEngine engine(sampledOptions("GCoD@bits=8"));
+    ServeOptions opts = sampledOptions("GCoD@bits=8");
+    opts.traceLevel = 1;
+    ServingEngine engine(opts);
     const ArtifactKey key = engine.keyFor("Cora", "GCN");
     const int fanout = 3;
     EXPECT_GT(checkEngineParity(engine, "GCN", fanout, {5}), 0u);
-    EXPECT_EQ(engine.sampledMemoEntries(), 1u);
+    EXPECT_EQ(epochSampledMemos(engine, key), 1u);
+    std::weak_ptr<EpochMemo> cold = engine.cache().peekEpoch(key).memo;
 
     // Lift a leaf past the fanout: its layer-0 row turns seed-dependent.
     auto before = engine.cache().peek(key);
@@ -193,8 +206,9 @@ TEST(SampledServing, Int8MemoFollowsUpdatesAndPublishes)
         }
     ServingEngine::UpdateResult up = engine.applyUpdate(key, d);
     ASSERT_FALSE(up.noop);
-    EXPECT_EQ(engine.sampledMemoEntries(), 0u)
+    EXPECT_TRUE(cold.expired())
         << "publishing an update must drop the old epoch's memo";
+    EXPECT_EQ(epochSampledMemos(engine, key), 0u);
     auto after = engine.cache().peek(key);
     EXPECT_GT(after->synth.graph.adjacency().rowNnz(leaf), fanout);
 
@@ -219,10 +233,36 @@ TEST(SampledServing, Int8MemoFollowsUpdatesAndPublishes)
     }
     EXPECT_GT(checkEngineParity(engine, "GCN", fanout, {5, 6}), 0u);
 
+    // A publish starts a new epoch: its first rider rebuilds the memo.
     engine.publishArtifact(key);
-    EXPECT_EQ(engine.sampledMemoEntries(), 0u);
+    EXPECT_EQ(epochSampledMemos(engine, key), 0u);
+    engine.trace().clear();
     EXPECT_GT(checkEngineParity(engine, "GCN", fanout, {5, 6}), 0u);
-    EXPECT_EQ(engine.sampledMemoEntries(), 1u);
+    EXPECT_EQ(epochSampledMemos(engine, key), 1u);
+    std::vector<std::string> memoAttrs;
+    for (const obs::TraceSpan &s : engine.trace().snapshot())
+        if (s.name == "host.exec.sampled")
+            for (const auto &[k, v] : s.attrs)
+                if (k == "memo")
+                    memoAttrs.push_back(v);
+    ASSERT_FALSE(memoAttrs.empty());
+    EXPECT_EQ(memoAttrs.front(), "built");
+    EXPECT_EQ(std::count(memoAttrs.begin(), memoAttrs.end(), "hit"),
+              std::ptrdiff_t(memoAttrs.size() - 1));
+}
+
+TEST(SampledServing, DistinctFanoutsPastTheBoundStartTheMemoOver)
+{
+    ServingEngine engine(sampledOptions("GCoD@bits=8"));
+    const ArtifactKey key = engine.keyFor("Cora", "GCN");
+    const int fanouts = int(EpochMemo::kMaxSampledMemos) + 2;
+    for (int fanout = 1; fanout <= fanouts; ++fanout) {
+        EXPECT_GT(checkEngineParity(engine, "GCN", fanout, {9}), 0u);
+        EXPECT_LE(epochSampledMemos(engine, key),
+                  EpochMemo::kMaxSampledMemos);
+    }
+    // A full table starts over: only the fanouts after the bound remain.
+    EXPECT_EQ(epochSampledMemos(engine, key), 2u);
 }
 
 TEST(SampledServing, NegativeFanoutIsAnErrorNamingTheField)

@@ -341,14 +341,17 @@ TEST(BackendRouterTest, DeterministicChoiceAndPositiveEstimates)
                                             hashGcodOptions(opts)},
                                 opts, 0.25, 11);
     BackendRouter router({"GCoD", "HyGCN", "AWB-GCN"});
-    RouteDecision first = router.choose(*bundle);
+    const std::vector<double> est = router.estimateAll(*bundle);
+    RouteDecision first = router.choose(est);
     for (int i = 0; i < 5; ++i) {
-        RouteDecision again = router.choose(*bundle);
+        RouteDecision again = router.choose(est);
         EXPECT_EQ(again.backend, first.backend);
         EXPECT_EQ(again.name, first.name);
     }
-    for (int i = 0; i < int(router.numBackends()); ++i)
+    for (int i = 0; i < int(router.numBackends()); ++i) {
         EXPECT_GT(router.estimateSeconds(i, *bundle), 0.0);
+        EXPECT_EQ(est[size_t(i)], router.estimateSeconds(i, *bundle));
+    }
 }
 
 TEST(BackendRouterTest, QueueDepthPenaltyShedsLoad)
@@ -358,11 +361,12 @@ TEST(BackendRouterTest, QueueDepthPenaltyShedsLoad)
                                             hashGcodOptions(opts)},
                                 opts, 0.25, 11);
     BackendRouter router({"GCoD", "HyGCN", "AWB-GCN"});
-    int favorite = router.choose(*bundle).backend;
+    const std::vector<double> est = router.estimateAll(*bundle);
+    int favorite = router.choose(est).backend;
     // Pile enough depth onto the favorite and it must yield.
     for (int i = 0; i < 1000; ++i)
         router.beginDispatch(favorite, 0.0);
-    EXPECT_NE(router.choose(*bundle).backend, favorite);
+    EXPECT_NE(router.choose(est).backend, favorite);
     for (int i = 0; i < 1000; ++i)
         router.endDispatch(favorite);
 }
@@ -374,9 +378,10 @@ TEST(BackendRouterTest, LeastWorkRoutingSpreadsSteadyTraffic)
                                             hashGcodOptions(opts)},
                                 opts, 0.25, 11);
     BackendRouter router({"GCoD", "HyGCN", "AWB-GCN"});
+    const std::vector<double> est = router.estimateAll(*bundle);
     std::set<int> used;
     for (int i = 0; i < 200; ++i) {
-        RouteDecision d = router.choose(*bundle);
+        RouteDecision d = router.choose(est);
         router.beginDispatch(d.backend, d.estimatedSeconds);
         router.endDispatch(d.backend);
         used.insert(d.backend);

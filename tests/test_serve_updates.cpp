@@ -3,8 +3,9 @@
  * Streamed-update serving tests: ServingEngine::applyUpdate() publishes
  * incrementally rebuilt epochs whose logits match a from-scratch forward
  * over the final graph, swaps drop zero requests under concurrent load,
- * and repeated publishes leave no retired-epoch or memo debris
- * (ArtifactCache hygiene).
+ * repeated publishes leave no retired-epoch or memo debris
+ * (ArtifactCache hygiene), and a batch after an update routes on the
+ * updated epoch's cost estimate.
  */
 #include <gtest/gtest.h>
 
@@ -75,7 +76,7 @@ TEST(ServeUpdates, ApplyUpdatePublishesAnEpochWithExactLogits)
     auto before = engine.submit({0, "Cora", "GCN", 0});
     engine.drain();
     ASSERT_TRUE(before.get().ok());
-    uint64_t v0 = engine.cache().residentVersion(key);
+    uint64_t v0 = engine.cache().peekEpoch(key).version;
     auto bundle0 = engine.cache().peek(key);
     ASSERT_NE(bundle0, nullptr);
     EdgeOffset edges0 = bundle0->synth.graph.numEdges();
@@ -190,10 +191,14 @@ TEST(ServeUpdates, ZeroDropsUnderConcurrentUpdateStream)
 // ----------------------------------------------------- epoch hygiene
 TEST(ServeUpdates, RapidPublishesLeaveOneLiveVersionAndNoMemoDebris)
 {
-    ServingEngine engine(engineOptions());
+    ServeOptions opts = engineOptions();
+    opts.cacheCapacity = 1;
+    ServingEngine engine(opts);
     ArtifactKey key = engine.keyFor("Cora", "GCN");
 
-    // Populate the execution memo against the cold epoch.
+    // Logits computed for the cold epoch live in its memo, and die with it.
+    std::weak_ptr<const Matrix> cold = engine.peekLogits(key, 32);
+    ASSERT_FALSE(cold.expired());
     auto f = engine.submit({0, "Cora", "GCN", 0});
     engine.drain();
     ASSERT_TRUE(f.get().ok());
@@ -204,17 +209,67 @@ TEST(ServeUpdates, RapidPublishesLeaveOneLiveVersionAndNoMemoDebris)
         engine.applyUpdate(key, toggleDelta(bundle->synth.graph, 3,
                                             uint64_t(40 + i)));
     }
+    engine.drain();
+    EXPECT_TRUE(cold.expired()) << "a publish must drop the old epoch's memo";
     engine.reclaimRetiredArtifacts();
     EXPECT_EQ(engine.cache().retiredCount(), 0u);
     EXPECT_EQ(engine.cache().size(), 1u);
 
-    // Memoized logits may only reference the resident version; with the
-    // bundle's own storedLogits prefilled, nothing stale accumulates.
-    uint64_t live = engine.cache().residentVersion(key);
-    EXPECT_GT(live, 0u);
-    EXPECT_LE(engine.execMemoEntries(),
-              engine.quantBits().size() + 1);
+    // A full rebuild carries no stored logits, so peekLogits fills its
+    // memo; even a republish of that very bundle starts an empty one.
+    engine.publishArtifact(key);
+    std::weak_ptr<const Matrix> fresh = engine.peekLogits(key, 32);
+    ASSERT_FALSE(fresh.expired());
+    engine.publishArtifact(key, engine.cache().peek(key));
+    engine.drain();
+    EXPECT_TRUE(fresh.expired());
+
+    // Eviction frees the memo with the entry.
+    std::weak_ptr<const Matrix> evicted = engine.peekLogits(key, 32);
+    ASSERT_FALSE(evicted.expired());
+    engine.peekLogits(engine.keyFor("CiteSeer", "GCN"), 32);
+    EXPECT_FALSE(engine.cache().contains(key));
+    EXPECT_TRUE(evicted.expired());
     engine.shutdown();
+}
+
+TEST(ServeUpdates, BatchesAfterAnUpdateRouteOnTheNewEpochsEstimate)
+{
+    ServeOptions opts = engineOptions();
+    opts.backends = {"HyGCN"};
+    opts.traceLevel = 1;
+    ServingEngine engine(opts);
+    ArtifactKey key = engine.keyFor("Cora", "GCN");
+    auto routedEstimate = [&] {
+        engine.trace().clear();
+        EXPECT_TRUE(engine.submit({0, "Cora", "GCN", 0}).get().ok());
+        for (const obs::TraceSpan &s : engine.trace().snapshot())
+            if (s.name == "route")
+                for (const auto &[k, v] : s.attrs)
+                    if (k == "estimate_s")
+                        return std::stod(v);
+        ADD_FAILURE() << "no route span with an estimate";
+        return 0.0;
+    };
+
+    const double before = routedEstimate();
+    auto bundle0 = engine.cache().peek(key);
+    Rng rng(3);
+    dyn::GraphDelta d;
+    const NodeId n = bundle0->synth.graph.numNodes();
+    for (int i = 0; i < 3000; ++i) {
+        NodeId u = NodeId(rng.uniformInt(0, n - 1));
+        NodeId v = NodeId(rng.uniformInt(0, n - 1));
+        if (u != v)
+            d.insertEdge(u, v);
+    }
+    ASSERT_FALSE(engine.applyUpdate(key, d).noop);
+    auto after = engine.cache().peek(key);
+    ASSERT_GT(after->raw.adj.nnz, bundle0->raw.adj.nnz);
+
+    const double expected = BackendRouter({"HyGCN"}).estimateSeconds(0, *after);
+    EXPECT_GT(expected, before * 1.1);
+    EXPECT_NEAR(routedEstimate(), expected, expected * 1e-8);
 }
 
 TEST(ServeUpdates, RepublishingTheResidentBundleRetiresNothing)
@@ -232,7 +287,7 @@ TEST(ServeUpdates, RepublishingTheResidentBundleRetiresNothing)
     EXPECT_EQ(cache.retiredCount(), 0u);
     EXPECT_EQ(cache.reclaimRetired(), 0u);
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.residentVersion(key), last);
+    EXPECT_EQ(cache.peekEpoch(key).version, last);
 
     // A genuinely new bundle still retires the old epoch exactly once.
     auto fresh = std::make_shared<ArtifactBundle>();

@@ -119,10 +119,11 @@ TEST(SloRouterTest, BestEffortAvoidsTheFastestBackend)
     auto bundle = buildArtifact(
         ArtifactKey{"Cora", "GCN", hashGcodOptions(gopts)}, gopts, 0.25);
     BackendRouter router({"GCoD", "HyGCN"});
+    const std::vector<double> est = router.estimateAll(*bundle);
 
-    RouteDecision latency = router.choose(*bundle, SloTier::Latency);
-    RouteDecision standard = router.choose(*bundle, SloTier::Standard);
-    RouteDecision effort = router.choose(*bundle, SloTier::BestEffort);
+    RouteDecision latency = router.choose(est, SloTier::Latency);
+    RouteDecision standard = router.choose(est, SloTier::Standard);
+    RouteDecision effort = router.choose(est, SloTier::BestEffort);
     ASSERT_GE(latency.backend, 0);
     ASSERT_GE(effort.backend, 0);
     // Idle router: latency and standard both race to the cheapest
