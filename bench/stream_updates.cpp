@@ -16,7 +16,10 @@
  *      deltas (default 8 edges, well under 1% of the graph). Reports
  *      mean/max update latency, the dirty-row fraction per layer pass
  *      (staleness: how much of the epoch had to be recomputed), and the
- *      speedup over the full-rebuild baseline.
+ *      speedup over the full-rebuild baseline. Then, per model family
+ *      (GCN, GraphSAGE, GIN, GAT, ResGCN) over the resident graph and
+ *      features, the median dyn::IncrementalForward::applied() time
+ *      over the same deltas at one thread (`incremental_by_family`).
  *   3. Concurrent serving — a writer thread streams updates while
  *      open-loop requests are submitted; the epoch hot-swap contract
  *      means zero requests may drop or fail, and every retired epoch
@@ -30,16 +33,22 @@
  * incremental update >= 5x faster than a full rebuild for these small
  * deltas, and zero dropped requests during concurrent swaps. It also
  * exits 1 unless the resident fp32 logits after phase 2 memcmp-equal a
- * full referenceForward of that epoch.
+ * full referenceForward of that epoch, or unless every family's
+ * incremental logits after its stream memcmp-equal a full
+ * referenceForward of its last epoch.
  */
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "dyn/delta.hpp"
+#include "dyn/dyn_state.hpp"
+#include "dyn/incremental_forward.hpp"
 #include "serve/engine.hpp"
 #include "sim/rng.hpp"
 
@@ -75,6 +84,82 @@ toggleDelta(const Graph &g, int count, uint64_t seed)
             d.insertEdge(u, v);
     }
     return d;
+}
+
+/** Same shape and the same float bytes. */
+bool
+sameBytes(const Matrix &a, const Matrix &b)
+{
+    return a.sameShape(b) &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       b.data().size() * sizeof(float)) == 0;
+}
+
+/** One family's incremental recompute over the update stream. */
+struct FamilyStream
+{
+    std::string family;
+    size_t updates = 0;
+    double medianMs = 0.0;
+    double meanRows = 0.0;
+    /** Final logits memcmp-equal a full pass (always true unchecked). */
+    bool logitsMatch = true;
+};
+
+/**
+ * dyn::IncrementalForward::applied() for every recipe family over
+ * @p g0 and @p x, at one thread: a freshly initialized model per
+ * family, then the same edge-toggle deltas the stream applies
+ * (seeds 1000 + i). Only applied() is timed.
+ */
+std::vector<FamilyStream>
+incrementalByFamily(const Graph &g0, const Matrix &x, int classes,
+                    int updates, int batch_edges, bool check)
+{
+    const int threadsBefore = currentThreads();
+    setThreads(1);
+    std::vector<FamilyStream> out;
+    for (const char *family : {"GCN", "GraphSAGE", "GIN", "GAT", "ResGCN"}) {
+        FamilyStream fs;
+        fs.family = family;
+        Rng wrng(7);
+        GnnModel model =
+            makeModel(family, int(x.cols()), classes, false, wrng);
+        dyn::DynState st(g0, {});
+        std::optional<GraphContext> ctx;
+        ctx.emplace(st.graph(), st.normalized(), st.rowMean());
+        ForwardRecipe recipe = forwardRecipeFor(model, *ctx);
+        dyn::IncrementalForward fwd =
+            dyn::IncrementalForward::fromScratch(recipe, x);
+        std::vector<double> ms;
+        size_t rows = 0;
+        for (int i = 0; i < updates; ++i) {
+            dyn::DynUpdateStats us = st.apply(
+                toggleDelta(st.graph(), batch_edges, uint64_t(1000 + i)));
+            if (us.applied.noop())
+                continue;
+            ctx.emplace(st.graph(), st.normalized(), st.rowMean());
+            recipe = forwardRecipeFor(model, *ctx);
+            Clock::time_point t0 = Clock::now();
+            dyn::IncrementalForward next = fwd.applied(recipe, x, us.dirty);
+            ms.push_back(secondsSince(t0) * 1e3);
+            rows += next.lastDirtyRows();
+            fwd = std::move(next);
+        }
+        fs.updates = ms.size();
+        if (!ms.empty()) {
+            std::sort(ms.begin(), ms.end());
+            const size_t h = ms.size() / 2;
+            fs.medianMs = ms.size() % 2 ? ms[h] : 0.5 * (ms[h - 1] + ms[h]);
+            fs.meanRows = double(rows) / double(ms.size());
+        }
+        if (check)
+            fs.logitsMatch =
+                sameBytes(fwd.logits(), referenceForward(recipe, x));
+        out.push_back(fs);
+    }
+    setThreads(threadsBefore);
+    return out;
 }
 
 /** The bench body; returns 1 when check=1 finds wrong logits. */
@@ -165,9 +250,16 @@ streamUpdates(Config &cfg)
         const Matrix &stored = bundle->storedLogits.at(32);
         const Matrix full =
             referenceForward(bundle->hostRecipe, bundle->hostFeatures);
-        logitsMatch = stored.sameShape(full) &&
-                      std::memcmp(stored.data().data(), full.data().data(),
-                                  full.data().size() * sizeof(float)) == 0;
+        logitsMatch = sameBytes(stored, full);
+    }
+
+    std::vector<FamilyStream> families;
+    {
+        auto bundle = engine.cache().peek(key);
+        families = incrementalByFamily(
+            bundle->synth.graph, bundle->hostFeatures,
+            int(bundle->spec.layers.back().outDim), updates, batchEdges,
+            check != 0);
     }
 
     // ---- Phase 3: concurrent serving under a live update stream ------
@@ -237,6 +329,16 @@ streamUpdates(Config &cfg)
     t.row({"dyn epochs stacked", std::to_string(lastDynEpoch)});
     t.print(std::cout);
 
+    Table f("Streamed updates | IncrementalForward::applied() per family "
+            "(1 thread)");
+    f.header({"family", "median ms", "mean rows", "updates", "logits"});
+    for (const FamilyStream &fs : families)
+        f.row({fs.family, formatNumber(fs.medianMs),
+               formatNumber(fs.meanRows), std::to_string(fs.updates),
+               check != 0 ? (fs.logitsMatch ? "match" : "DIFFER")
+                          : "unchecked"});
+    f.print(std::cout);
+
     Table c("Streamed updates | serving during a live update stream");
     c.header({"metric", "value"});
     c.row({"requests", std::to_string(requests)});
@@ -274,6 +376,11 @@ streamUpdates(Config &cfg)
         .set("mean_dirty_row_fraction", meanDirtyFraction)
         .set("mean_recomputed_rows",
              double(sumRecomputed) / double(applied));
+    JsonEmitter::Entry &byFamily = json.add("incremental_by_family");
+    byFamily.set("threads", int64_t(1)).set("batch_edges", batchEdges);
+    for (const FamilyStream &fs : families)
+        byFamily.set(fs.family + "_applied_ms", fs.medianMs)
+            .set(fs.family + "_mean_rows", fs.meanRows);
     json.add("concurrent_serving")
         .set("requests", requests)
         .set("completed_ok", int64_t(ok))
@@ -297,6 +404,14 @@ streamUpdates(Config &cfg)
                     dropped);
         GCOD_ASSERT(retiredLeft == 0,
                     "retired epochs leaked after drain: ", retiredLeft);
+        for (const FamilyStream &fs : families)
+            if (!fs.logitsMatch) {
+                std::fprintf(stderr,
+                             "FAIL: %s incremental fp32 logits differ from "
+                             "a full referenceForward of its last epoch\n",
+                             fs.family.c_str());
+                return 1;
+            }
         if (!logitsMatch) {
             std::fprintf(stderr,
                          "FAIL: incremental fp32 logits of dyn epoch %llu "

@@ -24,20 +24,6 @@ DirtyRegion::of(NodeId num_nodes, std::vector<NodeId> seeds)
 }
 
 DirtyRegion
-DirtyRegion::expanded(const Graph &g) const
-{
-    GCOD_ASSERT(g.numNodes() == numNodes,
-                "dirty region / graph node-space mismatch");
-    std::vector<NodeId> seeds = nodes;
-    for (NodeId v : nodes)
-        g.adjacency().forEachInRow(v, [&](NodeId w, float) {
-            if (!mask[size_t(w)])
-                seeds.push_back(w);
-        });
-    return of(numNodes, std::move(seeds));
-}
-
-DirtyRegion
 operatorDirty(const Graph &old_graph, const Graph &new_graph,
               const std::vector<NodeId> &touched)
 {
@@ -51,23 +37,6 @@ operatorDirty(const Graph &old_graph, const Graph &new_graph,
             v, [&](NodeId w, float) { seeds.push_back(w); });
     }
     return DirtyRegion::of(new_graph.numNodes(), std::move(seeds));
-}
-
-std::vector<DirtyRegion>
-dirtyLevels(const DirtyRegion &d0, const Graph &new_graph, int num_layers)
-{
-    GCOD_ASSERT(num_layers >= 1, "dirtyLevels needs at least one layer");
-    std::vector<DirtyRegion> levels;
-    levels.reserve(size_t(num_layers));
-    levels.push_back(d0);
-    for (int l = 1; l < num_layers; ++l) {
-        // Saturated: once everything is dirty further hops are free.
-        if (levels.back().count() == size_t(levels.back().numNodes))
-            levels.push_back(levels.back());
-        else
-            levels.push_back(levels.back().expanded(new_graph));
-    }
-    return levels;
 }
 
 } // namespace gcod::dyn

@@ -6,11 +6,10 @@
  * adjacency Â = D^{-1/2}(A+I)D^{-1/2} changes when r's own pattern or
  * degree changes, or when any neighbour's degree changes (the entry value
  * couples both endpoints' inverse-sqrt degrees). That is exactly
- * touched ∪ N_old(touched) ∪ N_new(touched). Each GCN layer then
- * propagates dirtiness one hop: dirty(H_{l+1}) = D0 ∪ N_new(dirty(H_l)),
- * computed here as closed one-hop expansions over the *new* graph. The
- * sets are supersets for value-dependence (never subsets), so per-row
- * recompute over them is always sound.
+ * touched ∪ N_old(touched) ∪ N_new(touched). Each layer then propagates
+ * dirtiness one closed hop over the *new* graph (dirtyPlan in
+ * incremental_forward.hpp). The sets are supersets for value-dependence
+ * (never subsets), so per-row recompute over them is always sound.
  */
 #ifndef GCOD_DYN_DIRTY_HPP
 #define GCOD_DYN_DIRTY_HPP
@@ -42,9 +41,6 @@ struct DirtyRegion
     {
         return numNodes ? double(nodes.size()) / double(numNodes) : 0.0;
     }
-
-    /** Closed one-hop expansion: this ∪ N_g(this). */
-    DirtyRegion expanded(const Graph &g) const;
 };
 
 /**
@@ -53,15 +49,6 @@ struct DirtyRegion
  */
 DirtyRegion operatorDirty(const Graph &old_graph, const Graph &new_graph,
                           const std::vector<NodeId> &touched);
-
-/**
- * Per-layer dirty sets for an @p num_layers deep model: levels[0] = D0,
- * levels[l] = levels[l-1] expanded one closed hop in @p new_graph.
- * levels[l] covers the rows of layer l's *output* that may change.
- */
-std::vector<DirtyRegion> dirtyLevels(const DirtyRegion &d0,
-                                     const Graph &new_graph,
-                                     int num_layers);
 
 } // namespace gcod::dyn
 

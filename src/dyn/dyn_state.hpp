@@ -83,8 +83,8 @@ class DynState
      * Apply one batch: advance the graph epoch, repair both operators
      * over the dirty region, migrate degree classes of touched nodes,
      * and repair the shard plan. Returns the update's bookkeeping
-     * (including D0, which callers feed to dirtyLevels for forward
-     * recompute).
+     * (including D0, which IncrementalForward::applied recomputes
+     * forward from).
      */
     DynUpdateStats apply(const GraphDelta &delta);
 

@@ -5,18 +5,19 @@
  * Holds every layer's activation matrix — plus, for layers whose
  * aggregation input is produced inside the layer (GAT's h = X W), that
  * aggregation-input matrix — for one epoch. On update, each layer runs
- * through nn/quant_exec's one layer loop (forwardLayer) over its dirty
- * level only (dirty.hpp level sets), into output and aggregation-input
- * slots pre-filled from the previous epoch, so clean rows keep their
- * bytes.
+ * nn/quant_exec's compact executor (forwardRowSet) over its level of
+ * dirtyPlan only, and its rows are scattered into a copy of the previous
+ * epoch's output, so clean rows keep their bytes. A level that covers
+ * every node runs the whole-matrix forwardLayer instead.
  *
- * The row kernels runOp runs over a row set keep the batch kernels'
- * per-element accumulation order (see tensor/ops.cpp), so a dirty-row
- * recompute is bit-identical to a full referenceForward over the final
- * graph — the invariant the dyn test suite memcmp-checks. Soundness of
- * the aggregation-input cache: its row j changes only when input row j
- * changes, and every such j is inside the layer's dirty level, whose
- * closed-hop expansion also dirties every output row that reads row j.
+ * The row kernels keep the batch kernels' per-element accumulation
+ * order (see tensor/ops.cpp), so a dirty-row recompute is bit-identical
+ * to a full referenceForward over the final graph — the invariant the
+ * dyn test suite memcmp-checks. GAT's aggregation-input cache is written
+ * only at the level's rows (recomputing the projection over the level's
+ * input rows would roughly triple layer 0's GEMM rows). That is sound:
+ * its row j changes only when input row j changes, and every such j is
+ * in the level, whose closed hop also dirties every row that reads j.
  */
 #ifndef GCOD_DYN_INCREMENTAL_FORWARD_HPP
 #define GCOD_DYN_INCREMENTAL_FORWARD_HPP
@@ -25,6 +26,16 @@
 #include "nn/quant_exec.hpp"
 
 namespace gcod::dyn {
+
+/**
+ * The rows each layer of @p m recomputes after an update with
+ * operator-dirty set @p d0: levels[0] is D0, and levels[l] is
+ * closedInputRows of levels[l-1] — over the zoo's symmetric operator
+ * patterns, every row that reads a changed input row. A level holds its
+ * rows of the layer's aggregation operator (node-id columns), but none
+ * once it covers every node.
+ */
+RowSetPlan dirtyPlan(const ForwardRecipe &m, const DirtyRegion &d0);
 
 class IncrementalForward
 {
@@ -46,22 +57,22 @@ class IncrementalForward
 
     /**
      * Next epoch's state: @p m and @p x are the *new* recipe (operators
-     * over the new graph) and feature matrix; @p levels are the
-     * per-layer dirty sets (dirtyLevels, sized to the model depth).
-     * Rows outside levels[l] are copied from this state unchanged.
+     * over the new graph) and feature matrix; @p d0 is the update's
+     * operator-dirty set (DynUpdateStats::dirty). Rows outside
+     * dirtyPlan(m, d0)'s levels are copied from this state unchanged.
      */
     IncrementalForward applied(const ForwardRecipe &m, const Matrix &x,
-                               const std::vector<DirtyRegion> &levels) const;
+                               const DirtyRegion &d0) const;
 
   private:
     /**
      * One pass over every layer: over every row when @p prev is null,
-     * else over each layer's dirty level into slots pre-filled from
-     * @p prev.
+     * else over each level of @p plan, scattered into copies of
+     * @p prev's matrices.
      */
     static IncrementalForward pass(const ForwardRecipe &m, const Matrix &x,
                                    const IncrementalForward *prev,
-                                   const std::vector<DirtyRegion> *levels);
+                                   const RowSetPlan *plan);
 
     std::vector<Matrix> acts_;
     /**

@@ -94,7 +94,7 @@ attentionBackward(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
             for (int64_t i = r.begin; i < r.end; ++i) {
                 size_t e0 = size_t(rowPtr[size_t(i)]);
                 attentionWeightsInto(adj, h, a_src, a_dst, heads, dim,
-                                     NodeId(i), cols.data() + e0,
+                                     NodeId(i), NodeId(i), cols.data() + e0,
                                      pre.data() + e0 * H,
                                      alpha.data() + e0 * H);
             }

@@ -45,17 +45,6 @@ requireSampled(const ForwardRecipe &base, const Graph &g)
                 "sample graph must match the recipe's node space");
 }
 
-/** Sorted union of @p rows and every column @p op reads. */
-std::vector<NodeId>
-closedInputRows(const std::vector<NodeId> &rows, const CsrMatrix &op)
-{
-    std::vector<NodeId> in = rows;
-    in.insert(in.end(), op.indices().begin(), op.indices().end());
-    std::sort(in.begin(), in.end());
-    in.erase(std::unique(in.begin(), in.end()), in.end());
-    return in;
-}
-
 /** Position of @p v in the sorted @p level; -1 when absent. */
 int64_t
 positionIn(const std::vector<NodeId> &level, NodeId v)
@@ -79,27 +68,63 @@ remapColumns(const CsrMatrix &op, const std::vector<NodeId> &level)
                      std::move(idx), op.values());
 }
 
-/** Rows @p rows of @p x, in that order. */
-Matrix
-gatherRows(const Matrix &x, const std::vector<NodeId> &rows)
+/** Every node id of @p g, ascending. */
+std::vector<NodeId>
+everyNode(const Graph &g)
 {
-    Matrix out(int64_t(rows.size()), x.cols());
-    for (size_t k = 0; k < rows.size(); ++k)
-        std::memcpy(out.row(int64_t(k)), x.row(rows[k]),
-                    size_t(x.cols()) * sizeof(float));
-    return out;
+    std::vector<NodeId> all(size_t(g.numNodes()));
+    std::iota(all.begin(), all.end(), NodeId(0));
+    return all;
 }
 
-/** forwardRows at @p q's precision: @p op over the packed @p agg_in. */
-Matrix
-quantizedRows(const QuantizedGnn &q, size_t layer, const Matrix &self,
-              const std::vector<uint8_t> &branch_of, const QuantizedCsr &op,
-              const MixedQuantizedMatrix &agg_in)
+/**
+ * Layer @p layer of a sampled plan over the sorted @p rows: their
+ * sampled operator rows. With @p in set, it receives the rows those
+ * read (closedInputRows) and the columns are renumbered into it, as
+ * are the self positions where the layer reads its input outside the
+ * aggregation (GraphSAGE's self concat); else both stay node ids (a
+ * layer reading the features, or a whole layer input).
+ */
+RowSetLevel
+sampledLevel(const ForwardRecipe &base, const Graph &g, int fanout,
+             uint64_t seed, size_t layer, std::vector<NodeId> rows,
+             std::vector<NodeId> *in)
 {
-    OpPack spmm_in;
-    spmm_in.op = &op;
-    spmm_in.x = &agg_in;
-    return forwardRows(q.recipe, &q, layer, self, &branch_of, spmm_in);
+    RowSetLevel lv;
+    lv.op = sampledMeanRows(g, fanout, seed, int(layer), rows);
+    if (in != nullptr) {
+        *in = closedInputRows(rows, lv.op);
+        lv.op = remapColumns(lv.op, *in);
+        if (base.layers[layer].readsSelf()) {
+            lv.self.reserve(rows.size());
+            for (NodeId v : rows)
+                lv.self.push_back(NodeId(positionIn(*in, v)));
+        }
+    }
+    lv.rows = std::move(rows);
+    return lv;
+}
+
+/**
+ * The target's sampled receptive field, top-down: level l holds the
+ * sorted rows layer l must produce; layer l reads each of them plus its
+ * sampled neighbors, which is level l-1.
+ */
+RowSetPlan
+sampledPlan(const ForwardRecipe &base, const Graph &g, int fanout,
+            uint64_t seed, NodeId target)
+{
+    RowSetPlan plan;
+    plan.levels.resize(base.layers.size());
+    std::vector<NodeId> rows = {target};
+    for (size_t l = plan.levels.size(); l-- > 0;) {
+        std::vector<NodeId> in;
+        plan.levels[l] = sampledLevel(base, g, fanout, seed, l,
+                                      std::move(rows),
+                                      l > 0 ? &in : nullptr);
+        rows = std::move(in);
+    }
+    return plan;
 }
 
 /** peak = max(peak, max |row|): chooseQuantParams's reduction, by row. */
@@ -119,8 +144,14 @@ sampledMeanRows(const Graph &g, int fanout, uint64_t seed, int layer,
     GCOD_ASSERT(fanout > 0, "sample fanout must be positive");
     const CsrMatrix &adj = g.adjacency();
     std::vector<EdgeOffset> indptr(rows.size() + 1, 0);
+    // Each row keeps at most `fanout` entries, and no more than its
+    // degree.
+    const size_t bound = size_t(std::min<int64_t>(
+        int64_t(rows.size()) * fanout, int64_t(adj.nnz())));
     std::vector<NodeId> indices;
     std::vector<float> values;
+    indices.reserve(bound);
+    values.reserve(bound);
     std::vector<NodeId> nb;
     for (size_t k = 0; k < rows.size(); ++k) {
         const NodeId i = rows[k];
@@ -151,9 +182,7 @@ sampledMeanRows(const Graph &g, int fanout, uint64_t seed, int layer,
 CsrMatrix
 sampledMeanOperator(const Graph &g, int fanout, uint64_t seed, int layer)
 {
-    std::vector<NodeId> all(size_t(g.numNodes()));
-    std::iota(all.begin(), all.end(), NodeId(0));
-    return sampledMeanRows(g, fanout, seed, layer, all);
+    return sampledMeanRows(g, fanout, seed, layer, everyNode(g));
 }
 
 QuantParams
@@ -208,44 +237,17 @@ sampledForwardRow(const ForwardRecipe &base, const Graph &g, const Matrix &x,
     requireSampled(base, g);
     GCOD_ASSERT(target >= 0 && target < g.numNodes(),
                 "sampled target outside the node space");
-    const size_t L = base.layers.size();
-    // Top-down: out[l] holds the sorted rows layer l must produce. Layer
-    // l reads each of them plus its sampled neighbors, which is out[l-1];
-    // its operator rows are renumbered into out[l-1]'s positions. Layer 0
-    // reads the features by node id.
-    std::vector<std::vector<NodeId>> out(L);
-    std::vector<CsrMatrix> ops(L);
-    out[L - 1] = {target};
-    for (size_t l = L; l-- > 0;) {
-        ops[l] = sampledMeanRows(g, fanout, seed, int(l), out[l]);
-        if (l > 0) {
-            out[l - 1] = closedInputRows(out[l], ops[l]);
-            ops[l] = remapColumns(ops[l], out[l - 1]);
-        }
-    }
-    const ForwardRecipe sub = onLayerOperators(base, ops);
-
+    const RowSetPlan plan = sampledPlan(base, g, fanout, seed, target);
+    // Layer 0's operator columns are node ids into the features; deeper
+    // ones index the previous compact level.
+    const Matrix *in = &x;
     Matrix cur;
-    size_t interpreted = 0;
-    for (size_t l = 0; l < L; ++l) {
-        // Layer 0's operator columns are node ids into the features;
-        // deeper ones index the previous compact layer.
-        const Matrix &in = l == 0 ? x : cur;
-        OpPack spmm_in;
-        spmm_in.in = &in;
-        Matrix self;
-        if (sub.layers[l].readsSelf()) {
-            std::vector<NodeId> at = out[l];
-            if (l > 0)
-                for (NodeId &v : at)
-                    v = NodeId(positionIn(out[l - 1], v));
-            self = gatherRows(in, at);
-        }
-        cur = forwardRows(sub, nullptr, l, self, nullptr, spmm_in);
-        interpreted += out[l].size();
+    for (size_t l = 0; l < plan.levels.size(); ++l) {
+        cur = forwardRowSet(base, nullptr, l, plan.levels[l], *in);
+        in = &cur;
     }
     if (rows != nullptr)
-        *rows = interpreted;
+        *rows = plan.rowCount();
     return cur;
 }
 
@@ -265,9 +267,11 @@ buildSampledQuantMemo(const QuantizedGnn &base, const Graph &g,
     // Rows of degree <= fanout are whole whatever the seed, so one pass
     // over any seed's layer-0 operator fixes them; the hub rows it also
     // computes are placeholders that every query recomputes.
-    CsrMatrix op0 = sampledMeanOperator(g, fanout, 0, 0);
-    QuantizedCsr q0 = quantizeCsr(op0, m.opParams);
-    m.layer0 = quantizedRows(base, 0, x, base.branchOf, q0, m.input);
+    const RowSetLevel lv0 =
+        sampledLevel(base.recipe, g, fanout, 0, 0, everyNode(g), nullptr);
+    QuantizedCsr q0 = quantizeCsr(lv0.op, m.opParams);
+    const OpPack agg0(&q0, &m.input);
+    m.layer0 = forwardRowSet(base.recipe, &base, 0, lv0, x, &agg0);
     size_t next_hub = 0;
     for (NodeId r = 0; r < g.numNodes(); ++r) {
         if (next_hub < m.hubs.size() && m.hubs[next_hub] == r) {
@@ -298,16 +302,14 @@ sampledQuantizedForwardRow(const QuantizedGnn &base,
     Matrix hubOut;
     float peak[2] = {memo.peak[0], memo.peak[1]};
     if (!memo.hubs.empty()) {
-        CsrMatrix op = sampledMeanRows(g, fanout, seed, 0, memo.hubs);
-        QuantizedCsr qop = quantizeCsr(op, memo.opParams);
-        std::vector<uint8_t> branch(memo.hubs.size());
-        for (size_t k = 0; k < branch.size(); ++k)
-            branch[k] = branchOf[size_t(memo.hubs[k])];
-        hubOut = quantizedRows(base, 0, gatherRows(x, memo.hubs), branch,
-                               qop, memo.input);
-        for (size_t k = 0; k < branch.size(); ++k)
-            foldPeak(peak[branch[k]], hubOut.row(int64_t(k)),
-                     hubOut.cols());
+        const RowSetLevel hubs = sampledLevel(base.recipe, g, fanout, seed,
+                                              0, memo.hubs, nullptr);
+        QuantizedCsr qop = quantizeCsr(hubs.op, memo.opParams);
+        const OpPack agg(&qop, &memo.input);
+        hubOut = forwardRowSet(base.recipe, &base, 0, hubs, x, &agg);
+        for (size_t k = 0; k < memo.hubs.size(); ++k)
+            foldPeak(peak[branchOf[size_t(memo.hubs[k])]],
+                     hubOut.row(int64_t(k)), hubOut.cols());
     }
     size_t interpreted = memo.hubs.size();
 
@@ -330,12 +332,14 @@ sampledQuantizedForwardRow(const QuantizedGnn &base,
                 std::memcpy(full.row(memo.hubs[k]), hubOut.row(int64_t(k)),
                             size_t(full.cols()) * sizeof(float));
         }
-        CsrMatrix op = sampledMeanOperator(g, fanout, seed, int(l));
-        QuantizedCsr qop = quantizeCsr(op, memo.opParams);
+        const RowSetLevel mid = sampledLevel(base.recipe, g, fanout, seed,
+                                             l, everyNode(g), nullptr);
+        QuantizedCsr qop = quantizeCsr(mid.op, memo.opParams);
         MixedQuantizedMatrix packed =
             mixedQuantize(full, branchOf, base.localIndex,
                           base.policy.denseBits, base.policy.sparseBits);
-        full = quantizedRows(base, l, full, branchOf, qop, packed);
+        const OpPack agg(&qop, &packed);
+        full = forwardRowSet(base.recipe, &base, l, mid, full, &agg);
         interpreted += size_t(full.rows());
         peak[0] = peak[1] = 0.0f;
         for (int64_t r = 0; r < full.rows(); ++r)
@@ -351,10 +355,9 @@ sampledQuantizedForwardRow(const QuantizedGnn &base,
     } else {
         // Last layer: the target's row alone, over its sampled input
         // rows packed at the whole input's per-branch scales.
-        const size_t last = L - 1;
-        const std::vector<NodeId> tgt = {target};
-        CsrMatrix op = sampledMeanRows(g, fanout, seed, int(last), tgt);
-        const std::vector<NodeId> in = closedInputRows(tgt, op);
+        std::vector<NodeId> in;
+        const RowSetLevel top = sampledLevel(base.recipe, g, fanout, seed,
+                                             L - 1, {target}, &in);
         const int64_t width =
             full.rows() > 0 ? full.cols() : memo.layer0.cols();
         Matrix h(int64_t(in.size()), width);
@@ -369,13 +372,9 @@ sampledQuantizedForwardRow(const QuantizedGnn &base,
             h, branch, local,
             symmetricQuantParams(peak[0], base.policy.denseBits),
             symmetricQuantParams(peak[1], base.policy.sparseBits));
-        CsrMatrix opc = remapColumns(op, in);
-        QuantizedCsr qop = quantizeCsr(opc, memo.opParams);
-        Matrix self(1, width);
-        std::memcpy(self.row(0), rowOf(target),
-                    size_t(width) * sizeof(float));
-        result = quantizedRows(base, last, self,
-                               {branchOf[size_t(target)]}, qop, packed);
+        QuantizedCsr qop = quantizeCsr(top.op, memo.opParams);
+        const OpPack agg(&qop, &packed);
+        result = forwardRowSet(base.recipe, &base, L - 1, top, h, &agg);
         interpreted += 1;
     }
     if (rows != nullptr)

@@ -104,13 +104,13 @@ QuantizedGnn quantizeSampled(const SampledExecution &se,
 /**
  * Row @p target of referenceForward(buildSampledExecution(base, g,
  * fanout, seed).recipe, x), memcmp-identical, from the target's
- * receptive field alone: layer l samples only the rows layer l+1 reads
- * (each row plus its sampled neighbors), and forwardRows runs each
- * compact layer over just those, on serial row kernels (no parallel
- * region). Self rows are gathered only for a layer that reads its input
- * outside the aggregation (GraphSAGE's self concat). @p rows, when
- * non-null, receives the number of rows interpreted over all layers.
- * Returns a 1 x classes matrix.
+ * receptive field alone: a RowSetPlan built top-down, where layer l
+ * samples only the rows layer l+1 reads (each row plus its sampled
+ * neighbors), and forwardRowSet runs each compact level over just those,
+ * on serial row kernels (no parallel region). Self rows are gathered
+ * only for a layer that reads its input outside the aggregation
+ * (GraphSAGE's self concat). @p rows, when non-null, receives the number
+ * of rows interpreted over all layers. Returns a 1 x classes matrix.
  */
 Matrix sampledForwardRow(const ForwardRecipe &base, const Graph &g,
                          const Matrix &x, int fanout, uint64_t seed,

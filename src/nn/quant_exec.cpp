@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "sim/logging.hpp"
 #include "sim/parallel.hpp"
@@ -184,18 +183,18 @@ attentionScoreOf(const Matrix &h, const Matrix &a, int heads, int dim,
 void
 attentionWeightsInto(const CsrMatrix &adj, const Matrix &h,
                      const Matrix &a_src, const Matrix &a_dst, int heads,
-                     int head_dim, NodeId r, NodeId *cols, float *pre,
-                     float *alpha)
+                     int head_dim, NodeId r, NodeId self, NodeId *cols,
+                     float *pre, float *alpha)
 {
     size_t ne = 0;
     adj.forEachInRow(r, [&](NodeId j, float) { cols[ne++] = j; });
-    cols[ne++] = r;
+    cols[ne++] = self;
 
-    // Scores s_r = aSrc · h_r, and t_j = aDst · h_j per edge (parked in
+    // Scores s = aSrc · h_self, and t_j = aDst · h_j per edge (parked in
     // alpha until the softmax overwrites it). Each score is a pure
     // ascending-feature dot product.
     std::vector<float> srow(size_t(heads), 0.0f);
-    attentionScoreOf(h, a_src, heads, head_dim, r, srow.data());
+    attentionScoreOf(h, a_src, heads, head_dim, self, srow.data());
     for (size_t e = 0; e < ne; ++e)
         attentionScoreOf(h, a_dst, heads, head_dim, cols[e],
                          alpha + e * size_t(heads));
@@ -224,12 +223,12 @@ attentionWeightsInto(const CsrMatrix &adj, const Matrix &h,
 void
 attentionRowInto(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
                  const Matrix &a_dst, int heads, int head_dim,
-                 bool concat_heads, NodeId r, float *out_row)
+                 bool concat_heads, NodeId r, NodeId self, float *out_row)
 {
     const size_t ne = size_t(adj.rowNnz(r)) + 1;
     std::vector<NodeId> cols(ne);
     std::vector<float> pre(ne * size_t(heads)), alpha(ne * size_t(heads));
-    attentionWeightsInto(adj, h, a_src, a_dst, heads, head_dim, r,
+    attentionWeightsInto(adj, h, a_src, a_dst, heads, head_dim, r, self,
                          cols.data(), pre.data(), alpha.data());
 
     // Aggregate values in edge -> head -> feature order.
@@ -254,56 +253,27 @@ attentionRowInto(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
     }
 }
 
+namespace {
+
+/** o = max(o, x) elementwise; a NaN or a tie keeps o (x86 maxps(x, o)). */
 void
-maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r,
+maxInto(float *__restrict o, const float *__restrict x, int64_t n)
+{
+    for (int64_t f = 0; f < n; ++f)
+        o[f] = x[f] > o[f] ? x[f] : o[f];
+}
+
+} // namespace
+
+void
+maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r, NodeId self,
               float *out_row)
 {
     const int64_t cols = x.cols();
-    std::memcpy(out_row, x.row(r), size_t(cols) * sizeof(float));
+    std::memcpy(out_row, x.row(self), size_t(cols) * sizeof(float));
     adj.forEachInRow(r, [&](NodeId j, float) {
-        const float *xrow = x.row(j);
-        for (int64_t f = 0; f < cols; ++f)
-            if (xrow[f] > out_row[f])
-                out_row[f] = xrow[f];
+        maxInto(out_row, x.row(j), cols);
     });
-}
-
-Matrix
-attentionForward(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
-                 const Matrix &a_dst, int heads, int head_dim,
-                 bool concat_heads)
-{
-    const NodeId n = adj.rows();
-    GCOD_ASSERT(h.cols() == int64_t(heads) * head_dim,
-                "attention input must be heads x headDim wide");
-    Matrix out(n, concat_heads ? int64_t(heads) * head_dim : head_dim);
-    ParallelZone zone("attentionForward");
-    parallelFor(
-        0, n,
-        [&](const Range &r, size_t) {
-            for (int64_t i = r.begin; i < r.end; ++i)
-                attentionRowInto(adj, h, a_src, a_dst, heads, head_dim,
-                                 concat_heads, NodeId(i),
-                                 out.row(i));
-        },
-        16);
-    return out;
-}
-
-Matrix
-maxAggregate(const CsrMatrix &adj, const Matrix &x)
-{
-    const NodeId n = adj.rows();
-    Matrix out(n, x.cols());
-    ParallelZone zone("maxAggregate");
-    parallelFor(
-        0, n,
-        [&](const Range &r, size_t) {
-            for (int64_t i = r.begin; i < r.end; ++i)
-                maxAggRowInto(adj, x, NodeId(i), out.row(i));
-        },
-        64);
-    return out;
 }
 
 namespace {
@@ -686,44 +656,97 @@ packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
     }
 }
 
-void
-runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
-      const Matrix &in, const Matrix *aux, const OpPack &pack,
-      const std::vector<NodeId> *rows, Matrix &out)
+namespace {
+
+/**
+ * The rows runOp's row form walks: the node ids in `ids`, each read and
+ * written at its own row of full-height matrices, or the compact rows of
+ * `level`: row k of every slot, the aggregation reading level->op's row
+ * k and starting from the row's own input row.
+ */
+struct RowWalk
 {
-    auto eachRow = [&](auto &&rowInto) {
-        for (NodeId r : *rows)
-            rowInto(r, out.row(r));
+    const std::vector<NodeId> *ids = nullptr;
+    const RowSetLevel *level = nullptr;
+
+    size_t size() const { return ids ? ids->size() : level->rows.size(); }
+    NodeId row(size_t k) const { return ids ? (*ids)[k] : NodeId(k); }
+    NodeId
+    self(size_t k) const
+    {
+        if (ids != nullptr)
+            return (*ids)[k];
+        return level->self.empty() ? level->rows[k] : level->self[k];
+    }
+};
+
+/** runOp over every row (@p walk null) or over @p walk's rows. */
+void
+runOpOn(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
+        const Matrix &in, const Matrix *aux, const OpPack &pack,
+        const RowWalk *walk, Matrix &out)
+{
+    // int8 row sets run over full-height operands (the shard executor);
+    // forwardRowSet runs compact int8 rows through the batch kernels.
+    GCOD_ASSERT(q == nullptr || walk == nullptr || walk->ids != nullptr,
+                "compact int8 rows run the batch kernels");
+    const CsrMatrix *adj = nullptr;
+    if (op.opIndex >= 0)
+        adj = walk != nullptr && walk->level != nullptr
+                  ? &walk->level->op
+                  : m.operators[size_t(op.opIndex)];
+    // A row kernel over the walk's rows (into a fresh @p width slot when
+    // they are compact), or, for an op without a batch kernel, over all
+    // @p rows rows in parallel.
+    auto rowKernel = [&](int64_t rows, int64_t width, int64_t grain,
+                         auto &&rowInto) {
+        if (walk != nullptr) {
+            if (walk->level != nullptr)
+                out = Matrix(int64_t(walk->size()), width);
+            for (size_t k = 0; k < walk->size(); ++k) {
+                const NodeId r = walk->row(k);
+                rowInto(r, walk->self(k), out.row(r));
+            }
+            return;
+        }
+        out = Matrix(rows, width);
+        ParallelZone zone(opKindName(op.kind));
+        parallelFor(
+            0, rows,
+            [&](const Range &rg, size_t) {
+                for (int64_t i = rg.begin; i < rg.end; ++i)
+                    rowInto(NodeId(i), NodeId(i), out.row(i));
+            },
+            grain);
     };
     switch (op.kind) {
-    case OpKind::SpMM: {
+    case OpKind::SpMM:
         if (q != nullptr) {
-            if (rows != nullptr)
-                qspmmMixedRows(*pack.op, *pack.x, *rows, out);
+            if (walk != nullptr)
+                qspmmMixedRows(*pack.op, *pack.x, *walk->ids, out);
             else
                 out = qspmmMixed(*pack.op, *pack.x);
-            break;
+        } else if (walk != nullptr) {
+            rowKernel(0, in.cols(), 0, [&](NodeId r, NodeId, float *o) {
+                spmmRowInto(*adj, in, r, o);
+            });
+        } else {
+            out = spmm(*adj, in);
         }
-        const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
-        if (rows != nullptr)
-            eachRow([&](NodeId r, float *o) { spmmRowInto(adj, in, r, o); });
-        else
-            out = spmm(adj, in);
         break;
-    }
     case OpKind::GEMM: {
         if (q != nullptr) {
             const QuantizedMatrix &lo = q->wLo[size_t(op.weight)];
             const QuantizedMatrix &hi = q->wHi[size_t(op.weight)];
-            if (rows != nullptr)
-                qmatmulRowScaledRows(pack.rows, lo, hi, *rows, out);
+            if (walk != nullptr)
+                qmatmulRowScaledRows(pack.rows, lo, hi, *walk->ids, out);
             else
                 out = qmatmulRowScaled(pack.rows, lo, hi);
             break;
         }
         const Matrix &w = *m.weights[size_t(op.weight)];
-        if (rows != nullptr)
-            eachRow([&](NodeId r, float *o) {
+        if (walk != nullptr)
+            rowKernel(0, w.cols(), 0, [&](NodeId r, NodeId, float *o) {
                 matmulRowInto(in.row(r), w, o);
             });
         else
@@ -734,101 +757,80 @@ runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
         // int8 runs it in fp32 over the quantized projection, with the
         // attention vectors dequantized from their sparse-branch pack —
         // this is where low bits fall off the accuracy cliff.
-        const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
         const Matrix &as = q != nullptr ? q->wDeq[size_t(op.aSrc)]
                                         : *m.weights[size_t(op.aSrc)];
         const Matrix &ad = q != nullptr ? q->wDeq[size_t(op.aDst)]
                                         : *m.weights[size_t(op.aDst)];
-        if (rows != nullptr)
-            eachRow([&](NodeId r, float *o) {
-                attentionRowInto(adj, in, as, ad, op.heads, op.headDim,
-                                 op.concatHeads, r, o);
-            });
-        else
-            out = attentionForward(adj, in, as, ad, op.heads, op.headDim,
-                                   op.concatHeads);
+        GCOD_ASSERT(in.cols() == int64_t(op.heads) * op.headDim,
+                    "attention input must be heads x headDim wide");
+        rowKernel(adj->rows(),
+                  op.concatHeads ? int64_t(op.heads) * op.headDim
+                                 : int64_t(op.headDim),
+                  16, [&](NodeId r, NodeId self, float *o) {
+                      attentionRowInto(*adj, in, as, ad, op.heads,
+                                       op.headDim, op.concatHeads, r, self,
+                                       o);
+                  });
         break;
     }
-    case OpKind::MaxAgg: {
-        const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
-        if (rows != nullptr)
-            eachRow([&](NodeId r, float *o) { maxAggRowInto(adj, in, r, o); });
-        else
-            out = maxAggregate(adj, in);
+    case OpKind::MaxAgg:
+        rowKernel(adj->rows(), in.cols(), 64,
+                  [&](NodeId r, NodeId self, float *o) {
+                      maxAggRowInto(*adj, in, r, self, o);
+                  });
         break;
-    }
     default: {
-        auto rowInto = [&](NodeId r, float *o) {
-            rowLocalInto(op, in, aux, r, o);
-        };
-        if (rows != nullptr) {
-            eachRow(rowInto);
-            break;
-        }
         const int64_t width =
             op.kind == OpKind::ConcatSelf ? aux->cols() + in.cols()
                                           : in.cols();
-        out = Matrix(in.rows(), width);
-        ParallelZone zone(opKindName(op.kind));
-        parallelFor(
-            0, in.rows(),
-            [&](const Range &rg, size_t) {
-                for (int64_t i = rg.begin; i < rg.end; ++i)
-                    rowInto(NodeId(i), out.row(i));
-            },
-            rowGrain(width));
+        rowKernel(in.rows(), width, rowGrain(width),
+                  [&](NodeId r, NodeId, float *o) {
+                      rowLocalInto(op, in, aux, r, o);
+                  });
         break;
     }
     }
 }
 
+/** Rows @p rows of @p x, in that order. */
+Matrix
+gatherRows(const Matrix &x, const std::vector<NodeId> &rows)
+{
+    Matrix out(int64_t(rows.size()), x.cols());
+    for (size_t k = 0; k < rows.size(); ++k)
+        std::memcpy(out.row(int64_t(k)), x.row(rows[k]),
+                    size_t(x.cols()) * sizeof(float));
+    return out;
+}
+
+} // namespace
+
+void
+runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
+      const Matrix &in, const Matrix *aux, const OpPack &pack,
+      const std::vector<NodeId> *rows, Matrix &out)
+{
+    RowWalk walk;
+    walk.ids = rows;
+    runOpOn(m, q, op, in, aux, pack, rows != nullptr ? &walk : nullptr,
+            out);
+}
+
 Matrix &
 forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
-             const Matrix &input, const std::vector<NodeId> *rows,
-             std::vector<Matrix> &slots, const std::vector<uint8_t> *branch_of,
-             const OpPack *agg_in)
+             const Matrix &input, std::vector<Matrix> &slots)
 {
     const LayerGraph &g = m.layers[layer];
     GCOD_ASSERT(!g.ops.empty(), "empty layer graph");
-    const Matrix *agg_src = agg_in != nullptr ? agg_in->in : nullptr;
-    if (rows == nullptr) {
-        slots.assign(size_t(g.numSlots), Matrix());
-    } else {
-        // Slots the caller left empty get the aggregation operator's
-        // row count; pre-filled ones keep every row outside the set.
-        const int agg = g.aggOp();
-        GCOD_ASSERT(agg >= 0, "a row-set layer needs an aggregation");
-        const int64_t n =
-            m.operators[size_t(g.ops[size_t(agg)].opIndex)]->rows();
-        const std::vector<int64_t> widths = layerSlotWidths(
-            m, layer, (agg_src != nullptr ? *agg_src : input).cols());
-        slots.resize(size_t(g.numSlots));
-        for (size_t s = 1; s < slots.size(); ++s) {
-            if (slots[s].rows() == 0)
-                slots[s] = Matrix(n, widths[s]);
-            GCOD_ASSERT(slots[s].rows() == n && slots[s].cols() == widths[s],
-                        "pre-filled slot ", s, " has the wrong shape");
-        }
-    }
+    slots.assign(size_t(g.numSlots), Matrix());
     auto at = [&](int s) -> const Matrix & {
         return s == 0 ? input : slots[size_t(s)];
     };
     for (const OpStep &op : g.ops) {
-        OpPack own;
-        const OpPack *pack = &own;
-        const Matrix *src = &at(op.in);
-        if (agg_in != nullptr && isAggregation(op.kind)) {
-            GCOD_ASSERT(op.kind == OpKind::SpMM && op.in == 0,
-                        "row-subset layers aggregate the layer input "
-                        "with SpMM only");
-            pack = agg_in;
-            if (agg_src != nullptr)
-                src = agg_src;
-        } else {
-            packOp(q, op, *src, own, branch_of);
-        }
-        runOp(m, q, op, *src, op.aux >= 0 ? &at(op.aux) : nullptr, *pack,
-              rows, slots[size_t(op.out)]);
+        OpPack pack;
+        packOp(q, op, at(op.in), pack);
+        runOp(m, q, op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr,
+              pack, nullptr, slots[size_t(op.out)]);
     }
     return slots[size_t(g.ops.back().out)];
 }
@@ -842,7 +844,7 @@ referenceForward(const ForwardRecipe &m, const Matrix &x)
     Matrix cur = x;
     for (size_t l = 0; l < m.layers.size(); ++l) {
         std::vector<Matrix> slots;
-        cur = std::move(forwardLayer(m, nullptr, l, cur, nullptr, slots));
+        cur = std::move(forwardLayer(m, nullptr, l, cur, slots));
     }
     return cur;
 }
@@ -867,37 +869,8 @@ tapedForward(const ForwardRecipe &m, const Matrix &x, ForwardTape &tape)
     tape.slots.resize(m.layers.size());
     const Matrix *cur = &x;
     for (size_t l = 0; l < m.layers.size(); ++l)
-        cur = &forwardLayer(m, nullptr, l, *cur, nullptr, tape.slots[l]);
+        cur = &forwardLayer(m, nullptr, l, *cur, tape.slots[l]);
     return *cur;
-}
-
-Matrix
-forwardRows(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
-            const Matrix &self, const std::vector<uint8_t> *branch_of,
-            const OpPack &spmm_in)
-{
-    const LayerGraph &g = m.layers[layer];
-    const int agg = g.aggOp();
-    GCOD_ASSERT(agg >= 0, "a row-subset layer needs an aggregation");
-    const int64_t n = q != nullptr
-                          ? int64_t(spmm_in.op->pattern->rows())
-                          : int64_t(m.operators[size_t(
-                                g.ops[size_t(agg)].opIndex)]->rows());
-    GCOD_ASSERT(self.rows() == n || (self.rows() == 0 && !g.readsSelf()),
-                "row-subset layer needs one input row per output row");
-    GCOD_ASSERT(q == nullptr ||
-                    (branch_of != nullptr && branch_of->size() == size_t(n)),
-                "row-subset layer needs one branch per output row");
-    std::vector<Matrix> slots;
-    if (q != nullptr)
-        return std::move(forwardLayer(m, q, layer, self, nullptr, slots,
-                                      branch_of, &spmm_in));
-    // fp32 runs the serial row kernels: no parallel region, so
-    // concurrent callers do not queue on the pool.
-    std::vector<NodeId> all(static_cast<size_t>(n));
-    std::iota(all.begin(), all.end(), NodeId(0));
-    return std::move(forwardLayer(m, nullptr, layer, self, &all, slots,
-                                  nullptr, &spmm_in));
 }
 
 Matrix
@@ -910,9 +883,122 @@ quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
     Matrix cur = x;
     for (size_t l = 0; l < m.layers.size(); ++l) {
         std::vector<Matrix> slots;
-        cur = std::move(forwardLayer(m, &q, l, cur, nullptr, slots));
+        cur = std::move(forwardLayer(m, &q, l, cur, slots));
     }
     return cur;
+}
+
+size_t
+RowSetPlan::rowCount() const
+{
+    size_t total = 0;
+    for (const RowSetLevel &lv : levels)
+        total += lv.rows.size();
+    return total;
+}
+
+CsrMatrix
+operatorRows(const CsrMatrix &op, const std::vector<NodeId> &rows)
+{
+    std::vector<EdgeOffset> indptr(1, 0);
+    std::vector<NodeId> indices;
+    std::vector<float> values;
+    for (NodeId r : rows) {
+        op.forEachInRow(r, [&](NodeId c, float v) {
+            indices.push_back(c);
+            values.push_back(v);
+        });
+        indptr.push_back(EdgeOffset(indices.size()));
+    }
+    return CsrMatrix(NodeId(rows.size()), op.cols(), std::move(indptr),
+                     std::move(indices), std::move(values));
+}
+
+std::vector<NodeId>
+closedInputRows(const std::vector<NodeId> &rows, const CsrMatrix &op)
+{
+    std::vector<NodeId> in;
+    in.reserve(rows.size() + op.indices().size());
+    in.insert(in.end(), rows.begin(), rows.end());
+    in.insert(in.end(), op.indices().begin(), op.indices().end());
+    const size_t n = size_t(op.cols());
+    if (in.size() * 16 < n) {
+        // A few entries over a wide space (a point query): sort them.
+        std::sort(in.begin(), in.end());
+        in.erase(std::unique(in.begin(), in.end()), in.end());
+        return in;
+    }
+    // Many entries: mark them over the column space, read it in order.
+    std::vector<char> mark(n, 0);
+    for (NodeId v : in)
+        mark[size_t(v)] = 1;
+    in.clear();
+    for (size_t v = 0; v < mark.size(); ++v)
+        if (mark[v])
+            in.push_back(NodeId(v));
+    return in;
+}
+
+Matrix
+forwardRowSet(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
+              const RowSetLevel &lv, const Matrix &in, const OpPack *agg,
+              Matrix *agg_in)
+{
+    const LayerGraph &g = m.layers[layer];
+    const int aggIdx = g.aggOp();
+    GCOD_ASSERT(aggIdx >= 0, "a row-set layer needs an aggregation");
+    const OpStep &aggStep = g.ops[size_t(aggIdx)];
+    GCOD_ASSERT(int64_t(lv.op.rows()) == int64_t(lv.rows.size()),
+                "a row-set operator needs one row per row in the set");
+    GCOD_ASSERT(aggStep.in == 0 || agg_in != nullptr,
+                "an aggregation of an in-layer slot reads its cache");
+    GCOD_ASSERT(q == nullptr || (agg != nullptr &&
+                                 aggStep.kind == OpKind::SpMM),
+                "int8 row sets aggregate the layer input with SpMM only");
+    const int64_t n = int64_t(lv.rows.size());
+
+    // Slot 0 of the other ops: the set's own input rows, gathered only
+    // where an op outside the aggregation reads them. A level over every
+    // row of its input reads it in place.
+    Matrix self;
+    const Matrix *self0 = &in;
+    if (g.readsSelf() && (!lv.self.empty() || n != in.rows())) {
+        self = gatherRows(in, lv.self.empty() ? lv.rows : lv.self);
+        self0 = &self;
+    }
+    std::vector<uint8_t> branch;
+    if (q != nullptr) {
+        branch.resize(size_t(n));
+        for (size_t k = 0; k < branch.size(); ++k)
+            branch[k] = q->branchOf[size_t(lv.rows[k])];
+    }
+    std::vector<Matrix> slots(size_t(g.numSlots));
+    auto at = [&](int s) -> const Matrix & {
+        return s == 0 ? *self0 : slots[size_t(s)];
+    };
+    RowWalk walk;
+    walk.level = &lv;
+    for (size_t i = 0; i < g.ops.size(); ++i) {
+        const OpStep &op = g.ops[i];
+        const bool isAgg = int(i) == aggIdx;
+        const Matrix &src =
+            isAgg ? (op.in == 0 ? in : *agg_in) : at(op.in);
+        const Matrix *aux = op.aux >= 0 ? &at(op.aux) : nullptr;
+        Matrix &out = slots[size_t(op.out)];
+        if (q != nullptr) {
+            OpPack own;
+            if (!isAgg)
+                packOp(q, op, src, own, &branch);
+            runOp(m, q, op, src, aux, isAgg ? *agg : own, nullptr, out);
+        } else {
+            runOpOn(m, nullptr, op, src, aux, OpPack(), &walk, out);
+        }
+        if (agg_in != nullptr && op.out == aggStep.in)
+            for (int64_t k = 0; k < n; ++k)
+                std::memcpy(agg_in->row(walk.self(size_t(k))), out.row(k),
+                            size_t(out.cols()) * sizeof(float));
+    }
+    return std::move(slots[size_t(g.ops.back().out)]);
 }
 
 } // namespace gcod

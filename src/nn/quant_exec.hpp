@@ -14,7 +14,8 @@
  * rows are split; runOp() then runs the batch kernels over all rows or
  * the serial row kernels over a row set. Each OpKind has one row kernel;
  * a row-local op's whole-matrix form is that kernel over every row.
- * forwardLayer() is the one layer loop, over all rows or a row set:
+ * Two layer loops drive it: forwardLayer() over every row, and
+ * forwardRowSet() over the compact rows of one RowSetPlan level:
  *
  *  - referenceForward(): stateless fp32 pass — what evaluation, serving
  *    and the quantization baseline read;
@@ -24,10 +25,10 @@
  *    integer path (low-bit dense branch, degree-protected tail);
  *  - shard/executor.hpp: each op over every shard's owned rows into the
  *    global staging slot, bit-identical at any shard count;
- *  - dyn/incremental_forward.hpp: each layer over its dirty rows, into
- *    slots pre-filled from the previous epoch;
+ *  - dyn/incremental_forward.hpp: each layer over its dirty rows, a
+ *    plan built bottom-up from the changed rows;
  *  - nn/neighbor_sampler.hpp: sampled point queries, each layer over
- *    the compact rows one node's answer reads (forwardRows()).
+ *    the rows one node's answer reads, a plan built top-down.
  *
  * Supported families: GCN (plain Mean), GraphSAGE (Mean + self concat,
  * full or neighbor-sampled operators), GIN (Add + eps-residual + 2-layer
@@ -261,47 +262,44 @@ std::vector<int64_t> layerSlotWidths(const ForwardRecipe &m, size_t layer,
                                      int64_t input_cols);
 
 // ---------------------------------------------------------------------
-// Aggregation row kernels. runOp's both forms and the AttentionScore /
-// MaxAgg backward funnel through these, with one fixed per-element
-// order per op — the basis of the bit-identical-stitch invariants.
+// Aggregation row kernels. runOp's both forms (the whole matrix is the
+// kernel over every row) and the AttentionScore backward funnel through
+// these, with one fixed per-element order per op — the basis of the
+// bit-identical-stitch invariants.
 // ---------------------------------------------------------------------
 
 /**
  * Row @p r's attention weights: its edges (@p adj's row entries in
- * order, then a self loop) into @p cols, and per edge e and head k the
- * pre-LeakyReLU score s_r + t_j into pre[e*heads+k] and the softmax
+ * order, then a self loop to row @p self of @p h — @p r but over a
+ * compact row set) into @p cols, and per edge e and head k the
+ * pre-LeakyReLU score s_self + t_j into pre[e*heads+k] and the softmax
  * weight into alpha[e*heads+k]. Each array holds rowNnz(r)+1 edges.
  * attentionRowInto and the AttentionScore backward both read these.
  */
 void attentionWeightsInto(const CsrMatrix &adj, const Matrix &h,
                           const Matrix &a_src, const Matrix &a_dst,
-                          int heads, int head_dim, NodeId r, NodeId *cols,
-                          float *pre, float *alpha);
+                          int heads, int head_dim, NodeId r, NodeId self,
+                          NodeId *cols, float *pre, float *alpha);
 
 /**
  * Row @p r of the GAT attention aggregation: additive scores over
- * @p adj's row entries plus a trailing self loop, LeakyReLU(0.2),
- * numerically-stable softmax, then per-edge aggregation of @p h.
- * Row/column indices of @p adj index rows of @p h; @p out_row must hold
- * concat ? heads*head_dim : head_dim floats.
+ * @p adj's row entries plus a trailing self loop (row @p self of @p h),
+ * LeakyReLU(0.2), numerically-stable softmax, then per-edge aggregation
+ * of @p h. Column indices of @p adj index rows of @p h; @p out_row must
+ * hold concat ? heads*head_dim : head_dim floats.
  */
 void attentionRowInto(const CsrMatrix &adj, const Matrix &h,
                       const Matrix &a_src, const Matrix &a_dst, int heads,
-                      int head_dim, bool concat_heads, NodeId r,
+                      int head_dim, bool concat_heads, NodeId r, NodeId self,
                       float *out_row);
 
-/** Row @p r of the Max aggregation: elementwise max over {r} ∪ N(r). */
-void maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r,
-                   float *out_row);
-
 /**
- * Whole-matrix wrappers over the row kernels (row-parallel; each
- * output row is pure, so results are thread-count invariant).
+ * Row @p r of the Max aggregation: from row @p self of @p x (@p r but
+ * over a compact row set), fold in each row @p adj's row @p r reads as
+ * o = x > o ? x : o — a NaN or a ±0 tie keeps o; the loop is maxps.
  */
-Matrix attentionForward(const CsrMatrix &adj, const Matrix &h,
-                        const Matrix &a_src, const Matrix &a_dst, int heads,
-                        int head_dim, bool concat_heads);
-Matrix maxAggregate(const CsrMatrix &adj, const Matrix &x);
+void maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r,
+                   NodeId self, float *out_row);
 
 /**
  * Branch assignment per node under @p protect_ratio: 1 for the protected
@@ -363,9 +361,8 @@ QuantizedGnn quantizeGnn(const ForwardRecipe &m,
  * before its rows are split: SpMM codes its input per branch with the
  * whole matrix's scales, GEMM codes each row with its own scale. Every
  * row subset and every shard then reads the codes the whole-matrix pass
- * reads. Empty at fp32 (but for forwardRows' SpMM input) and for the
- * ops that run in fp32 at every precision. Not copyable: `x` may point
- * at `packed`.
+ * reads. Empty at fp32 and for the ops that run in fp32 at every
+ * precision. Not copyable: `x` may point at `packed`.
  */
 struct OpPack
 {
@@ -374,15 +371,13 @@ struct OpPack
     const MixedQuantizedMatrix *x = nullptr;
     /** GEMM: the row-coded input. */
     RowQuantizedMatrix rows;
-    /**
-     * fp32 SpMM: the rows the operator's columns index, when they are
-     * not the op's input slot (forwardRows). Unused at int8.
-     */
-    const Matrix *in = nullptr;
     /** Storage behind `x` when packOp coded the input. */
     MixedQuantizedMatrix packed;
 
     OpPack() = default;
+    OpPack(const QuantizedCsr *o, const MixedQuantizedMatrix *in)
+        : op(o), x(in)
+    {}
     OpPack(const OpPack &) = delete;
     OpPack &operator=(const OpPack &) = delete;
 };
@@ -400,14 +395,15 @@ void packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
  * the precision of @p q (fp32 when null; then @p pack is unused), over
  *
  *  - every row (@p rows null): the batch kernels — spmm, matmul,
- *    qspmmMixed, qmatmulRowScaled, attentionForward, maxAggregate, and
- *    for the row-local ops (Residual / ConcatSelf / Activation /
- *    Readout) their row kernel over every row — assigned to @p out;
+ *    qspmmMixed, qmatmulRowScaled, and for AttentionScore, MaxAgg and
+ *    the row-local ops (Residual / ConcatSelf / Activation / Readout)
+ *    their row kernel over every row in parallel — assigned to @p out;
  *  - the rows in @p rows: the serial row kernels of the same math
  *    (spmm's entry order, matmulRowInto, qspmmMixedRows,
  *    qmatmulRowScaledRows, attentionRowInto, maxAggRowInto, the
  *    row-local kernel), written into those rows of @p out, which the
- *    caller sized; no parallel region opens.
+ *    caller sized; no parallel region opens. forwardRowSet runs the
+ *    same kernels over compact rows.
  *
  * Each row's bytes are the same either way, so stitching the row sets
  * of a partition reproduces the whole-matrix op (shard/executor).
@@ -419,29 +415,14 @@ void runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
            const std::vector<NodeId> *rows, Matrix &out);
 
 /**
- * The layer loop of every interpreter: each op of @p layer through
- * runOp at @p q's precision (fp32 when null), every slot into @p slots,
- * slot 0 being @p input. Returns the output slot.
- *
- *  - @p rows null: every row; @p slots is reassigned (slot 0 stays
- *    empty).
- *  - @p rows set: those rows only. Slots the caller pre-filled keep
- *    their bytes outside the set; slots left empty are zero-filled,
- *    with the aggregation operator's row count. The incremental pass
- *    pre-fills the aggregation input and the output from the previous
- *    epoch.
- *
- * @p branch_of gives the branch of each input row (q's own split when
- * null). @p agg_in, when set, replaces the operands of the layer's
- * aggregation, an SpMM of slot 0: at int8 its `op` and packed `x`, at
- * fp32 its `in` (the operator stays m's).
+ * The whole-matrix layer loop: each op of @p layer through runOp over
+ * every row at @p q's precision (fp32 when null), every slot into
+ * @p slots (reassigned; slot 0 stays empty), slot 0 being @p input.
+ * Returns the output slot.
  */
 Matrix &forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q,
                      size_t layer, const Matrix &input,
-                     const std::vector<NodeId> *rows,
-                     std::vector<Matrix> &slots,
-                     const std::vector<uint8_t> *branch_of = nullptr,
-                     const OpPack *agg_in = nullptr);
+                     std::vector<Matrix> &slots);
 
 /**
  * One mixed-precision integer forward pass: SpMM/GEMM ops run on
@@ -450,26 +431,63 @@ Matrix &forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q,
  */
 Matrix quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x);
 
+// ---------------------------------------------------------------------
+// Row-set plans: per layer, the rows an answer reads or an update
+// changes, and the aggregation restricted to them (GraphSAGE's minibatch
+// receptive field, arXiv:1706.02216 Alg. 2).
+// ---------------------------------------------------------------------
+
+/** One layer of a RowSetPlan; slot row k of its execution is rows[k]. */
+struct RowSetLevel
+{
+    /** Sorted ids of the layer-output rows to compute. */
+    std::vector<NodeId> rows;
+    /** The aggregation operator's rows `rows`; its columns index `in`. */
+    CsrMatrix op;
+    /**
+     * Where a compact input holds each row's own row (slot 0 of the
+     * non-aggregation ops, MaxAgg's seed, attention's self loop). Empty
+     * when the input is indexed by node id, or when no op reads it.
+     */
+    std::vector<NodeId> self;
+};
+
+/** Per layer, the rows to compute (levels[l] for layer l). */
+struct RowSetPlan
+{
+    std::vector<RowSetLevel> levels;
+
+    /** Rows computed over every level. */
+    size_t rowCount() const;
+};
+
+/** Rows @p rows of @p op, in that order; columns unchanged. */
+CsrMatrix operatorRows(const CsrMatrix &op, const std::vector<NodeId> &rows);
+
 /**
- * One Mean-aggregation layer of @p m over a compact set of output rows,
- * at @p q's precision (fp32 when null). The SpMM reads @p spmm_in: its
- * operator has one row per output row, and its columns index the rows
- * of the aggregation input — at int8 `spmm_in.op` over `spmm_in.x`,
- * layer-input rows already packed at the full input's per-branch
- * scales; at fp32 m's operator over `spmm_in.in`. @p self holds the
- * output rows' layer inputs (slot 0); it may be empty when no op but
- * the aggregation reads slot 0 (LayerGraph::readsSelf). @p branch_of
- * gives their branches (int8 only). When the operator rows and the
- * aggregation input equal the full pass's, every output row is
- * bit-identical to the same row of that layer in referenceForward or
- * quantizedForwardMixed: SpMM mixes rows only inside one row's
- * accumulators, and GEMM inputs carry per-row scales. fp32 runs the
- * serial row kernels and opens no parallel region.
+ * The one-hop step of both plan builders: the sorted union of @p rows
+ * and the columns of @p op, their operator rows (one index space).
+ * Top-down, the rows a level reads; bottom-up, over a symmetric pattern,
+ * the next layer's rows that read one of @p rows.
  */
-Matrix forwardRows(const ForwardRecipe &m, const QuantizedGnn *q,
-                   size_t layer, const Matrix &self,
-                   const std::vector<uint8_t> *branch_of,
-                   const OpPack &spmm_in);
+std::vector<NodeId> closedInputRows(const std::vector<NodeId> &rows,
+                                    const CsrMatrix &op);
+
+/**
+ * Layer @p layer of @p m over the rows of @p lv, at @p q's precision
+ * (fp32 when null), reading @p in (the whole layer input or a compact
+ * level); returns the compact output, row k being row lv.rows[k]. fp32
+ * runs runOp's serial row kernels, so no parallel region opens. int8
+ * aggregates with SpMM from @p agg (lv.op's codes over @p in packed at
+ * the whole input's scales) and runs the batch kernels over the compact
+ * slots. @p agg_in caches an aggregation input made inside the layer
+ * (GAT's projection), indexed like @p in; the set's rows of it are
+ * written first. Each row runs forwardLayer's kernel over the same
+ * entries in the same order, so it matches that row of the whole pass.
+ */
+Matrix forwardRowSet(const ForwardRecipe &m, const QuantizedGnn *q,
+                     size_t layer, const RowSetLevel &lv, const Matrix &in,
+                     const OpPack *agg = nullptr, Matrix *agg_in = nullptr);
 
 } // namespace gcod
 

@@ -180,10 +180,8 @@ applyDeltaToBundle(const std::shared_ptr<const ArtifactBundle> &prev,
     dyn::IncrementalForward fwd;
     if (prev->fwdState != nullptr &&
         !prev->fwdState->activations().empty()) {
-        std::vector<dyn::DirtyRegion> levels = dyn::dirtyLevels(
-            ds.dirty, next->synth.graph, next->spec.layers.size());
         fwd = prev->fwdState->applied(next->hostRecipe, next->hostFeatures,
-                                      levels);
+                                      ds.dirty);
     } else {
         fwd = dyn::IncrementalForward::fromScratch(next->hostRecipe,
                                                    next->hostFeatures);

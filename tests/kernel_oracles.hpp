@@ -2,8 +2,9 @@
  * @file
  * Scalar reference kernels the fast host kernels must match byte for
  * byte: std::lround quantizers, int64-accumulated integer GEMM and
- * mixed SpMM, and the i-k-j fp32 GEMM. tests/test_quant_kernels.cpp
- * and bench/kernel_throughput (check=1) compare against them.
+ * mixed SpMM, the i-k-j fp32 GEMM, and the if-chain Max aggregation.
+ * tests/test_quant_kernels.cpp and bench/kernel_throughput (check=1)
+ * compare against them.
  */
 #ifndef GCOD_TESTS_KERNEL_ORACLES_HPP
 #define GCOD_TESTS_KERNEL_ORACLES_HPP
@@ -167,6 +168,29 @@ oracleMatmul(const Matrix &a, const Matrix &b)
                 c(i, j) += av * b(k, j);
         }
     return c;
+}
+
+/**
+ * Max aggregation as one branch per element: row r starts from x's row
+ * r, and each neighbor, in entry order, replaces an element it exceeds
+ * (a NaN never does, and none replaces a NaN; -0 and +0 tie).
+ */
+inline Matrix
+oracleMaxAggregate(const CsrMatrix &adj, const Matrix &x)
+{
+    Matrix out(adj.rows(), x.cols());
+    for (NodeId r = 0; r < adj.rows(); ++r) {
+        for (int64_t c = 0; c < x.cols(); ++c)
+            out(r, c) = x(r, c);
+        for (EdgeOffset k = adj.indptr()[size_t(r)];
+             k < adj.indptr()[size_t(r) + 1]; ++k) {
+            NodeId j = adj.indices()[size_t(k)];
+            for (int64_t c = 0; c < x.cols(); ++c)
+                if (x(j, c) > out(r, c))
+                    out(r, c) = x(j, c);
+        }
+    }
+    return out;
 }
 
 } // namespace gcod::oracle

@@ -218,16 +218,49 @@ TEST(DirtyRegion, OperatorDirtyCoversBothEndpointNeighborhoods)
     EXPECT_NEAR(d0.fraction(), 3.0 / 5.0, 1e-12);
 }
 
-TEST(DirtyRegion, LevelsExpandOneHopPerLayer)
+TEST(DirtyPlan, LevelsExpandOneHopPerLayer)
 {
-    // Path 0-1-2-3-4; touch node 0's edge.
+    // Path 0-1-2-3-4; touch node 0's edge. Five layers of one SpMM over
+    // the adjacency each.
     Graph g(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-    DirtyRegion d0 = DirtyRegion::of(5, {0, 1});
-    std::vector<DirtyRegion> lv = dirtyLevels(d0, g, 3);
-    ASSERT_EQ(lv.size(), 3u);
-    EXPECT_EQ(lv[0].nodes, (std::vector<NodeId>{0, 1}));
-    EXPECT_EQ(lv[1].nodes, (std::vector<NodeId>{0, 1, 2}));
-    EXPECT_EQ(lv[2].nodes, (std::vector<NodeId>{0, 1, 2, 3}));
+    ForwardRecipe m;
+    m.operators = {&g.adjacency()};
+    LayerGraph layer;
+    OpStep spmm;
+    spmm.kind = OpKind::SpMM;
+    spmm.out = 1;
+    spmm.opIndex = 0;
+    layer.ops = {spmm};
+    layer.numSlots = 2;
+    m.layers.assign(5, layer);
+
+    RowSetPlan plan = dirtyPlan(m, DirtyRegion::of(5, {0, 1}));
+    ASSERT_EQ(plan.levels.size(), 5u);
+    EXPECT_EQ(plan.levels[0].rows, (std::vector<NodeId>{0, 1}));
+    EXPECT_EQ(plan.levels[1].rows, (std::vector<NodeId>{0, 1, 2}));
+    EXPECT_EQ(plan.levels[2].rows, (std::vector<NodeId>{0, 1, 2, 3}));
+    const std::vector<NodeId> all = {0, 1, 2, 3, 4};
+    EXPECT_EQ(plan.levels[3].rows, all);
+    EXPECT_EQ(plan.levels[4].rows, all);
+    EXPECT_EQ(plan.rowCount(), 2u + 3u + 4u + 5u + 5u);
+
+    // A partial level holds its rows of the operator, with node-id
+    // columns; its own rows index the input by node id too.
+    const RowSetLevel &lv = plan.levels[1];
+    ASSERT_EQ(lv.op.rows(), 3);
+    for (size_t k = 0; k < lv.rows.size(); ++k) {
+        std::vector<NodeId> want, got;
+        g.adjacency().forEachInRow(lv.rows[k], [&](NodeId j, float) {
+            want.push_back(j);
+        });
+        lv.op.forEachInRow(NodeId(k), [&](NodeId j, float) {
+            got.push_back(j);
+        });
+        EXPECT_EQ(got, want) << "row " << lv.rows[k];
+    }
+    EXPECT_TRUE(lv.self.empty());
+    // Saturated levels carry no operator rows: they run whole.
+    EXPECT_EQ(plan.levels[3].op.rows(), 0);
 }
 
 // ------------------------------------------------ epoch merge equivalence
@@ -416,9 +449,7 @@ TEST(IncrementalForward, DirtyRowRecomputeIsBitIdenticalAtAnyThreadCount)
             continue;
         ctx.emplace(st.graph(), st.normalized(), st.rowMean());
         recipe = forwardRecipeFor(model, *ctx);
-        std::vector<DirtyRegion> levels = dirtyLevels(
-            us.dirty, st.graph(), int(recipe.spec->layers.size()));
-        fwd = fwd.applied(recipe, x, levels);
+        fwd = fwd.applied(recipe, x, us.dirty);
         EXPECT_LT(fwd.lastDirtyRows(),
                   size_t(n) * recipe.spec->layers.size());
 
@@ -429,13 +460,24 @@ TEST(IncrementalForward, DirtyRowRecomputeIsBitIdenticalAtAnyThreadCount)
     }
 }
 
-TEST(IncrementalForward, NodeGrowthRecomputesNewRows)
+// New nodes, one with an edge and one isolated, are recomputed in every
+// family: GAT's aggregation-input cache grows with them, GraphSAGE's
+// self concat gathers their rows.
+class IncrementalGrowth : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(IncrementalGrowth, NodeGrowthRecomputesNewRows)
 {
+    struct ThreadGuard
+    {
+        int saved = currentThreads();
+        ~ThreadGuard() { setThreads(saved); }
+    } guard;
     NodeId n = 20;
     Graph g0 = randomGraph(n, 50, 71);
     const int feat = 8, classes = 3;
     Rng wrng(73);
-    auto model = makeModel("GCN", feat, classes, false, wrng);
+    auto model = makeModel(GetParam(), feat, classes, false, wrng);
     Matrix x0(n, feat);
     Rng xrng(79);
     for (int64_t i = 0; i < x0.size(); ++i)
@@ -461,11 +503,16 @@ TEST(IncrementalForward, NodeGrowthRecomputesNewRows)
 
     ctx.emplace(st.graph(), st.normalized(), st.rowMean());
     recipe = forwardRecipeFor(model, *ctx);
-    std::vector<DirtyRegion> levels = dirtyLevels(
-        us.dirty, st.graph(), int(recipe.spec->layers.size()));
-    fwd = fwd.applied(recipe, x1, levels);
-    expectMatrixEq(fwd.logits(), referenceForward(recipe, x1));
+    for (int threads : {1, 3}) {
+        setThreads(threads);
+        IncrementalForward next = fwd.applied(recipe, x1, us.dirty);
+        expectMatrixEq(next.logits(), referenceForward(recipe, x1));
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(Zoo, IncrementalGrowth,
+                         ::testing::Values("GCN", "GraphSAGE", "GAT", "GIN",
+                                           "ResGCN"));
 
 // Every op-graph family (attention scores, GIN residuals, Max
 // aggregation, SAGE self-concat) survives streamed deltas: the per-op
@@ -524,9 +571,7 @@ TEST_P(IncrementalZoo, DeltaRecomputeMatchesFromScratch)
             continue;
         ctx.emplace(st.graph(), st.normalized(), st.rowMean());
         recipe = forwardRecipeFor(model, *ctx);
-        std::vector<DirtyRegion> levels = dirtyLevels(
-            us.dirty, st.graph(), int(recipe.spec->layers.size()));
-        fwd = fwd.applied(recipe, x, levels);
+        fwd = fwd.applied(recipe, x, us.dirty);
 
         for (int threads : {1, 3}) {
             setThreads(threads);

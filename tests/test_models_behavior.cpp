@@ -70,7 +70,7 @@ sampleOperators(const Dataset &ds, const std::vector<int> &fanouts,
 /**
  * One GAT layer's weights, Glorot-initialized in parameter order: the
  * projection W, then the attention vectors. forward() runs the
- * projection and attentionForward with heads concatenated.
+ * projection and an AttentionScore op with heads concatenated.
  */
 struct AttentionWeights
 {
@@ -89,8 +89,20 @@ struct AttentionWeights
     Matrix
     forward(const CsrMatrix &adj, const Matrix &x) const
     {
-        return attentionForward(adj, matmul(x, w), aSrc, aDst, heads, dim,
-                                true);
+        ForwardRecipe m;
+        m.operators = {&adj};
+        m.weights = {&w, &aSrc, &aDst};
+        OpStep att;
+        att.kind = OpKind::AttentionScore;
+        att.opIndex = 0;
+        att.aSrc = 1;
+        att.aDst = 2;
+        att.heads = heads;
+        att.headDim = dim;
+        att.concatHeads = true;
+        Matrix out;
+        runOp(m, nullptr, att, matmul(x, w), nullptr, OpPack(), nullptr, out);
+        return out;
     }
 };
 

@@ -350,7 +350,7 @@ TEST_P(RowForms, EveryOpRowSetEqualsWholeMatrixRows)
         Matrix cur = x;
         for (size_t l = 0; l < m.layers.size(); ++l) {
             std::vector<Matrix> slots;
-            forwardLayer(m, nullptr, l, cur, nullptr, slots);
+            forwardLayer(m, nullptr, l, cur, slots);
             auto at = [&](int s) -> const Matrix & {
                 return s == 0 ? cur : slots[size_t(s)];
             };

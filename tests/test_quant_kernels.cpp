@@ -2,7 +2,8 @@
  * @file
  * Byte-exactness of the fast host kernels against the scalar oracles in
  * kernel_oracles.hpp: the std::lround quantizers, the int64 integer
- * GEMM / SpMM, and the i-k-j fp32 GEMM. Every fast kernel must memcmp
+ * GEMM / SpMM, the i-k-j fp32 GEMM and the if-chain Max aggregation
+ * (NaN, ±0, ±inf and denormal inputs). Every fast kernel must memcmp
  * its oracle across ragged shapes, empty and all-zero rows, every bit
  * width on both branches, rounding ties, clamped values, and the int32
  * accumulator bound and one term past it.
@@ -12,7 +13,10 @@
 #include <climits>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
+#include "graph/graph.hpp"
+#include "nn/quant_exec.hpp"
 #include "sim/parallel.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qops.hpp"
@@ -340,6 +344,60 @@ TEST(FastMatmulTest, MatchesIkjOracleAcrossShapes)
             }
         }
     setThreads(0);
+}
+
+TEST(FastMaxAggTest, MatchesIfChainOracleOnSpecialValues)
+{
+    // Every pair of specials meets in some (row, neighbor, column), in
+    // both orders, with plain normals between them.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float den = std::numeric_limits<float>::denorm_min();
+    const float special[] = {std::nanf(""), -std::nanf(""), 0.0f, -0.0f,
+                             inf,           -inf,           den,  -den,
+                             1.5f,          -2.0f};
+    const int64_t ns = int64_t(sizeof(special) / sizeof(special[0]));
+    Rng rng(29);
+    const NodeId n = 300;
+    const int64_t cols = 37; // a ragged tail past every vector width
+    Matrix x(n, cols);
+    for (NodeId r = 0; r < n; ++r)
+        for (int64_t c = 0; c < cols; ++c)
+            x(r, c) = rng.bernoulli(0.6)
+                          ? special[(int64_t(r) * 7 + c) % ns]
+                          : float(rng.normal(0.0, 1.0));
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (int i = 0; i < 900; ++i) {
+        NodeId u = NodeId(rng.uniformInt(0, n - 1));
+        NodeId v = NodeId(rng.uniformInt(0, n - 1));
+        if (u != v && u > 4 && v > 4) // rows 0..4 stay isolated
+            edges.push_back({u, v});
+    }
+    const Graph g(n, edges);
+    const CsrMatrix &adj = g.adjacency();
+    const Matrix want = oracleMaxAggregate(adj, x);
+    ForwardRecipe m;
+    m.operators = {&adj};
+    OpStep maxAgg;
+    maxAgg.kind = OpKind::MaxAgg;
+    maxAgg.opIndex = 0;
+    for (int t : {1, 4}) {
+        setThreads(t);
+        Matrix got;
+        runOp(m, nullptr, maxAgg, x, nullptr, OpPack(), nullptr, got);
+        ASSERT_TRUE(sameBytes(got, want)) << "threads=" << t;
+    }
+    setThreads(0);
+    // The row kernel over a compact operator row, its seed row given
+    // apart: the same bytes.
+    std::vector<float> row(static_cast<size_t>(cols));
+    for (NodeId r = 0; r < n; ++r) {
+        const CsrMatrix one = operatorRows(adj, {r});
+        maxAggRowInto(one, x, 0, r, row.data());
+        ASSERT_EQ(std::memcmp(row.data(), want.row(r),
+                              size_t(cols) * sizeof(float)),
+                  0)
+            << "row " << r;
+    }
 }
 
 } // namespace
