@@ -26,10 +26,10 @@ RowSetPlan
 dirtyPlan(const ForwardRecipe &m, const DirtyRegion &d0)
 {
     RowSetPlan plan;
-    plan.levels.resize(m.layers.size());
+    plan.resize(m.layers.size());
     std::vector<NodeId> rows = d0.nodes;
-    for (size_t l = 0; l < plan.levels.size(); ++l) {
-        RowSetLevel &lv = plan.levels[l];
+    for (size_t l = 0; l < plan.size(); ++l) {
+        RowSetLevel &lv = plan[l];
         lv.rows = std::move(rows);
         if (lv.rows.size() == size_t(d0.numNodes)) {
             rows = lv.rows; // saturated: further hops are free
@@ -40,7 +40,8 @@ dirtyPlan(const ForwardRecipe &m, const DirtyRegion &d0)
                     "incremental recompute needs one aggregation per layer");
         const OpStep &op = m.layers[l].ops[size_t(agg)];
         lv.op = operatorRows(*m.operators[size_t(op.opIndex)], lv.rows);
-        rows = closedInputRows(lv.rows, lv.op);
+        if (l + 1 < plan.size())
+            rows = closedInputRows(lv.rows, lv.op);
     }
     return plan;
 }
@@ -82,7 +83,7 @@ IncrementalForward::pass(const ForwardRecipe &m, const Matrix &x,
                     "incremental recompute needs one aggregation per layer");
         const int aggIn = g.ops[size_t(aggIdx)].in;
         const RowSetLevel *lv =
-            plan != nullptr ? &plan->levels[l] : nullptr;
+            plan != nullptr ? &(*plan)[l] : nullptr;
         if (lv == nullptr || int64_t(lv->rows.size()) == n) {
             std::vector<Matrix> slots;
             forwardLayer(m, nullptr, l, *input, slots);

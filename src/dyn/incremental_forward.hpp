@@ -29,8 +29,8 @@ namespace gcod::dyn {
 
 /**
  * The rows each layer of @p m recomputes after an update with
- * operator-dirty set @p d0: levels[0] is D0, and levels[l] is
- * closedInputRows of levels[l-1] — over the zoo's symmetric operator
+ * operator-dirty set @p d0: level 0 is D0, and level l is
+ * closedInputRows of level l-1 — over the zoo's symmetric operator
  * patterns, every row that reads a changed input row. A level holds its
  * rows of the layer's aggregation operator (node-id columns), but none
  * once it covers every node.

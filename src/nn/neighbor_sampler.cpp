@@ -105,28 +105,6 @@ sampledLevel(const ForwardRecipe &base, const Graph &g, int fanout,
     return lv;
 }
 
-/**
- * The target's sampled receptive field, top-down: level l holds the
- * sorted rows layer l must produce; layer l reads each of them plus its
- * sampled neighbors, which is level l-1.
- */
-RowSetPlan
-sampledPlan(const ForwardRecipe &base, const Graph &g, int fanout,
-            uint64_t seed, NodeId target)
-{
-    RowSetPlan plan;
-    plan.levels.resize(base.layers.size());
-    std::vector<NodeId> rows = {target};
-    for (size_t l = plan.levels.size(); l-- > 0;) {
-        std::vector<NodeId> in;
-        plan.levels[l] = sampledLevel(base, g, fanout, seed, l,
-                                      std::move(rows),
-                                      l > 0 ? &in : nullptr);
-        rows = std::move(in);
-    }
-    return plan;
-}
-
 /** peak = max(peak, max |row|): chooseQuantParams's reduction, by row. */
 void
 foldPeak(float &peak, const float *row, int64_t cols)
@@ -237,17 +215,28 @@ sampledForwardRow(const ForwardRecipe &base, const Graph &g, const Matrix &x,
     requireSampled(base, g);
     GCOD_ASSERT(target >= 0 && target < g.numNodes(),
                 "sampled target outside the node space");
-    const RowSetPlan plan = sampledPlan(base, g, fanout, seed, target);
-    // Layer 0's operator columns are node ids into the features; deeper
-    // ones index the previous compact level.
+    // The receptive field, top-down: level l holds the sorted rows layer
+    // l must produce; layer l reads each of them plus its sampled
+    // neighbors, which is level l-1. Layer 0's operator columns are node
+    // ids into the features; deeper ones index the previous level.
+    RowSetPlan plan(base.layers.size());
+    std::vector<NodeId> out = {target};
+    for (size_t l = plan.size(); l-- > 0;) {
+        std::vector<NodeId> in;
+        plan[l] = sampledLevel(base, g, fanout, seed, l, std::move(out),
+                               l > 0 ? &in : nullptr);
+        out = std::move(in);
+    }
     const Matrix *in = &x;
     Matrix cur;
-    for (size_t l = 0; l < plan.levels.size(); ++l) {
-        cur = forwardRowSet(base, nullptr, l, plan.levels[l], *in);
+    size_t interpreted = 0;
+    for (size_t l = 0; l < plan.size(); ++l) {
+        cur = forwardRowSet(base, nullptr, l, plan[l], *in);
         in = &cur;
+        interpreted += plan[l].rows.size();
     }
     if (rows != nullptr)
-        *rows = plan.rowCount();
+        *rows = interpreted;
     return cur;
 }
 

@@ -656,63 +656,41 @@ packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
     }
 }
 
-namespace {
-
-/**
- * The rows runOp's row form walks: the node ids in `ids`, each read and
- * written at its own row of full-height matrices, or the compact rows of
- * `level`: row k of every slot, the aggregation reading level->op's row
- * k and starting from the row's own input row.
- */
-struct RowWalk
-{
-    const std::vector<NodeId> *ids = nullptr;
-    const RowSetLevel *level = nullptr;
-
-    size_t size() const { return ids ? ids->size() : level->rows.size(); }
-    NodeId row(size_t k) const { return ids ? (*ids)[k] : NodeId(k); }
-    NodeId
-    self(size_t k) const
-    {
-        if (ids != nullptr)
-            return (*ids)[k];
-        return level->self.empty() ? level->rows[k] : level->self[k];
-    }
-};
-
-/** runOp over every row (@p walk null) or over @p walk's rows. */
 void
-runOpOn(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
-        const Matrix &in, const Matrix *aux, const OpPack &pack,
-        const RowWalk *walk, Matrix &out)
+runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
+      const Matrix &in, const Matrix *aux, const OpPack &pack,
+      const std::vector<NodeId> *rows, Matrix &out, const RowSetLevel *level)
 {
     // int8 row sets run over full-height operands (the shard executor);
     // forwardRowSet runs compact int8 rows through the batch kernels.
-    GCOD_ASSERT(q == nullptr || walk == nullptr || walk->ids != nullptr,
-                "compact int8 rows run the batch kernels");
+    GCOD_ASSERT(level == nullptr || (rows != nullptr && q == nullptr),
+                "compact rows run at fp32 over the level's rows");
     const CsrMatrix *adj = nullptr;
     if (op.opIndex >= 0)
-        adj = walk != nullptr && walk->level != nullptr
-                  ? &walk->level->op
-                  : m.operators[size_t(op.opIndex)];
-    // A row kernel over the walk's rows (into a fresh @p width slot when
-    // they are compact), or, for an op without a batch kernel, over all
-    // @p rows rows in parallel.
-    auto rowKernel = [&](int64_t rows, int64_t width, int64_t grain,
+        adj = level != nullptr ? &level->op : m.operators[size_t(op.opIndex)];
+    // A row kernel over @p rows (compact into a fresh @p width slot when
+    // @p level is set), or, for an op without a batch kernel, over all
+    // @p n rows in parallel.
+    auto rowKernel = [&](int64_t n, int64_t width, int64_t grain,
                          auto &&rowInto) {
-        if (walk != nullptr) {
-            if (walk->level != nullptr)
-                out = Matrix(int64_t(walk->size()), width);
-            for (size_t k = 0; k < walk->size(); ++k) {
-                const NodeId r = walk->row(k);
-                rowInto(r, walk->self(k), out.row(r));
+        if (rows != nullptr) {
+            if (level != nullptr)
+                out = Matrix(int64_t(rows->size()), width);
+            for (size_t k = 0; k < rows->size(); ++k) {
+                const NodeId v = (*rows)[k];
+                if (level == nullptr)
+                    rowInto(v, v, out.row(v));
+                else
+                    rowInto(NodeId(k),
+                            level->self.empty() ? v : level->self[k],
+                            out.row(int64_t(k)));
             }
             return;
         }
-        out = Matrix(rows, width);
+        out = Matrix(n, width);
         ParallelZone zone(opKindName(op.kind));
         parallelFor(
-            0, rows,
+            0, n,
             [&](const Range &rg, size_t) {
                 for (int64_t i = rg.begin; i < rg.end; ++i)
                     rowInto(NodeId(i), NodeId(i), out.row(i));
@@ -722,11 +700,11 @@ runOpOn(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
     switch (op.kind) {
     case OpKind::SpMM:
         if (q != nullptr) {
-            if (walk != nullptr)
-                qspmmMixedRows(*pack.op, *pack.x, *walk->ids, out);
+            if (rows != nullptr)
+                qspmmMixedRows(*pack.op, *pack.x, *rows, out);
             else
                 out = qspmmMixed(*pack.op, *pack.x);
-        } else if (walk != nullptr) {
+        } else if (rows != nullptr) {
             rowKernel(0, in.cols(), 0, [&](NodeId r, NodeId, float *o) {
                 spmmRowInto(*adj, in, r, o);
             });
@@ -738,14 +716,14 @@ runOpOn(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
         if (q != nullptr) {
             const QuantizedMatrix &lo = q->wLo[size_t(op.weight)];
             const QuantizedMatrix &hi = q->wHi[size_t(op.weight)];
-            if (walk != nullptr)
-                qmatmulRowScaledRows(pack.rows, lo, hi, *walk->ids, out);
+            if (rows != nullptr)
+                qmatmulRowScaledRows(pack.rows, lo, hi, *rows, out);
             else
                 out = qmatmulRowScaled(pack.rows, lo, hi);
             break;
         }
         const Matrix &w = *m.weights[size_t(op.weight)];
-        if (walk != nullptr)
+        if (rows != nullptr)
             rowKernel(0, w.cols(), 0, [&](NodeId r, NodeId, float *o) {
                 matmulRowInto(in.row(r), w, o);
             });
@@ -792,29 +770,6 @@ runOpOn(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
     }
 }
 
-/** Rows @p rows of @p x, in that order. */
-Matrix
-gatherRows(const Matrix &x, const std::vector<NodeId> &rows)
-{
-    Matrix out(int64_t(rows.size()), x.cols());
-    for (size_t k = 0; k < rows.size(); ++k)
-        std::memcpy(out.row(int64_t(k)), x.row(rows[k]),
-                    size_t(x.cols()) * sizeof(float));
-    return out;
-}
-
-} // namespace
-
-void
-runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
-      const Matrix &in, const Matrix *aux, const OpPack &pack,
-      const std::vector<NodeId> *rows, Matrix &out)
-{
-    RowWalk walk;
-    walk.ids = rows;
-    runOpOn(m, q, op, in, aux, pack, rows != nullptr ? &walk : nullptr,
-            out);
-}
 
 Matrix &
 forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
@@ -888,15 +843,6 @@ quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
     return cur;
 }
 
-size_t
-RowSetPlan::rowCount() const
-{
-    size_t total = 0;
-    for (const RowSetLevel &lv : levels)
-        total += lv.rows.size();
-    return total;
-}
-
 CsrMatrix
 operatorRows(const CsrMatrix &op, const std::vector<NodeId> &rows)
 {
@@ -921,23 +867,25 @@ closedInputRows(const std::vector<NodeId> &rows, const CsrMatrix &op)
     in.reserve(rows.size() + op.indices().size());
     in.insert(in.end(), rows.begin(), rows.end());
     in.insert(in.end(), op.indices().begin(), op.indices().end());
-    const size_t n = size_t(op.cols());
-    if (in.size() * 16 < n) {
-        // A few entries over a wide space (a point query): sort them.
-        std::sort(in.begin(), in.end());
-        in.erase(std::unique(in.begin(), in.end()), in.end());
-        return in;
-    }
-    // Many entries: mark them over the column space, read it in order.
-    std::vector<char> mark(n, 0);
-    for (NodeId v : in)
-        mark[size_t(v)] = 1;
-    in.clear();
-    for (size_t v = 0; v < mark.size(); ++v)
-        if (mark[v])
-            in.push_back(NodeId(v));
+    std::sort(in.begin(), in.end());
+    in.erase(std::unique(in.begin(), in.end()), in.end());
     return in;
 }
+
+namespace {
+
+/** Rows @p rows of @p x, in that order. */
+Matrix
+gatherRows(const Matrix &x, const std::vector<NodeId> &rows)
+{
+    Matrix out(int64_t(rows.size()), x.cols());
+    for (size_t k = 0; k < rows.size(); ++k)
+        std::memcpy(out.row(int64_t(k)), x.row(rows[k]),
+                    size_t(x.cols()) * sizeof(float));
+    return out;
+}
+
+} // namespace
 
 Matrix
 forwardRowSet(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
@@ -976,8 +924,6 @@ forwardRowSet(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
     auto at = [&](int s) -> const Matrix & {
         return s == 0 ? *self0 : slots[size_t(s)];
     };
-    RowWalk walk;
-    walk.level = &lv;
     for (size_t i = 0; i < g.ops.size(); ++i) {
         const OpStep &op = g.ops[i];
         const bool isAgg = int(i) == aggIdx;
@@ -991,11 +937,13 @@ forwardRowSet(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
                 packOp(q, op, src, own, &branch);
             runOp(m, q, op, src, aux, isAgg ? *agg : own, nullptr, out);
         } else {
-            runOpOn(m, nullptr, op, src, aux, OpPack(), &walk, out);
+            runOp(m, nullptr, op, src, aux, OpPack(), &lv.rows, out, &lv);
         }
         if (agg_in != nullptr && op.out == aggStep.in)
-            for (int64_t k = 0; k < n; ++k)
-                std::memcpy(agg_in->row(walk.self(size_t(k))), out.row(k),
+            for (size_t k = 0; k < lv.rows.size(); ++k)
+                std::memcpy(agg_in->row(lv.self.empty() ? lv.rows[k]
+                                                        : lv.self[k]),
+                            out.row(int64_t(k)),
                             size_t(out.cols()) * sizeof(float));
     }
     return std::move(slots[size_t(g.ops.back().out)]);

@@ -390,8 +390,10 @@ struct OpPack
 void packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
             OpPack &pack, const std::vector<uint8_t> *branch_of = nullptr);
 
+struct RowSetLevel;
+
 /**
- * The op executor every whole-matrix interpreter runs: @p op of @p m at
+ * The op executor every interpreter runs: @p op of @p m at
  * the precision of @p q (fp32 when null; then @p pack is unused), over
  *
  *  - every row (@p rows null): the batch kernels — spmm, matmul,
@@ -402,8 +404,12 @@ void packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
  *    (spmm's entry order, matmulRowInto, qspmmMixedRows,
  *    qmatmulRowScaledRows, attentionRowInto, maxAggRowInto, the
  *    row-local kernel), written into those rows of @p out, which the
- *    caller sized; no parallel region opens. forwardRowSet runs the
- *    same kernels over compact rows.
+ *    caller sized; no parallel region opens;
+ *  - with @p level set too (fp32 only; @p rows is level->rows): the same
+ *    row kernels compact, forwardRowSet's form — row k of a fresh @p out
+ *    and of a row-local input is row rows[k]; the aggregation reads
+ *    level->op's row k, its own input row being level->self[k] (rows[k]
+ *    when self is empty).
  *
  * Each row's bytes are the same either way, so stitching the row sets
  * of a partition reproduces the whole-matrix op (shard/executor).
@@ -412,7 +418,8 @@ void packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
  */
 void runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
            const Matrix &in, const Matrix *aux, const OpPack &pack,
-           const std::vector<NodeId> *rows, Matrix &out);
+           const std::vector<NodeId> *rows, Matrix &out,
+           const RowSetLevel *level = nullptr);
 
 /**
  * The whole-matrix layer loop: each op of @p layer through runOp over
@@ -452,14 +459,8 @@ struct RowSetLevel
     std::vector<NodeId> self;
 };
 
-/** Per layer, the rows to compute (levels[l] for layer l). */
-struct RowSetPlan
-{
-    std::vector<RowSetLevel> levels;
-
-    /** Rows computed over every level. */
-    size_t rowCount() const;
-};
+/** Per layer, the rows to compute (level l for layer l). */
+using RowSetPlan = std::vector<RowSetLevel>;
 
 /** Rows @p rows of @p op, in that order; columns unchanged. */
 CsrMatrix operatorRows(const CsrMatrix &op, const std::vector<NodeId> &rows);

@@ -235,18 +235,17 @@ TEST(DirtyPlan, LevelsExpandOneHopPerLayer)
     m.layers.assign(5, layer);
 
     RowSetPlan plan = dirtyPlan(m, DirtyRegion::of(5, {0, 1}));
-    ASSERT_EQ(plan.levels.size(), 5u);
-    EXPECT_EQ(plan.levels[0].rows, (std::vector<NodeId>{0, 1}));
-    EXPECT_EQ(plan.levels[1].rows, (std::vector<NodeId>{0, 1, 2}));
-    EXPECT_EQ(plan.levels[2].rows, (std::vector<NodeId>{0, 1, 2, 3}));
+    ASSERT_EQ(plan.size(), 5u);
+    EXPECT_EQ(plan[0].rows, (std::vector<NodeId>{0, 1}));
+    EXPECT_EQ(plan[1].rows, (std::vector<NodeId>{0, 1, 2}));
+    EXPECT_EQ(plan[2].rows, (std::vector<NodeId>{0, 1, 2, 3}));
     const std::vector<NodeId> all = {0, 1, 2, 3, 4};
-    EXPECT_EQ(plan.levels[3].rows, all);
-    EXPECT_EQ(plan.levels[4].rows, all);
-    EXPECT_EQ(plan.rowCount(), 2u + 3u + 4u + 5u + 5u);
+    EXPECT_EQ(plan[3].rows, all);
+    EXPECT_EQ(plan[4].rows, all);
 
     // A partial level holds its rows of the operator, with node-id
     // columns; its own rows index the input by node id too.
-    const RowSetLevel &lv = plan.levels[1];
+    const RowSetLevel &lv = plan[1];
     ASSERT_EQ(lv.op.rows(), 3);
     for (size_t k = 0; k < lv.rows.size(); ++k) {
         std::vector<NodeId> want, got;
@@ -260,7 +259,7 @@ TEST(DirtyPlan, LevelsExpandOneHopPerLayer)
     }
     EXPECT_TRUE(lv.self.empty());
     // Saturated levels carry no operator rows: they run whole.
-    EXPECT_EQ(plan.levels[3].op.rows(), 0);
+    EXPECT_EQ(plan[3].op.rows(), 0);
 }
 
 // ------------------------------------------------ epoch merge equivalence
