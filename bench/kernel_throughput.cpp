@@ -12,7 +12,8 @@
  * entries run the quantize pack, rowQuantize, qmatmulRowScaled and
  * qspmmMixed at the GCN layer-0 shape (2708 x 1433 -> 16) and the
  * ResGCN block shape (N x 128 -> 128), beside fp32 matmul / spmm at the
- * same shapes.
+ * same shapes; the ResGCN block also times its Max aggregation (runOp's
+ * whole form).
  *
  *   ./bench_kernel_throughput threads=4
  *   ./bench_kernel_throughput quick=1 check=1 out=BENCH_kernels.json
@@ -100,12 +101,14 @@ compare(JsonEmitter &json, const std::string &name, const std::string &kind,
 /**
  * The int8 serving kernels at one GEMM shape (rows x k -> n), over a
  * power-law graph of @p rows nodes, with fp32 matmul / spmm at the same
- * shapes. Protected rows follow the serving rule (top 10% by degree).
- * Returns the kernels whose output differs from its scalar reference.
+ * shapes, and with @p max_agg the Max aggregation over the same graph.
+ * Protected rows follow the serving rule (top 10% by degree). Returns
+ * the kernels whose output differs from its scalar reference.
  */
 int
 quantSweep(JsonEmitter &json, const std::string &tag, int64_t rows,
-           int64_t k, int64_t n, int threads, int reps, Rng &rng)
+           int64_t k, int64_t n, int threads, int reps, Rng &rng,
+           bool max_agg = false)
 {
     Graph g = barabasiAlbert(NodeId(rows), 4, rng);
     const CsrMatrix &adj = g.adjacency();
@@ -149,6 +152,20 @@ quantSweep(JsonEmitter &json, const std::string &tag, int64_t rows,
           [&] { benchmark::DoNotOptimize(qspmmMixed(qa, mx)); });
     entry("spmm_fp32", spmmFlops,
           [&] { benchmark::DoNotOptimize(spmmRowWise(adj, x)); });
+    // ResGCN's aggregation through the op executor, as a layer runs it.
+    ForwardRecipe maxRecipe;
+    maxRecipe.operators = {&adj};
+    OpStep maxOp;
+    maxOp.kind = OpKind::MaxAgg;
+    maxOp.opIndex = 0;
+    auto maxAggregate = [&] {
+        Matrix out;
+        runOp(maxRecipe, nullptr, maxOp, x, nullptr, OpPack(), out);
+        return out;
+    };
+    if (max_agg)
+        entry("max_aggregate", double(adj.nnz()) * double(k),
+              [&] { benchmark::DoNotOptimize(maxAggregate()); });
 
     int mismatches = 0;
     auto expect = [&](bool same, const char *kernel) {
@@ -174,6 +191,10 @@ quantSweep(JsonEmitter &json, const std::string &tag, int64_t rows,
     expect(oracle::sameBytes(qspmmMixed(qa, mx),
                              oracle::oracleQspmmMixed(qa, mx)),
            "qspmm_mixed");
+    if (max_agg)
+        expect(oracle::sameBytes(maxAggregate(),
+                                 oracle::oracleMaxAggregate(adj, x)),
+               "max_aggregate");
     return mismatches;
 }
 
@@ -288,7 +309,7 @@ runSweep(const Config &cfg)
         mismatches +=
             quantSweep(json, "gcn_l0", rows, 1433, 16, threads, reps, rng);
         mismatches += quantSweep(json, "resgcn_block", rows, 128, 128,
-                                 threads, reps, rng);
+                                 threads, reps, rng, true);
     }
     json.meta().set("reference_mismatches", int64_t(mismatches));
 

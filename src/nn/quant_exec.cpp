@@ -632,7 +632,7 @@ quantizeGnn(const ForwardRecipe &m, const std::vector<int32_t> &degrees,
 
 void
 packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
-       OpPack &pack, const std::vector<uint8_t> *branch_of)
+       OpPack &pack, const std::vector<NodeId> *rows)
 {
     if (q == nullptr)
         return;
@@ -651,43 +651,39 @@ packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
         // scale factors out of its dot products exactly, so this stays
         // bit-identical across threads/shards/row subsets. SpMM keeps
         // per-branch scales — it mixes rows in one accumulator.
-        pack.rows = rowQuantize(in, branch_of ? *branch_of : q->branchOf,
+        if (rows != nullptr) {
+            pack.branch.resize(rows->size());
+            for (size_t k = 0; k < rows->size(); ++k)
+                pack.branch[k] = q->branchOf[size_t((*rows)[k])];
+        }
+        pack.rows = rowQuantize(in, rows != nullptr ? pack.branch
+                                                    : q->branchOf,
                                 q->policy.denseBits, q->policy.sparseBits);
     }
 }
 
 void
 runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
-      const Matrix &in, const Matrix *aux, const OpPack &pack,
-      const std::vector<NodeId> *rows, Matrix &out, const RowSetLevel *level)
+      const Matrix &in, const Matrix *aux, const OpPack &pack, Matrix &out,
+      const RowSetLevel *level)
 {
-    // int8 row sets run over full-height operands (the shard executor);
-    // forwardRowSet runs compact int8 rows through the batch kernels.
-    GCOD_ASSERT(level == nullptr || (rows != nullptr && q == nullptr),
-                "compact rows run at fp32 over the level's rows");
     const CsrMatrix *adj = nullptr;
     if (op.opIndex >= 0)
         adj = level != nullptr ? &level->op : m.operators[size_t(op.opIndex)];
-    // A row kernel over @p rows (compact into a fresh @p width slot when
-    // @p level is set), or, for an op without a batch kernel, over all
-    // @p n rows in parallel.
+    // The row kernel over @p n rows into a fresh @p width slot: serially
+    // over a level, row k reading its own input row at level->self[k]
+    // (rows[k] when self is empty), or in parallel over every row.
     auto rowKernel = [&](int64_t n, int64_t width, int64_t grain,
                          auto &&rowInto) {
-        if (rows != nullptr) {
-            if (level != nullptr)
-                out = Matrix(int64_t(rows->size()), width);
-            for (size_t k = 0; k < rows->size(); ++k) {
-                const NodeId v = (*rows)[k];
-                if (level == nullptr)
-                    rowInto(v, v, out.row(v));
-                else
-                    rowInto(NodeId(k),
-                            level->self.empty() ? v : level->self[k],
-                            out.row(int64_t(k)));
-            }
+        out = Matrix(n, width);
+        if (level != nullptr) {
+            for (int64_t k = 0; k < n; ++k)
+                rowInto(NodeId(k),
+                        level->self.empty() ? level->rows[size_t(k)]
+                                            : level->self[size_t(k)],
+                        out.row(k));
             return;
         }
-        out = Matrix(n, width);
         ParallelZone zone(opKindName(op.kind));
         parallelFor(
             0, n,
@@ -699,34 +695,28 @@ runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
     };
     switch (op.kind) {
     case OpKind::SpMM:
-        if (q != nullptr) {
-            if (rows != nullptr)
-                qspmmMixedRows(*pack.op, *pack.x, *rows, out);
-            else
-                out = qspmmMixed(*pack.op, *pack.x);
-        } else if (rows != nullptr) {
-            rowKernel(0, in.cols(), 0, [&](NodeId r, NodeId, float *o) {
-                spmmRowInto(*adj, in, r, o);
-            });
-        } else {
+        if (q != nullptr)
+            out = qspmmMixed(*pack.op, *pack.x);
+        else if (level != nullptr)
+            rowKernel(adj->rows(), in.cols(), 0,
+                      [&](NodeId r, NodeId, float *o) {
+                          spmmRowInto(*adj, in, r, o);
+                      });
+        else
             out = spmm(*adj, in);
-        }
         break;
     case OpKind::GEMM: {
         if (q != nullptr) {
-            const QuantizedMatrix &lo = q->wLo[size_t(op.weight)];
-            const QuantizedMatrix &hi = q->wHi[size_t(op.weight)];
-            if (rows != nullptr)
-                qmatmulRowScaledRows(pack.rows, lo, hi, *rows, out);
-            else
-                out = qmatmulRowScaled(pack.rows, lo, hi);
+            out = qmatmulRowScaled(pack.rows, q->wLo[size_t(op.weight)],
+                                   q->wHi[size_t(op.weight)]);
             break;
         }
         const Matrix &w = *m.weights[size_t(op.weight)];
-        if (rows != nullptr)
-            rowKernel(0, w.cols(), 0, [&](NodeId r, NodeId, float *o) {
-                matmulRowInto(in.row(r), w, o);
-            });
+        if (level != nullptr)
+            rowKernel(in.rows(), w.cols(), 0,
+                      [&](NodeId r, NodeId, float *o) {
+                          matmulRowInto(in.row(r), w, o);
+                      });
         else
             out = matmul(in, w);
         break;
@@ -770,7 +760,6 @@ runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
     }
 }
 
-
 Matrix &
 forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
              const Matrix &input, std::vector<Matrix> &slots)
@@ -785,7 +774,7 @@ forwardLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
         OpPack pack;
         packOp(q, op, at(op.in), pack);
         runOp(m, q, op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr,
-              pack, nullptr, slots[size_t(op.out)]);
+              pack, slots[size_t(op.out)]);
     }
     return slots[size_t(g.ops.back().out)];
 }
@@ -887,65 +876,60 @@ gatherRows(const Matrix &x, const std::vector<NodeId> &rows)
 
 } // namespace
 
+void
+runRowSetOp(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
+            size_t i, const RowSetLevel &lv, const Matrix &in,
+            const OpPack *agg, Matrix *agg_in, std::vector<Matrix> &slots)
+{
+    const LayerGraph &g = m.layers[layer];
+    const OpStep &op = g.ops[i];
+    const int aggIdx = g.aggOp();
+    const bool isAgg = int(i) == aggIdx;
+    // Slot 0 of the other ops: the set's own input rows, gathered only
+    // where an op outside the aggregation reads them. A level over every
+    // row of its input reads it in place.
+    const bool inPlace =
+        lv.self.empty() && int64_t(lv.rows.size()) == in.rows();
+    if (i == 0) {
+        slots.assign(size_t(g.numSlots), Matrix());
+        if (g.readsSelf() && !inPlace)
+            slots[0] = gatherRows(in, lv.self.empty() ? lv.rows : lv.self);
+    }
+    auto at = [&](int s) -> const Matrix & {
+        return s == 0 && inPlace ? in : slots[size_t(s)];
+    };
+    GCOD_ASSERT(!isAgg || op.in == 0 || agg_in != nullptr,
+                "an aggregation of an in-layer slot reads its cache");
+    const Matrix &src = isAgg ? (op.in == 0 ? in : *agg_in) : at(op.in);
+    OpPack own;
+    if (!isAgg)
+        packOp(q, op, src, own, &lv.rows);
+    GCOD_ASSERT(!isAgg || q == nullptr || op.kind != OpKind::SpMM ||
+                    agg != nullptr,
+                "an int8 row-set SpMM reads the caller's packed operands");
+    Matrix &out = slots[size_t(op.out)];
+    runOp(m, q, op, src, op.aux >= 0 ? &at(op.aux) : nullptr,
+          isAgg && agg != nullptr ? *agg : own, out, &lv);
+    if (agg_in != nullptr && op.out == g.ops[size_t(aggIdx)].in)
+        for (size_t k = 0; k < lv.rows.size(); ++k)
+            std::memcpy(agg_in->row(lv.self.empty() ? lv.rows[k]
+                                                    : lv.self[k]),
+                        out.row(int64_t(k)),
+                        size_t(out.cols()) * sizeof(float));
+}
+
 Matrix
 forwardRowSet(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
               const RowSetLevel &lv, const Matrix &in, const OpPack *agg,
               Matrix *agg_in)
 {
     const LayerGraph &g = m.layers[layer];
-    const int aggIdx = g.aggOp();
-    GCOD_ASSERT(aggIdx >= 0, "a row-set layer needs an aggregation");
-    const OpStep &aggStep = g.ops[size_t(aggIdx)];
+    GCOD_ASSERT(g.aggOp() >= 0, "a row-set layer needs an aggregation");
     GCOD_ASSERT(int64_t(lv.op.rows()) == int64_t(lv.rows.size()),
                 "a row-set operator needs one row per row in the set");
-    GCOD_ASSERT(aggStep.in == 0 || agg_in != nullptr,
-                "an aggregation of an in-layer slot reads its cache");
-    GCOD_ASSERT(q == nullptr || (agg != nullptr &&
-                                 aggStep.kind == OpKind::SpMM),
-                "int8 row sets aggregate the layer input with SpMM only");
-    const int64_t n = int64_t(lv.rows.size());
-
-    // Slot 0 of the other ops: the set's own input rows, gathered only
-    // where an op outside the aggregation reads them. A level over every
-    // row of its input reads it in place.
-    Matrix self;
-    const Matrix *self0 = &in;
-    if (g.readsSelf() && (!lv.self.empty() || n != in.rows())) {
-        self = gatherRows(in, lv.self.empty() ? lv.rows : lv.self);
-        self0 = &self;
-    }
-    std::vector<uint8_t> branch;
-    if (q != nullptr) {
-        branch.resize(size_t(n));
-        for (size_t k = 0; k < branch.size(); ++k)
-            branch[k] = q->branchOf[size_t(lv.rows[k])];
-    }
-    std::vector<Matrix> slots(size_t(g.numSlots));
-    auto at = [&](int s) -> const Matrix & {
-        return s == 0 ? *self0 : slots[size_t(s)];
-    };
-    for (size_t i = 0; i < g.ops.size(); ++i) {
-        const OpStep &op = g.ops[i];
-        const bool isAgg = int(i) == aggIdx;
-        const Matrix &src =
-            isAgg ? (op.in == 0 ? in : *agg_in) : at(op.in);
-        const Matrix *aux = op.aux >= 0 ? &at(op.aux) : nullptr;
-        Matrix &out = slots[size_t(op.out)];
-        if (q != nullptr) {
-            OpPack own;
-            if (!isAgg)
-                packOp(q, op, src, own, &branch);
-            runOp(m, q, op, src, aux, isAgg ? *agg : own, nullptr, out);
-        } else {
-            runOp(m, nullptr, op, src, aux, OpPack(), &lv.rows, out, &lv);
-        }
-        if (agg_in != nullptr && op.out == aggStep.in)
-            for (size_t k = 0; k < lv.rows.size(); ++k)
-                std::memcpy(agg_in->row(lv.self.empty() ? lv.rows[k]
-                                                        : lv.self[k]),
-                            out.row(int64_t(k)),
-                            size_t(out.cols()) * sizeof(float));
-    }
+    std::vector<Matrix> slots;
+    for (size_t i = 0; i < g.ops.size(); ++i)
+        runRowSetOp(m, q, layer, i, lv, in, agg, agg_in, slots);
     return std::move(slots[size_t(g.ops.back().out)]);
 }
 

@@ -10,12 +10,13 @@
  *
  * Every interpreter runs every op through one executor, runOp(), at
  * the precision of the pack it holds: a `const QuantizedGnn *` that is
- * null for fp32. packOp() codes an op's input once, globally, before its
- * rows are split; runOp() then runs the batch kernels over all rows or
- * the serial row kernels over a row set. Each OpKind has one row kernel;
- * a row-local op's whole-matrix form is that kernel over every row.
- * Two layer loops drive it: forwardLayer() over every row, and
- * forwardRowSet() over the compact rows of one RowSetPlan level:
+ * null for fp32. The caller packs the int8 operands (packOp()); runOp()
+ * then runs the op over every row, or over the compact rows of one
+ * RowSetLevel, slot row k being the level's k-th row. Each OpKind has
+ * one row kernel; a row-local op's whole-matrix form is that kernel
+ * over every row. Two layer loops drive it: forwardLayer() over every
+ * row, and runRowSetOp(), the per-op step over one level, which
+ * forwardRowSet() and the shard executor both call:
  *
  *  - referenceForward(): stateless fp32 pass — what evaluation, serving
  *    and the quantization baseline read;
@@ -23,8 +24,8 @@
  *    backward (nn/backward.hpp, one rule per OpKind);
  *  - quantizeGnn() / quantizedForwardMixed(): the GCoD mixed-precision
  *    integer path (low-bit dense branch, degree-protected tail);
- *  - shard/executor.hpp: each op over every shard's owned rows into the
- *    global staging slot, bit-identical at any shard count;
+ *  - shard/executor.hpp: each op over every shard's owned rows as a
+ *    compact level, bit-identical at any shard count;
  *  - dyn/incremental_forward.hpp: each layer over its dirty rows, a
  *    plan built bottom-up from the changed rows;
  *  - nn/neighbor_sampler.hpp: sampled point queries, each layer over
@@ -357,20 +358,22 @@ QuantizedGnn quantizeGnn(const ForwardRecipe &m,
                          const MixedPrecisionPolicy &policy = {});
 
 /**
- * The int8 operands of one op, packed once over the op's whole input
- * before its rows are split: SpMM codes its input per branch with the
- * whole matrix's scales, GEMM codes each row with its own scale. Every
- * row subset and every shard then reads the codes the whole-matrix pass
- * reads. Empty at fp32 and for the ops that run in fp32 at every
- * precision. Not copyable: `x` may point at `packed`.
+ * The int8 operands of one op. SpMM codes its whole input per branch
+ * with the whole matrix's scales, once before its rows are split; GEMM
+ * codes each row with its own scale, so a compact row set codes its rows
+ * as the whole matrix does. Every row subset and every shard then reads
+ * the codes the whole-matrix pass reads. Empty at fp32 and for the ops
+ * that run in fp32 at every precision. Not copyable: `x` may point at
+ * `packed`, `rows` at `branch`.
  */
 struct OpPack
 {
     /** SpMM: the operator's integer values and the branch-coded input. */
     const QuantizedCsr *op = nullptr;
     const MixedQuantizedMatrix *x = nullptr;
-    /** GEMM: the row-coded input. */
+    /** GEMM: the row-coded input, and its rows' branches (row sets). */
     RowQuantizedMatrix rows;
+    std::vector<uint8_t> branch;
     /** Storage behind `x` when packOp coded the input. */
     MixedQuantizedMatrix packed;
 
@@ -384,42 +387,40 @@ struct OpPack
 
 /**
  * Pack @p op's input @p in into @p pack at @p q's precision; a no-op
- * when @p q is null (fp32). @p branch_of gives the branch of each row of
- * @p in; null means q's own split (@p in covers every node).
+ * when @p q is null (fp32). @p rows gives the node of each row of @p in
+ * (a GEMM over a compact row set); null means @p in covers every node.
  */
 void packOp(const QuantizedGnn *q, const OpStep &op, const Matrix &in,
-            OpPack &pack, const std::vector<uint8_t> *branch_of = nullptr);
+            OpPack &pack, const std::vector<NodeId> *rows = nullptr);
 
 struct RowSetLevel;
 
 /**
- * The op executor every interpreter runs: @p op of @p m at
- * the precision of @p q (fp32 when null; then @p pack is unused), over
+ * The op executor every interpreter runs: @p op of @p m at the precision
+ * of @p q (fp32 when null; then @p pack is unused), from the operands
+ * @p pack holds at int8 (qspmmMixed, qmatmulRowScaled), assigned to a
+ * fresh @p out, over
  *
- *  - every row (@p rows null): the batch kernels — spmm, matmul,
- *    qspmmMixed, qmatmulRowScaled, and for AttentionScore, MaxAgg and
- *    the row-local ops (Residual / ConcatSelf / Activation / Readout)
- *    their row kernel over every row in parallel — assigned to @p out;
- *  - the rows in @p rows: the serial row kernels of the same math
- *    (spmm's entry order, matmulRowInto, qspmmMixedRows,
- *    qmatmulRowScaledRows, attentionRowInto, maxAggRowInto, the
- *    row-local kernel), written into those rows of @p out, which the
- *    caller sized; no parallel region opens;
- *  - with @p level set too (fp32 only; @p rows is level->rows): the same
- *    row kernels compact, forwardRowSet's form — row k of a fresh @p out
- *    and of a row-local input is row rows[k]; the aggregation reads
- *    level->op's row k, its own input row being level->self[k] (rows[k]
- *    when self is empty).
+ *  - every row (@p level null): the batch kernels — spmm, matmul, and
+ *    for AttentionScore, MaxAgg and the row-local ops (Residual /
+ *    ConcatSelf / Activation / Readout) their row kernel over every row
+ *    in parallel;
+ *  - the compact rows of @p level: the serial row kernels of the same
+ *    math (spmm's entry order, matmulRowInto, attentionRowInto,
+ *    maxAggRowInto, the row-local kernel), row k of @p out and of a
+ *    row-local input being row level->rows[k]; the aggregation reads
+ *    level->op's row k, its own input row being level->self[k]
+ *    (rows[k] when self is empty). No parallel region opens at fp32;
+ *    the int8 kernels run inline inside a pool worker.
  *
- * Each row's bytes are the same either way, so stitching the row sets
- * of a partition reproduces the whole-matrix op (shard/executor).
+ * Each row's bytes are the same either way, so stitching the levels of
+ * a partition reproduces the whole-matrix op (shard/executor).
  * Residual stores the scaled aux before adding it, in two passes, so no
  * fused multiply-add contracts them.
  */
 void runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
            const Matrix &in, const Matrix *aux, const OpPack &pack,
-           const std::vector<NodeId> *rows, Matrix &out,
-           const RowSetLevel *level = nullptr);
+           Matrix &out, const RowSetLevel *level = nullptr);
 
 /**
  * The whole-matrix layer loop: each op of @p layer through runOp over
@@ -475,16 +476,31 @@ std::vector<NodeId> closedInputRows(const std::vector<NodeId> &rows,
                                     const CsrMatrix &op);
 
 /**
+ * Op @p i of layer @p layer over the rows of @p lv at @p q's precision
+ * (fp32 when null): the one per-op step of forwardRowSet and the shard
+ * executor. @p slots holds the level's compact slots across the layer's
+ * ops; op 0 resets them. Slot 0 is @p in, read in place when @p lv spans
+ * it by node id, else the set's own rows of it, gathered by op 0 when an
+ * op outside the aggregation reads them. The aggregation reads @p in, or
+ * @p agg_in when its input is made inside the layer (GAT's projection),
+ * through lv.op, its int8 operands packed by the caller in @p agg (lv.op's
+ * codes over the source packed at the whole source's scales); every
+ * other op reads the compact slots, a GEMM coding its rows at their
+ * nodes' branches. The op that makes the aggregation input also writes
+ * its rows into @p agg_in, indexed like @p in.
+ */
+void runRowSetOp(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
+                 size_t i, const RowSetLevel &lv, const Matrix &in,
+                 const OpPack *agg, Matrix *agg_in,
+                 std::vector<Matrix> &slots);
+
+/**
  * Layer @p layer of @p m over the rows of @p lv, at @p q's precision
  * (fp32 when null), reading @p in (the whole layer input or a compact
- * level); returns the compact output, row k being row lv.rows[k]. fp32
- * runs runOp's serial row kernels, so no parallel region opens. int8
- * aggregates with SpMM from @p agg (lv.op's codes over @p in packed at
- * the whole input's scales) and runs the batch kernels over the compact
- * slots. @p agg_in caches an aggregation input made inside the layer
- * (GAT's projection), indexed like @p in; the set's rows of it are
- * written first. Each row runs forwardLayer's kernel over the same
- * entries in the same order, so it matches that row of the whole pass.
+ * level): runRowSetOp over each op. Returns the compact output, row k
+ * being row lv.rows[k]. Each row runs forwardLayer's kernel over the
+ * same entries in the same order, so it matches that row of the whole
+ * pass.
  */
 Matrix forwardRowSet(const ForwardRecipe &m, const QuantizedGnn *q,
                      size_t layer, const RowSetLevel &lv, const Matrix &in,

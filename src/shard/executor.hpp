@@ -4,22 +4,26 @@
  * runtime, bit-identical to single-chip execution at both precisions.
  *
  * The executor interprets the model's op-graph ForwardRecipe
- * (nn/quant_exec.hpp) op by op, through the same op executor as the
- * whole-graph passes. For each op it first packs the input globally
- * (packOp: at int8, the branch codes and scales of the whole activation
- * matrix — exactly what the monolithic pass uses), then runs the op on
- * every shard's owned rows in parallel (runOp over a row set), writing
- * into the global staging slot. Aggregations (SpMM / AttentionScore /
- * MaxAgg — the ops that read neighbor rows, hence the halo exchange) and
- * GEMM run per shard; the row-pure row-local ops run once over the
- * whole slot. Because every row kernel keeps its batch kernel's
- * per-element order (fp32) or sums exact integers (int8), each owned
- * output row is bit-identical to the monolithic pass's, for any shard
- * count, any chip mix, and any thread count.
+ * (nn/quant_exec.hpp) op by op, through the same per-op step as the
+ * compact row-set passes (runRowSetOp). Each shard is a RowSetLevel: its
+ * owned rows and their rows of the global aggregation operator, whose
+ * columns stay node ids into the global layer input (the halo is read
+ * in place). For each op the shards run in parallel, one per pool range:
+ * an aggregation reads the global layer input — or, for GAT, the global
+ * staging matrix every shard scattered its projection rows into — and
+ * every other op reads the shard's compact slots; each layer output is
+ * scattered into the next layer's global input. At int8 the SpMM input
+ * is packed once over the whole matrix (the branch codes and scales the
+ * monolithic pass uses: the halo payload), each shard aggregating with
+ * its operator rows' codes, and a GEMM codes the shard's own rows with
+ * their per-row scales, the codes the whole matrix has. Because every
+ * row kernel keeps its batch kernel's per-element order (fp32) or sums
+ * exact integers (int8), each owned output row is bit-identical to the
+ * monolithic pass's, for any shard count, any chip mix, and any thread
+ * count.
  *
- * Per-shard operator slices (plan.hpp's extractLocalOperator) remain
- * only in the cost model (scheduler.hpp); execution reads the global
- * operators by owned row.
+ * Operator slices in the shard's local index space (plan.hpp's
+ * extractLocalOperator) serve only the cost model (scheduler.hpp).
  *
  * Supported families: everything forwardRecipeFor lowers — GCN,
  * GraphSAGE (full-mean or sampled operators), GIN, GAT, ResGCN.

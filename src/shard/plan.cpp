@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "nn/quant_exec.hpp"
 #include "partition/degree_classes.hpp"
 #include "sim/logging.hpp"
 #include "sim/parallel.hpp"
@@ -229,31 +230,16 @@ extractLocalOperator(const CsrMatrix &op, const Shard &shard,
     std::vector<NodeId> local_of(size_t(num_nodes), -1);
     for (size_t i = 0; i < shard.localToGlobal.size(); ++i)
         local_of[size_t(shard.localToGlobal[i])] = NodeId(i);
-
-    std::vector<EdgeOffset> indptr;
-    indptr.reserve(shard.owned.size() + 1);
-    indptr.push_back(0);
-    EdgeOffset nnz = 0;
-    for (NodeId u : shard.owned)
-        nnz += op.rowNnz(u);
-    std::vector<NodeId> indices;
-    std::vector<float> values;
-    indices.reserve(size_t(nnz));
-    values.reserve(size_t(nnz));
-    for (NodeId u : shard.owned) {
-        op.forEachInRow(u, [&](NodeId v, float w) {
-            NodeId lv = local_of[size_t(v)];
-            GCOD_ASSERT(lv >= 0, "operator entry outside the shard's "
-                                 "local space (pattern not contained in "
-                                 "adjacency + self loops)");
-            indices.push_back(lv);
-            values.push_back(w);
-        });
-        indptr.push_back(EdgeOffset(indices.size()));
+    const CsrMatrix rows = operatorRows(op, shard.owned);
+    std::vector<NodeId> indices = rows.indices();
+    for (NodeId &c : indices) {
+        c = local_of[size_t(c)];
+        GCOD_ASSERT(c >= 0, "operator entry outside the shard's local space "
+                            "(pattern not contained in adjacency + self "
+                            "loops)");
     }
-    return CsrMatrix(shard.ownedCount(), shard.localCount(),
-                     std::move(indptr), std::move(indices),
-                     std::move(values));
+    return CsrMatrix(shard.ownedCount(), shard.localCount(), rows.indptr(),
+                     std::move(indices), rows.values());
 }
 
 Graph

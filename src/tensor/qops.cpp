@@ -415,18 +415,6 @@ qspmmMixed(const QuantizedCsr &a, const MixedQuantizedMatrix &x)
     return y;
 }
 
-void
-qspmmMixedRows(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
-               const std::vector<NodeId> &rows, Matrix &y)
-{
-    GCOD_ASSERT(y.rows() == int64_t(a.pattern->rows()) &&
-                    y.cols() == x.cols(),
-                "qspmmMixedRows output shape mismatch");
-    SpmmScratch s;
-    for (NodeId r : rows)
-        qspmmMixedRow(a, x, r, s, y);
-}
-
 RowQuantizedMatrix
 rowQuantize(const Matrix &x, const std::vector<uint8_t> &branch_of,
             int lo_bits, int hi_bits)
@@ -481,21 +469,6 @@ qmatmulRowScaled(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
         },
         rowGrain(x.cols * w_lo.cols()));
     return z;
-}
-
-void
-qmatmulRowScaledRows(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                     const QuantizedMatrix &w_hi,
-                     const std::vector<NodeId> &rows, Matrix &z)
-{
-    GCOD_ASSERT(x.cols == w_lo.rows() && x.cols == w_hi.rows() &&
-                    z.rows() == x.rows && z.cols() == w_lo.cols() &&
-                    w_lo.cols() == w_hi.cols(),
-                "qmatmulRowScaledRows shape mismatch");
-    const std::array<bool, 2> pair = pairPaths(x, w_lo, w_hi);
-    RowScratch s;
-    for (NodeId r : rows)
-        qmatmulRowScaledRow(x, w_lo, w_hi, pair.data(), r, s, z);
 }
 
 } // namespace gcod

@@ -86,16 +86,6 @@ MixedQuantizedMatrix mixedQuantize(const Matrix &x,
 Matrix qspmmMixed(const QuantizedCsr &a, const MixedQuantizedMatrix &x);
 
 /**
- * qspmmMixed restricted to the output rows in @p rows, written into the
- * matching rows of @p y (shape pattern.rows x x.cols). Serial — the
- * sharded executor calls it from inside a pool worker, one shard per
- * range. Row math is identical to qspmmMixed's, so stitching the row
- * sets of a partition reproduces the full kernel bit for bit.
- */
-void qspmmMixedRows(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
-                    const std::vector<NodeId> &rows, Matrix &y);
-
-/**
  * Per-row quantized GEMM input: row r is coded at the branch-matching
  * bit width with its OWN symmetric scale. A row's scale multiplies
  * every term of that row's dot products, so it factors out of the
@@ -146,12 +136,6 @@ RowQuantizedMatrix rowQuantize(const Matrix &x,
 Matrix qmatmulRowScaled(const RowQuantizedMatrix &x,
                         const QuantizedMatrix &w_lo,
                         const QuantizedMatrix &w_hi);
-
-/** qmatmulRowScaled restricted to @p rows, written into @p z (serial). */
-void qmatmulRowScaledRows(const RowQuantizedMatrix &x,
-                          const QuantizedMatrix &w_lo,
-                          const QuantizedMatrix &w_hi,
-                          const std::vector<NodeId> &rows, Matrix &z);
 
 } // namespace gcod
 

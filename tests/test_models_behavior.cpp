@@ -101,7 +101,7 @@ struct AttentionWeights
         att.headDim = dim;
         att.concatHeads = true;
         Matrix out;
-        runOp(m, nullptr, att, matmul(x, w), nullptr, OpPack(), nullptr, out);
+        runOp(m, nullptr, att, matmul(x, w), nullptr, OpPack(), out);
         return out;
     }
 };

@@ -149,17 +149,28 @@ TEST(QuantKernelsTest, RowScaledGemmIsExactPerRowAndStitchesBitIdentically)
                         2e-2f * std::fabs(ref(r, j)) + 1e-3f);
     }
 
-    // Determinism: arbitrary row subsets stitched serially reproduce
-    // the parallel kernel bit for bit (the shard executor's contract).
-    Matrix stitched(x.rows(), w.cols(), 0.0f);
-    std::vector<NodeId> evens, odds;
-    for (NodeId r = 0; r < NodeId(x.rows()); ++r)
-        (r % 2 == 0 ? evens : odds).push_back(r);
-    qmatmulRowScaledRows(rx, wLo, wHi, odds, stitched);
-    qmatmulRowScaledRows(rx, wLo, wHi, evens, stitched);
-    EXPECT_EQ(std::memcmp(full.data().data(), stitched.data().data(),
-                          full.data().size() * sizeof(float)),
-              0);
+    // Determinism: a gathered row subset, coded on its own, reproduces
+    // those rows of the whole product bit for bit (the shard executor's
+    // contract: each shard codes its compact rows).
+    for (int parity : {0, 1}) {
+        std::vector<int64_t> rows;
+        for (int64_t r = parity; r < x.rows(); r += 2)
+            rows.push_back(r);
+        Matrix sub(int64_t(rows.size()), x.cols());
+        std::vector<uint8_t> subBranch;
+        for (size_t k = 0; k < rows.size(); ++k) {
+            std::memcpy(sub.row(int64_t(k)), x.row(rows[k]),
+                        size_t(x.cols()) * sizeof(float));
+            subBranch.push_back(branch[size_t(rows[k])]);
+        }
+        Matrix part =
+            qmatmulRowScaled(rowQuantize(sub, subBranch, 8, 16), wLo, wHi);
+        for (size_t k = 0; k < rows.size(); ++k)
+            EXPECT_EQ(std::memcmp(part.row(int64_t(k)), full.row(rows[k]),
+                                  size_t(full.cols()) * sizeof(float)),
+                      0)
+                << "row " << rows[k];
+    }
 }
 
 // --------------------------------------------------- mixed-precision GNN
@@ -283,50 +294,72 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ZooParity,
                                            "GIN", "ResGCN"));
 
 // ------------------------------------------------------------- row forms
-// runOp's row form over a row set must write exactly those rows, each
-// memcmp-equal to the same row of the whole-matrix form, for every op
-// of every family at both precisions and any thread count.
+// runOp's level form over a compact row set must give row k equal to
+// row rows[k] of the whole-matrix form, for every op of every family at
+// both precisions and any thread count.
 
-constexpr float kUnwritten = -7.25f;
-
-/** Every third node from a random offset, in shuffled order. */
+/** A sorted random third of the nodes. */
 std::vector<NodeId>
 randomRowSet(NodeId n, Rng &rng)
 {
     std::vector<NodeId> rows;
-    for (NodeId r = NodeId(rng.uniformInt(0, 2)); r < n; r += 3)
-        rows.push_back(r);
-    rng.shuffle(rows);
+    for (NodeId r = 0; r < n; ++r)
+        if (rng.bernoulli(1.0 / 3.0))
+            rows.push_back(r);
     return rows;
 }
 
+/** Rows @p rows of @p x, in that order. */
+Matrix
+gathered(const Matrix &x, const std::vector<NodeId> &rows)
+{
+    Matrix out(int64_t(rows.size()), x.cols());
+    for (size_t k = 0; k < rows.size(); ++k)
+        std::memcpy(out.row(int64_t(k)), x.row(rows[k]),
+                    size_t(x.cols()) * sizeof(float));
+    return out;
+}
+
 /**
- * @p op over @p rows into a sentinel-filled matrix shaped like @p whole;
- * expects the set's rows equal to @p whole's and every other row
- * untouched.
+ * @p op over the level of @p rows, its int8 operands packed as the shard
+ * executor packs them: an aggregation reads the whole input @p in
+ * through the level's operator rows (SpMM: their codes over the whole
+ * input's pack); every other op reads the set's rows of @p in and
+ * @p aux, a GEMM coding them at their nodes' branches. Expects row k
+ * equal to row rows[k] of @p whole.
  */
 void
-expectRowFormMatches(const ForwardRecipe &m, const QuantizedGnn *q,
-                     const OpStep &op, const Matrix &in, const Matrix *aux,
-                     const OpPack &pack, const std::vector<NodeId> &rows,
-                     const Matrix &whole, const std::string &what)
+expectLevelMatches(const ForwardRecipe &m, const QuantizedGnn *q,
+                   const OpStep &op, const Matrix &in, const Matrix *aux,
+                   const std::vector<NodeId> &rows, const Matrix &whole,
+                   const std::string &what)
 {
-    Matrix got(whole.rows(), whole.cols(), kUnwritten);
-    runOp(m, q, op, in, aux, pack, &rows, got);
-    std::vector<char> inSet(size_t(whole.rows()), 0);
-    for (NodeId r : rows)
-        inSet[size_t(r)] = 1;
-    const size_t bytes = size_t(whole.cols()) * sizeof(float);
-    for (int64_t r = 0; r < whole.rows(); ++r) {
-        if (inSet[size_t(r)]) {
-            ASSERT_EQ(std::memcmp(got.row(r), whole.row(r), bytes), 0)
-                << what << " row " << r;
-        } else {
-            for (int64_t j = 0; j < whole.cols(); ++j)
-                ASSERT_EQ(got(r, j), kUnwritten)
-                    << what << " wrote row " << r << " outside its set";
-        }
+    const bool agg = isAggregation(op.kind);
+    RowSetLevel lv;
+    lv.rows = rows;
+    OpPack wire;
+    QuantizedCsr codes;
+    if (agg) {
+        lv.op = operatorRows(*m.operators[size_t(op.opIndex)], rows);
+        packOp(q, op, in, wire);
+        if (wire.op != nullptr)
+            codes = quantizeCsr(lv.op, wire.op->qp);
     }
+    const Matrix src = agg ? in : gathered(in, rows);
+    const Matrix auxRows = aux != nullptr ? gathered(*aux, rows) : Matrix();
+    OpPack pack(wire.op != nullptr ? &codes : nullptr, wire.x);
+    if (!agg)
+        packOp(q, op, src, pack, &rows);
+    Matrix got;
+    runOp(m, q, op, src, aux != nullptr ? &auxRows : nullptr, pack, got,
+          &lv);
+    ASSERT_EQ(got.rows(), int64_t(rows.size())) << what;
+    ASSERT_EQ(got.cols(), whole.cols()) << what;
+    for (size_t k = 0; k < rows.size(); ++k)
+        ASSERT_EQ(std::memcmp(got.row(int64_t(k)), whole.row(rows[k]),
+                              size_t(whole.cols()) * sizeof(float)),
+                  0)
+            << what << " row " << rows[k];
 }
 
 class RowForms : public ::testing::TestWithParam<std::string>
@@ -364,9 +397,9 @@ TEST_P(RowForms, EveryOpRowSetEqualsWholeMatrixRows)
                     OpPack opPack;
                     packOp(q, op, at(op.in), opPack);
                     Matrix whole;
-                    runOp(m, q, op, at(op.in), aux, opPack, nullptr, whole);
-                    expectRowFormMatches(
-                        m, q, op, at(op.in), aux, opPack, rows, whole,
+                    runOp(m, q, op, at(op.in), aux, opPack, whole);
+                    expectLevelMatches(
+                        m, q, op, at(op.in), aux, rows, whole,
                         family + " layer " + std::to_string(l) + " " +
                             opKindName(op.kind) +
                             (q != nullptr ? " int8" : " fp32") +
@@ -460,10 +493,10 @@ TEST(RowLocalOps, RowAndWholeFormsMatchIndependentOraclesOnSpecialValues)
             const std::string what = std::string(opKindName(c.op.kind)) +
                                      " threads " + std::to_string(t);
             Matrix whole;
-            runOp(m, nullptr, c.op, in, c.aux, OpPack(), nullptr, whole);
+            runOp(m, nullptr, c.op, in, c.aux, OpPack(), whole);
             EXPECT_TRUE(bitIdentical(whole, c.want)) << what;
-            expectRowFormMatches(m, nullptr, c.op, in, c.aux, OpPack(),
-                                 randomRowSet(n, rng), whole, what);
+            expectLevelMatches(m, nullptr, c.op, in, c.aux,
+                               randomRowSet(n, rng), whole, what);
         }
     }
     setThreads(before);

@@ -272,30 +272,48 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(info.param));
     });
 
-TEST(ShardedForward, ManyShardsOnTinyGraphStillExact)
+class ShardedForward : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(ShardedForward, ManyShardsOnTinyGraphStillExact)
 {
     // More shards than some classes have nodes: empty shards must be
-    // handled, and the stitched result still exact at both precisions.
+    // handled, and the stitched result still exact at both precisions —
+    // GAT's projection staging and the self-row gather of GraphSAGE, GIN
+    // and ResGCN included.
+    const std::string family = GetParam();
     Graph g(12, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
                  {6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, {0, 11}});
     GraphContext ctx(g);
     Rng rng(23);
-    auto model = makeModel("GCN", 6, 2, false, rng);
+    auto model = makeModel(family, 6, 2, false, rng);
     Matrix x(g.numNodes(), 6);
     x.glorotInit(rng);
     Matrix mono = referenceForward(forwardRecipeFor(model, ctx), x);
 
     ShardPlanOptions opts;
-    opts.shards = 8;
+    opts.shards = 16;
     ShardPlan plan = buildShardPlan(g, opts);
+    size_t empty = 0;
+    for (const Shard &sh : plan.shards)
+        empty += sh.owned.empty();
+    EXPECT_GT(empty, 0u) << "the plan should leave some shard empty";
     ForwardRecipe recipe = forwardRecipeFor(model, ctx);
     Matrix sharded = shardedForward(plan, recipe, x);
-    EXPECT_TRUE(bitIdentical(mono, sharded));
+    EXPECT_TRUE(bitIdentical(mono, sharded)) << family << " fp32";
 
     QuantizedGnn q = quantizeGnn(recipe, g.degrees());
     Matrix qsharded = shardedForward(plan, recipe, x, &q);
-    EXPECT_TRUE(bitIdentical(quantizedForwardMixed(q, x), qsharded));
+    EXPECT_TRUE(bitIdentical(quantizedForwardMixed(q, x), qsharded))
+        << family << " int8";
 }
+
+INSTANTIATE_TEST_SUITE_P(Zoo, ShardedForward,
+                         ::testing::Values("GCN", "GraphSAGE", "GAT", "GIN",
+                                           "ResGCN"),
+                         [](const ::testing::TestParamInfo<std::string> &i) {
+                             return i.param;
+                         });
 
 // -------------------------------------------------------------- scheduler
 TEST(ShardScheduler, MixedChipFleetRunsExactAndCosts)
