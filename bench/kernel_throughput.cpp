@@ -13,7 +13,10 @@
  * qspmmMixed at the GCN layer-0 shape (2708 x 1433 -> 16) and the
  * ResGCN block shape (N x 128 -> 128), beside fp32 matmul / spmm at the
  * same shapes; the ResGCN block also times its Max aggregation (runOp's
- * whole form).
+ * whole form). Those inputs are ReLU'd, about half zeros; the dense
+ * entries time both GEMMs on dense input at ResGCN's layer-0 shape
+ * (N x 1433 -> 128). The JSON meta names the GEMM body that ran
+ * (gemm_isa: avx2 or baseline, tensor/gemm_isa.hpp).
  *
  *   ./bench_kernel_throughput threads=4
  *   ./bench_kernel_throughput quick=1 check=1 out=BENCH_kernels.json
@@ -33,6 +36,7 @@
 #include "nn/quant_exec.hpp"
 #include "sim/rng.hpp"
 #include "tensor/fused.hpp"
+#include "tensor/gemm_isa.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qops.hpp"
 
@@ -135,6 +139,8 @@ quantSweep(JsonEmitter &json, const std::string &tag, int64_t rows,
     };
 
     QuantizedMatrix wlo(w, 8), whi(w, 16);
+    wlo.packPairs();
+    whi.packPairs();
     RowQuantizedMatrix rx = rowQuantize(x, branch, 8, 16);
     QuantizedCsr qa = quantizeCsr(adj, 16);
     MixedQuantizedMatrix mx = mixedQuantize(x, branch, local, 8, 16);
@@ -198,6 +204,61 @@ quantSweep(JsonEmitter &json, const std::string &tag, int64_t rows,
     return mismatches;
 }
 
+/**
+ * fp32 matmul and qmatmulRowScaled on dense input (no zero activation)
+ * at ResGCN's Cora layer-0 shape, rows x 1433 -> 128. The layer-0
+ * features are dense, where quantSweep's ReLU'd input is about half
+ * zeros, which the baseline bodies skip. Protected rows follow the
+ * serving rule over a power-law graph, as in quantSweep. Returns the
+ * kernels whose output differs from its scalar reference.
+ */
+int
+denseGemmSweep(JsonEmitter &json, int64_t rows, int threads, int reps,
+               Rng &rng)
+{
+    const int64_t k = 1433, n = 128;
+    Graph g = barabasiAlbert(NodeId(rows), 4, rng);
+    std::vector<int32_t> degrees(static_cast<size_t>(rows));
+    for (NodeId r = 0; r < NodeId(rows); ++r)
+        degrees[size_t(r)] = int32_t(g.adjacency().rowNnz(r));
+    const std::vector<uint8_t> branch = protectedBranchOf(degrees, 0.1);
+    Matrix x = randomDense(rows, k, rng);
+    Matrix w = randomDense(k, n, rng);
+    QuantizedMatrix wlo(w, 8), whi(w, 16);
+    wlo.packPairs();
+    whi.packPairs();
+    RowQuantizedMatrix rx = rowQuantize(x, branch, 8, 16);
+    const double flops = 2.0 * double(rows) * double(k) * double(n);
+    const std::string shape = std::to_string(rows) + "x" +
+                              std::to_string(k) + "x" + std::to_string(n);
+    auto entry = [&](const std::string &kernel, auto &&fn) {
+        JsonEmitter::Entry *e = nullptr;
+        compare(json, kernel + "_dense_resgcn_l0", kernel, threads, reps,
+                flops, fn, &e);
+        e->set("shape", shape).set("rows", rows).set("k", k).set("n", n);
+    };
+    entry("qmatmul_row_scaled", [&] {
+        benchmark::DoNotOptimize(qmatmulRowScaled(rx, wlo, whi));
+    });
+    entry("gemm_fp32", [&] { benchmark::DoNotOptimize(matmul(x, w)); });
+
+    int mismatches = 0;
+    auto expect = [&](bool same, const char *kernel) {
+        if (!same) {
+            std::printf("MISMATCH %s_dense_resgcn_l0: output differs from "
+                        "its scalar reference\n",
+                        kernel);
+            ++mismatches;
+        }
+    };
+    expect(oracle::sameBytes(qmatmulRowScaled(rx, wlo, whi),
+                             oracle::oracleQmatmulRowScaled(rx, wlo, whi)),
+           "qmatmul_row_scaled");
+    expect(oracle::sameBytes(matmul(x, w), oracle::oracleMatmul(x, w)),
+           "gemm_fp32");
+    return mismatches;
+}
+
 int
 runSweep(const Config &cfg)
 {
@@ -211,7 +272,8 @@ runSweep(const Config &cfg)
         .set("bench", "kernel_throughput")
         .set("threads", threads)
         .set("hardware_threads", hardwareThreads())
-        .set("quick", int64_t(quick));
+        .set("quick", int64_t(quick))
+        .set("gemm_isa", gemmIsaName(hostGemmIsa()));
 
     std::printf("kernel throughput: %d thread(s), %d hardware, reps=%d\n\n",
                 threads, hardwareThreads(), reps);
@@ -310,6 +372,7 @@ runSweep(const Config &cfg)
             quantSweep(json, "gcn_l0", rows, 1433, 16, threads, reps, rng);
         mismatches += quantSweep(json, "resgcn_block", rows, 128, 128,
                                  threads, reps, rng, true);
+        mismatches += denseGemmSweep(json, rows, threads, reps, rng);
     }
     json.meta().set("reference_mismatches", int64_t(mismatches));
 

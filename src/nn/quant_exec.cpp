@@ -623,8 +623,8 @@ quantizeGnn(const ForwardRecipe &m, const std::vector<int32_t> &degrees,
     q.wLo.reserve(m.weights.size());
     q.wHi.reserve(m.weights.size());
     for (const Matrix *w : m.weights) {
-        q.wLo.emplace_back(*w, policy.denseBits);
-        q.wHi.emplace_back(*w, policy.sparseBits);
+        q.wLo.emplace_back(*w, policy.denseBits).packPairs();
+        q.wHi.emplace_back(*w, policy.sparseBits).packPairs();
     }
     q.rebuildDequantized();
     return q;
@@ -712,13 +712,7 @@ runOp(const ForwardRecipe &m, const QuantizedGnn *q, const OpStep &op,
             break;
         }
         const Matrix &w = *m.weights[size_t(op.weight)];
-        if (level != nullptr)
-            rowKernel(in.rows(), w.cols(), 0,
-                      [&](NodeId r, NodeId, float *o) {
-                          matmulRowInto(in.row(r), w, o);
-                      });
-        else
-            out = matmul(in, w);
+        out = level != nullptr ? matmulSerial(in, w) : matmul(in, w);
         break;
     }
     case OpKind::AttentionScore: {

@@ -331,7 +331,10 @@ struct QuantizedGnn
      * interpreted in fp32, e.g. attention / Max aggregation).
      */
     std::vector<QuantizedCsr> qops;
-    /** Per recipe weight, packed at denseBits / sparseBits. */
+    /**
+     * Per recipe weight, packed at denseBits / sparseBits, each with
+     * the k-pair pack qmatmulRowScaled reads (packPairs).
+     */
     std::vector<QuantizedMatrix> wLo;
     std::vector<QuantizedMatrix> wHi;
     /**
@@ -405,13 +408,13 @@ struct RowSetLevel;
  *    for AttentionScore, MaxAgg and the row-local ops (Residual /
  *    ConcatSelf / Activation / Readout) their row kernel over every row
  *    in parallel;
- *  - the compact rows of @p level: the serial row kernels of the same
- *    math (spmm's entry order, matmulRowInto, attentionRowInto,
- *    maxAggRowInto, the row-local kernel), row k of @p out and of a
- *    row-local input being row level->rows[k]; the aggregation reads
- *    level->op's row k, its own input row being level->self[k]
- *    (rows[k] when self is empty). No parallel region opens at fp32;
- *    the int8 kernels run inline inside a pool worker.
+ *  - the compact rows of @p level: the serial kernels of the same
+ *    math (spmm's entry order, matmulSerial over the level's rows,
+ *    attentionRowInto, maxAggRowInto, the row-local kernel), row k of
+ *    @p out and of a row-local input being row level->rows[k]; the
+ *    aggregation reads level->op's row k, its own input row being
+ *    level->self[k] (rows[k] when self is empty). No parallel region
+ *    opens at fp32; the int8 kernels run inline inside a pool worker.
  *
  * Each row's bytes are the same either way, so stitching the levels of
  * a partition reproduces the whole-matrix op (shard/executor).

@@ -324,6 +324,10 @@ decodeQuantPack(ByteCursor &c, const ForwardRecipe &recipe,
         GCOD_FATAL("artifact store: quantized pack carries ", q.wLo.size(),
                    "/", q.wHi.size(), " weight matrices but model '",
                    stored.name, "' has ", recipe.weights.size());
+    for (QuantizedMatrix &w : q.wLo)
+        w.packPairs();
+    for (QuantizedMatrix &w : q.wHi)
+        w.packPairs();
     q.rebuildDequantized();
     return q;
 }

@@ -5,19 +5,24 @@
 #include <cstring>
 
 #include "sim/parallel.hpp"
+#include "tensor/gemm_isa.hpp"
+
+#ifdef GCOD_GEMM_AVX2
+#include <immintrin.h>
+#endif
 
 namespace gcod {
 
 namespace {
 
 /**
- * Column-tile width for matmul and matmulTransposedB: a K x kColTile
- * stripe of the right-hand operand stays cache-resident while every row
- * of the local range streams against it.
+ * Column-tile width of the GEMM bodies and matmulTransposedB: a K x
+ * kColTile stripe of the right-hand operand stays cache-resident while
+ * every row of the local range streams against it.
  */
 constexpr int64_t kColTile = 128;
 
-/** Output columns matmulRowInto keeps in registers across k. */
+/** Output columns one register tile keeps across k. */
 constexpr int64_t kRegTile = 16;
 
 /** Positions of the nonzero a[0..k), ascending, into nz; the count. */
@@ -69,53 +74,224 @@ matmulTile(const float *a, const int32_t *nz, int64_t nnz, const Matrix &b,
 }
 
 /**
- * Columns [jb, jend) of one matmul row: the nonzero positions of a into
- * @p nz (b.rows() entries of scratch), then each register tile.
+ * The baseline body: rows [r0, r1) of c = a · b, each row a 1 x 16
+ * register tile over its nonzero activations. One K x kColTile stripe
+ * of B at a time sweeps every row of the block, so B is read once per
+ * block.
  */
 void
-matmulRowColumns(const float *a, const Matrix &b, int64_t jb, int64_t jend,
-                 int32_t *nz, float *out)
+matmulBaseline(const Matrix &a, const Matrix &b, int64_t r0, int64_t r1,
+               Matrix &c)
 {
-    const int64_t nnz = nonzeroPositions(a, b.rows(), nz);
-    for (int64_t j0 = jb; j0 < jend; j0 += kRegTile)
-        matmulTile(a, nz, nnz, b, j0, out);
+    thread_local std::vector<int32_t> nz;
+    nz.resize(size_t(a.cols()));
+    for (int64_t jb = 0; jb < b.cols(); jb += kColTile) {
+        const int64_t jend = std::min(jb + kColTile, b.cols());
+        for (int64_t i = r0; i < r1; ++i) {
+            const int64_t nnz = nonzeroPositions(a.row(i), a.cols(),
+                                                 nz.data());
+            for (int64_t j0 = jb; j0 < jend; j0 += kRegTile)
+                matmulTile(a.row(i), nz.data(), nnz, b, j0, c.row(i));
+        }
+    }
+}
+
+#ifdef GCOD_GEMM_AVX2
+#define GCOD_AVX2 __attribute__((target("avx2")))
+
+/** Rows one AVX2 register tile holds: each B load feeds all of them. */
+constexpr int kRowTile = 6;
+
+/** Eight floats; unlike __m256, not may_alias, so tiles stay in registers. */
+using F32x8 = float __attribute__((vector_size(32)));
+
+/**
+ * R rows x 16 columns of c = a · b in two ymm accumulators per row,
+ * k dense from 0: per k, two loads of B's row feed every row of the
+ * tile, each a separate multiply and add. @p width < 16 masks the
+ * loads and stores of the ragged last tile.
+ */
+template <int R, bool Full>
+GCOD_AVX2 inline void
+matmulTileAvx2(const float *a, int64_t lda, const float *b, int64_t ldb,
+               int64_t k, int64_t width, float *c, int64_t ldc)
+{
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i m0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(int(width)),
+                                          lane);
+    const __m256i m1 = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(int(width) - 8), lane);
+    F32x8 acc0[R] = {}, acc1[R] = {};
+    for (int64_t kk = 0; kk < k; ++kk) {
+        const float *bk = b + kk * ldb;
+        F32x8 b0, b1;
+        if (Full) {
+            std::memcpy(&b0, bk, sizeof b0);
+            std::memcpy(&b1, bk + 8, sizeof b1);
+        } else {
+            b0 = F32x8(_mm256_maskload_ps(bk, m0));
+            b1 = F32x8(_mm256_maskload_ps(bk + 8, m1));
+        }
+        for (int r = 0; r < R; ++r) {
+            const float av = a[r * lda + kk];
+            acc0[r] += av * b0;
+            acc1[r] += av * b1;
+        }
+    }
+    for (int r = 0; r < R; ++r) {
+        if (Full) {
+            std::memcpy(c + r * ldc, &acc0[r], sizeof acc0[r]);
+            std::memcpy(c + r * ldc + 8, &acc1[r], sizeof acc1[r]);
+        } else {
+            _mm256_maskstore_ps(c + r * ldc, m0, __m256(acc0[r]));
+            _mm256_maskstore_ps(c + r * ldc + 8, m1, __m256(acc1[r]));
+        }
+    }
+}
+
+/** Rows [i, i + R), columns [jb, jend) of c = a · b. */
+template <int R>
+GCOD_AVX2 void
+matmulRowsAvx2(const Matrix &a, const Matrix &b, int64_t i, int64_t jb,
+               int64_t jend, Matrix &c)
+{
+    for (int64_t j0 = jb; j0 < jend; j0 += kRegTile) {
+        const int64_t width = std::min(kRegTile, jend - j0);
+        if (width == kRegTile)
+            matmulTileAvx2<R, true>(a.row(i), a.cols(), b.row(0) + j0,
+                                    b.cols(), a.cols(), width,
+                                    c.row(i) + j0, c.cols());
+        else
+            matmulTileAvx2<R, false>(a.row(i), a.cols(), b.row(0) + j0,
+                                     b.cols(), a.cols(), width,
+                                     c.row(i) + j0, c.cols());
+    }
+}
+
+/** The last @p n < R rows from @p i: one narrower tile. */
+template <int R>
+GCOD_AVX2 void
+matmulTailAvx2(int64_t n, const Matrix &a, const Matrix &b, int64_t i,
+               int64_t jb, int64_t jend, Matrix &c)
+{
+    if constexpr (R > 0) {
+        if (n == R)
+            matmulRowsAvx2<R>(a, b, i, jb, jend, c);
+        else
+            matmulTailAvx2<R - 1>(n, a, b, i, jb, jend, c);
+    }
+}
+
+/**
+ * The AVX2 body: rows [r0, r1) of c = a · b in kRowTile x 16 register
+ * tiles, k dense, each K x kColTile stripe of B swept by every row
+ * tile of the block. Dense k adds a zero activation's product too;
+ * with finite B that is ±0, which leaves an accumulator that started
+ * at +0 unchanged, so the bytes are the baseline body's.
+ */
+GCOD_AVX2 void
+matmulAvx2(const Matrix &a, const Matrix &b, int64_t r0, int64_t r1,
+           Matrix &c)
+{
+    for (int64_t jb = 0; jb < b.cols(); jb += kColTile) {
+        const int64_t jend = std::min(jb + kColTile, b.cols());
+        int64_t i = r0;
+        for (; i + kRowTile <= r1; i += kRowTile)
+            matmulRowsAvx2<kRowTile>(a, b, i, jb, jend, c);
+        matmulTailAvx2<kRowTile - 1>(r1 - i, a, b, i, jb, jend, c);
+    }
+}
+
+/** Whether no entry of @p b is inf or NaN (all exponent bits set). */
+bool
+allFinite(const Matrix &b)
+{
+    const float *v = b.data().data();
+    int32_t special = 0;
+    for (size_t i = 0; i < b.data().size(); ++i) {
+        int32_t bits;
+        std::memcpy(&bits, v + i, sizeof bits);
+        special |= (bits & 0x7f800000) == 0x7f800000;
+    }
+    return special == 0;
+}
+#endif
+
+/** Rows [r0, r1) of c = a · b through one body. */
+using MatmulBody = void (*)(const Matrix &a, const Matrix &b, int64_t r0,
+                            int64_t r1, Matrix &c);
+
+/**
+ * @p isa's body for a product with right operand @p b. The AVX2 tiles
+ * run k dense, which keeps the bytes only for finite B (0 · inf is
+ * NaN), so a B holding inf or NaN takes the baseline body: one check
+ * of K · N entries against M · K · N multiply-adds.
+ */
+MatmulBody
+matmulBody(GemmIsa isa, [[maybe_unused]] const Matrix &b)
+{
+#ifdef GCOD_GEMM_AVX2
+    GCOD_ASSERT(isa == GemmIsa::Baseline || hostGemmIsa() == GemmIsa::Avx2,
+                "the AVX2 GEMM body needs an AVX2 CPU");
+    if (isa == GemmIsa::Avx2 && allFinite(b))
+        return matmulAvx2;
+#else
+    GCOD_ASSERT(isa == GemmIsa::Baseline,
+                "the AVX2 GEMM body is x86-64 only");
+#endif
+    return matmulBaseline;
 }
 
 } // namespace
 
-void
-matmulRowInto(const float *a, const Matrix &b, float *out)
+GemmIsa
+hostGemmIsa()
 {
-    thread_local std::vector<int32_t> nz;
-    nz.resize(size_t(b.rows()));
-    matmulRowColumns(a, b, 0, b.cols(), nz.data(), out);
+#ifdef GCOD_GEMM_AVX2
+    static const GemmIsa isa = __builtin_cpu_supports("avx2")
+                                   ? GemmIsa::Avx2
+                                   : GemmIsa::Baseline;
+    return isa;
+#else
+    return GemmIsa::Baseline;
+#endif
+}
+
+const char *
+gemmIsaName(GemmIsa isa)
+{
+    return isa == GemmIsa::Avx2 ? "avx2" : "baseline";
+}
+
+Matrix
+matmulOn(GemmIsa isa, const Matrix &a, const Matrix &b)
+{
+    GCOD_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
+    ParallelZone zone("matmul");
+    Matrix c(a.rows(), b.cols(), 0.0f);
+    // Parallel over disjoint row ranges of C, each one block through
+    // the body; every element's sequence of float operations is the
+    // scalar i-k-j kernel's, so the bytes hold for any thread count.
+    const MatmulBody body = matmulBody(isa, b);
+    parallelFor(
+        0, a.rows(),
+        [&](const Range &r, size_t) { body(a, b, r.begin, r.end, c); },
+        rowGrain(a.cols() * b.cols()));
+    return c;
 }
 
 Matrix
 matmul(const Matrix &a, const Matrix &b)
 {
+    return matmulOn(hostGemmIsa(), a, b);
+}
+
+Matrix
+matmulSerial(const Matrix &a, const Matrix &b)
+{
     GCOD_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
-    ParallelZone zone("matmul");
     Matrix c(a.rows(), b.cols(), 0.0f);
-    // Parallel over disjoint rows of C; within a range, one K x kColTile
-    // stripe of B at a time sweeps every row, so the stripe stays
-    // cache-hot and B is read once per range. Every element is
-    // matmulRowInto's tile: each c(i, j) starts at 0 and adds
-    // a(i, k) * b(k, j) over the nonzero a(i, k) in ascending k — the
-    // scalar i-k-j kernel's exact sequence of float operations — so the
-    // result is bit-identical for any thread count.
-    parallelFor(
-        0, a.rows(),
-        [&](const Range &r, size_t) {
-            std::vector<int32_t> nz(size_t(a.cols()));
-            for (int64_t jb = 0; jb < b.cols(); jb += kColTile) {
-                const int64_t jend = std::min(jb + kColTile, b.cols());
-                for (int64_t i = r.begin; i < r.end; ++i)
-                    matmulRowColumns(a.row(i), b, jb, jend, nz.data(),
-                                     c.row(i));
-            }
-        },
-        rowGrain(a.cols() * b.cols()));
+    matmulBody(hostGemmIsa(), b)(a, b, 0, a.rows(), c);
     return c;
 }
 

@@ -15,16 +15,24 @@
 
 namespace gcod {
 
-/** Dense C = A * B. */
+/**
+ * Dense C = A * B. Each c(i, j) starts at +0.0f and adds a(i, k) *
+ * b(k, j) in ascending k, a separate multiply and add per term — the
+ * scalar i-k-j kernel's sequence of float operations, so the bytes do
+ * not depend on the thread count or on which body ran
+ * (tensor/gemm_isa.hpp). The baseline body skips zero activations; the
+ * AVX2 body runs k dense in multi-row register tiles, whose extra terms
+ * are 0 · b = ±0 and leave every sum unchanged while B is finite. A B
+ * holding inf or NaN (checked once per call) therefore takes the
+ * baseline body.
+ */
 Matrix matmul(const Matrix &a, const Matrix &b);
 
 /**
- * One row of matmul: out[j] = Σ_k a[k] · b(k, j) for j < b.cols(),
- * adding the nonzero a[k] in ascending k from 0.0f — a 16-column
- * register tile per pass over the row. matmul runs every row through
- * it, so a caller computing a single row gets the batch kernel's bytes.
+ * matmul on the calling thread: no parallel region, the same bytes.
+ * The compact row-set form of a GEMM op (runOp over a level).
  */
-void matmulRowInto(const float *a, const Matrix &b, float *out);
+Matrix matmulSerial(const Matrix &a, const Matrix &b);
 
 /** Dense C = A^T * B (used by backward passes). */
 Matrix matmulTransposedA(const Matrix &a, const Matrix &b);

@@ -3,63 +3,21 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <emmintrin.h>
 #include <limits>
 
 #include "sim/parallel.hpp"
+#include "tensor/gemm_isa.hpp"
+
+#ifdef GCOD_GEMM_AVX2
+#include <immintrin.h>
+#endif
 
 namespace gcod {
 
 namespace {
 
 constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
-constexpr int64_t kInt16Max = std::numeric_limits<int16_t>::max();
-
-/** Output columns one register tile holds. */
-constexpr int64_t kTile = 16;
-
-using I8x16 = int8_t __attribute__((vector_size(16)));
-using I16x8 = int16_t __attribute__((vector_size(16)));
-using I32x4 = int32_t __attribute__((vector_size(16)));
-
-/**
- * int8 codes [0, 8) and [8, 16) at @p p as two int16 vectors, sign
- * extended: each byte paired with itself, so an arithmetic shift of the
- * int16 view drops the copy.
- */
-inline void
-load16(const int8_t *p, I16x8 &lo, I16x8 &hi)
-{
-    I8x16 v;
-    std::memcpy(&v, p, sizeof v);
-    lo = (I16x8)__builtin_shufflevector(v, v, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4,
-                                        5, 5, 6, 6, 7, 7) >>
-         8;
-    hi = (I16x8)__builtin_shufflevector(v, v, 8, 8, 9, 9, 10, 10, 11, 11,
-                                        12, 12, 13, 13, 14, 14, 15, 15) >>
-         8;
-}
-
-inline I16x8
-splat16x8(int16_t u)
-{
-    return I16x8{u, u, u, u, u, u, u, u};
-}
-
-/**
- * Lanes 0-3 / 4-7 of @p v sign-extended to int32: each lane paired with
- * itself, so an arithmetic shift of the int32 view drops the copy.
- */
-inline I32x4
-widenLow(I16x8 v)
-{
-    return (I32x4)__builtin_shufflevector(v, v, 0, 0, 1, 1, 2, 2, 3, 3) >> 16;
-}
-
-inline I32x4
-widenHigh(I16x8 v)
-{
-    return (I32x4)__builtin_shufflevector(v, v, 4, 4, 5, 5, 6, 6, 7, 7) >> 16;
-}
 
 /**
  * acc[0..n) += v * xrow[0..n), exact in Acc. Codes are at most 16 bits,
@@ -74,98 +32,6 @@ axpyInt(Acc *acc, int16_t v, const T *xrow, int64_t n)
         acc[j] += Acc(v) * Acc(xrow[j]);
 }
 
-/** Dispatch on packed width: acc += v * row r of @p m. */
-template <typename Acc>
-inline void
-axpyRow(Acc *acc, int16_t v, const QuantizedMatrix &m, int64_t r)
-{
-    if (m.narrow())
-        axpyInt(acc, v, m.row8(r), m.cols());
-    else
-        axpyInt(acc, v, m.row16(r), m.cols());
-}
-
-/**
- * Whether a GEMM branch's dot products run the int32 pair path: two
- * products summed per int16 lane, the sums added into a register tile
- * of int32. That is exact when W is packed at <= 8 bits,
- * 2·qmax_x·qmax_w <= INT16_MAX and K·qmax_x·qmax_w <= INT32_MAX (every
- * 8-bit row up to K = 133 144). Otherwise the row accumulates in int64,
- * exact for any K at <= 16 bits. Both give the same integer sums.
- */
-bool
-pairExact(int64_t k, int32_t qmax_x, const QuantizedMatrix &w)
-{
-    const int64_t term = int64_t(qmax_x) * int64_t(quantMax(w.params().bits));
-    return w.narrow() && 2 * term <= kInt16Max && k * term <= kInt32Max;
-}
-
-/** Per-range scratch of the integer row kernels. */
-struct RowScratch
-{
-    std::vector<int32_t> idx;  ///< nonzero positions
-    std::vector<int16_t> val;  ///< their codes
-    std::vector<int64_t> acc64;
-};
-
-/** Gather the nonzero codes of xrow[0..k) into s.idx / s.val. */
-int64_t
-gatherNonzeros(const int16_t *xrow, int64_t k, RowScratch &s)
-{
-    s.idx.resize(size_t(k));
-    s.val.resize(size_t(k));
-    int64_t n = 0;
-    for (int64_t i = 0; i < k; ++i) {
-        s.idx[size_t(n)] = int32_t(i);
-        s.val[size_t(n)] = xrow[i];
-        n += xrow[i] != 0;
-    }
-    return n;
-}
-
-/**
- * Columns [j0, j0 + kTile) of Σ_i val[i] · w[idx[i]][j] in int32 (the
- * pairExact bounds hold): two products summed per int16 lane, the sums
- * widened into four int32x4 register accumulators. @p w is row 0 of
- * the codes; @p ldw their row stride.
- */
-inline void
-pairTile(const int32_t *idx, const int16_t *val, int64_t nnz,
-         const int8_t *w, int64_t ldw, int64_t j0, int32_t *out)
-{
-    I32x4 acc[4] = {};
-    auto add = [&acc](I16x8 p0, I16x8 p1) {
-        acc[0] += widenLow(p0);
-        acc[1] += widenHigh(p0);
-        acc[2] += widenLow(p1);
-        acc[3] += widenHigh(p1);
-    };
-    I16x8 a0, a1, b0, b1;
-    int64_t i = 0;
-    for (; i + 1 < nnz; i += 2) {
-        load16(w + idx[i] * ldw + j0, a0, a1);
-        load16(w + idx[i + 1] * ldw + j0, b0, b1);
-        const I16x8 u = splat16x8(val[i]), v = splat16x8(val[i + 1]);
-        add(a0 * u + b0 * v, a1 * u + b1 * v);
-    }
-    if (i < nnz) {
-        load16(w + idx[i] * ldw + j0, a0, a1);
-        const I16x8 u = splat16x8(val[i]);
-        add(a0 * u, a1 * u);
-    }
-    std::memcpy(out, acc, sizeof acc);
-}
-
-/** int64 dot products of the gathered row against W, into acc. */
-void
-sparseRowTimes(const RowScratch &s, int64_t nnz, const QuantizedMatrix &w,
-               int64_t *acc)
-{
-    std::fill(acc, acc + w.cols(), int64_t(0));
-    for (int64_t i = 0; i < nnz; ++i)
-        axpyRow(acc, s.val[size_t(i)], w, s.idx[size_t(i)]);
-}
-
 /** zrow[j] = float(scale · acc[j]) — the one rounding of the row. */
 template <typename Acc>
 inline void
@@ -175,57 +41,95 @@ scaleRow(const Acc *acc, int64_t n, double scale, float *zrow)
         zrow[j] = float(scale * double(acc[j]));
 }
 
-/** The pair-path row: full register tiles, then the ragged last tile. */
-void
-pairRow(const RowScratch &s, int64_t nnz, const int8_t *w, int64_t n,
-        double scale, float *zrow)
+/**
+ * Whether a GEMM branch's dot products fit int32 accumulators: every
+ * partial sum of K terms is at most K · qmax_x · qmax_w, so K · qmax_x
+ * · qmax_w <= INT32_MAX suffices (every 8-bit row up to K = 133 144).
+ * Otherwise the branch accumulates in int64. A pair sum alone is at
+ * most 2 · 32767², below 2^31, so it is exact either way.
+ */
+bool
+fitsInt32(int64_t k, int32_t qmax_x, const QuantizedMatrix &w)
 {
-    int32_t tile[kTile];
-    int64_t j0 = 0;
-    for (; j0 + kTile <= n; j0 += kTile) {
-        pairTile(s.idx.data(), s.val.data(), nnz, w, n, j0, tile);
-        scaleRow(tile, kTile, scale, zrow + j0);
-    }
-    if (j0 < n) {
-        // The same int32 sums, column by column.
-        std::fill(tile, tile + (n - j0), 0);
-        for (int64_t i = 0; i < nnz; ++i)
-            axpyInt(tile, s.val[size_t(i)],
-                    w + int64_t(s.idx[size_t(i)]) * n + j0, n - j0);
-        scaleRow(tile, n - j0, scale, zrow + j0);
-    }
+    return k * int64_t(qmax_x) * int64_t(quantMax(w.params().bits)) <=
+           kInt32Max;
 }
 
-/** One row-scaled GEMM output row into z.row(r). */
-void
-qmatmulRowScaledRow(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                    const QuantizedMatrix &w_hi, const bool pair[2],
-                    NodeId r, RowScratch &s, Matrix &z)
+/** The SSE2 operations of the k-pair GEMM body. */
+namespace sse2 {
+
+using VI = __m128i;
+constexpr int kLanes = 4;
+constexpr int kRows32 = 2;
+constexpr int kRows64 = 1;
+
+inline VI zero() { return _mm_setzero_si128(); }
+inline VI splat(int32_t v) { return _mm_set1_epi32(v); }
+inline VI
+load(const int32_t *p)
 {
-    const int b = (*x.branchOf)[size_t(r)] != 0 ? 1 : 0;
-    const QuantizedMatrix &w = b ? w_hi : w_lo;
-    const int64_t n = w.cols();
-    const int64_t nnz = gatherNonzeros(x.row(r), x.cols, s);
-    const double scale = double(x.rowScale[size_t(r)]) *
-                         double(w.params().scale);
-    float *zrow = z.row(r);
-    if (pair[b]) {
-        pairRow(s, nnz, w.row8(0), n, scale, zrow);
-        return;
-    }
-    s.acc64.resize(size_t(n));
-    sparseRowTimes(s, nnz, w, s.acc64.data());
-    scaleRow(s.acc64.data(), n, scale, zrow);
+    return _mm_loadu_si128(reinterpret_cast<const VI *>(p));
+}
+inline void
+store(void *p, VI v)
+{
+    _mm_storeu_si128(static_cast<VI *>(p), v);
+}
+inline VI madd(VI a, VI b) { return _mm_madd_epi16(a, b); }
+inline VI add32(VI a, VI b) { return _mm_add_epi32(a, b); }
+inline VI add64(VI a, VI b) { return _mm_add_epi64(a, b); }
+inline void
+widen(VI v, VI &lo, VI &hi)
+{
+    const VI sign = _mm_srai_epi32(v, 31);
+    lo = _mm_unpacklo_epi32(v, sign);
+    hi = _mm_unpackhi_epi32(v, sign);
 }
 
-/** Whether each branch of a GEMM with @p x's rows takes the pair path. */
-std::array<bool, 2>
-pairPaths(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-          const QuantizedMatrix &w_hi)
+#include "tensor/kpair_gemm.inl"
+
+} // namespace sse2
+
+#ifdef GCOD_GEMM_AVX2
+#pragma GCC push_options
+#pragma GCC target("avx2")
+
+/** The AVX2 operations of the k-pair GEMM body. */
+namespace avx2 {
+
+using VI = __m256i;
+constexpr int kLanes = 8;
+constexpr int kRows32 = 4;
+constexpr int kRows64 = 2;
+
+inline VI zero() { return _mm256_setzero_si256(); }
+inline VI splat(int32_t v) { return _mm256_set1_epi32(v); }
+inline VI
+load(const int32_t *p)
 {
-    return {pairExact(x.cols, x.qmax[0], w_lo),
-            pairExact(x.cols, x.qmax[1], w_hi)};
+    return _mm256_loadu_si256(reinterpret_cast<const VI *>(p));
 }
+inline void
+store(void *p, VI v)
+{
+    _mm256_storeu_si256(static_cast<VI *>(p), v);
+}
+inline VI madd(VI a, VI b) { return _mm256_madd_epi16(a, b); }
+inline VI add32(VI a, VI b) { return _mm256_add_epi32(a, b); }
+inline VI add64(VI a, VI b) { return _mm256_add_epi64(a, b); }
+inline void
+widen(VI v, VI &lo, VI &hi)
+{
+    lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
+    hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
+}
+
+#include "tensor/kpair_gemm.inl"
+
+} // namespace avx2
+
+#pragma GCC pop_options
+#endif
 
 /** Per-range scratch of the mixed SpMM row kernel. */
 struct SpmmScratch
@@ -450,25 +354,44 @@ rowQuantize(const Matrix &x, const std::vector<uint8_t> &branch_of,
 }
 
 Matrix
-qmatmulRowScaled(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                 const QuantizedMatrix &w_hi)
+qmatmulRowScaledOn(GemmIsa isa, const RowQuantizedMatrix &x,
+                   const QuantizedMatrix &w_lo, const QuantizedMatrix &w_hi)
 {
     GCOD_ASSERT(x.cols == w_lo.rows() && x.cols == w_hi.rows() &&
                     w_lo.cols() == w_hi.cols(),
                 "qmatmulRowScaled shape mismatch");
+    GCOD_ASSERT(w_lo.hasPairs() && w_hi.hasPairs(),
+                "qmatmulRowScaled reads the weights' k-pair packs: call "
+                "QuantizedMatrix::packPairs once per weight");
+    auto body = sse2::qmatmulRows;
+#ifdef GCOD_GEMM_AVX2
+    if (isa == GemmIsa::Avx2) {
+        GCOD_ASSERT(hostGemmIsa() == GemmIsa::Avx2,
+                    "the AVX2 GEMM body needs an AVX2 CPU");
+        body = avx2::qmatmulRows;
+    }
+#else
+    GCOD_ASSERT(isa == GemmIsa::Baseline,
+                "the AVX2 GEMM body is x86-64 only");
+#endif
     ParallelZone zone("qmatmulRowScaled");
     Matrix z(x.rows, w_lo.cols(), 0.0f);
-    const std::array<bool, 2> pair = pairPaths(x, w_lo, w_hi);
+    const std::array<bool, 2> int32 = {fitsInt32(x.cols, x.qmax[0], w_lo),
+                                       fitsInt32(x.cols, x.qmax[1], w_hi)};
     parallelFor(
         0, x.rows,
         [&](const Range &range, size_t) {
-            RowScratch s;
-            for (int64_t r = range.begin; r < range.end; ++r)
-                qmatmulRowScaledRow(x, w_lo, w_hi, pair.data(), NodeId(r),
-                                    s, z);
+            body(x, w_lo, w_hi, int32, range.begin, range.end, z);
         },
         rowGrain(x.cols * w_lo.cols()));
     return z;
+}
+
+Matrix
+qmatmulRowScaled(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
+                 const QuantizedMatrix &w_hi)
+{
+    return qmatmulRowScaledOn(hostGemmIsa(), x, w_lo, w_hi);
 }
 
 } // namespace gcod

@@ -7,12 +7,13 @@
  *
  * Accumulator contract: a sum accumulates in int32 when a bound proves
  * no partial sum can leave int32, and in int64 otherwise. For a GEMM
- * branch the bound is W packed at <= 8 bits with 2 · qmax_x · qmax_w <=
- * INT16_MAX and K · qmax_x · qmax_w <= INT32_MAX (every 8-bit row up to
- * K = 133 144); for the branch of a mixed SpMM row it is Σ|a_k| · qmax_x
- * <= INT32_MAX. Exact integer sums do not depend on the accumulator type
- * or on the order of the terms, so the output bytes are the same
- * either way; the wider type is only the fallback past the bound.
+ * branch the bound is K · qmax_x · qmax_w <= INT32_MAX at any width up
+ * to 16 bits (every 8-bit row up to K = 133 144); for the branch of a
+ * mixed SpMM row it is Σ|a_k| · qmax_x <= INT32_MAX. Exact integer sums
+ * do not depend on the accumulator type, on the order of the terms or
+ * on the vector width of the body that adds them (tensor/gemm_isa.hpp),
+ * so the output bytes are the same either way; the wider type is only
+ * the fallback past the bound.
  *
  * Determinism contract (matches sim/parallel): every kernel partitions
  * its OUTPUT rows, and integer accumulation is associative, so results
@@ -127,11 +128,15 @@ RowQuantizedMatrix rowQuantize(const Matrix &x,
 
 /**
  * Z = deq(X) * deq(W) with per-row X scales; row r uses the
- * branch-matching weight pack (W_lo dense, W_hi protected). Each
- * branch picks its accumulator once per call from K, the two qmax
- * values and W's packed width (the accumulator contract above); 8-bit
- * rows run a 16-column int32 register tile over the row's nonzero
- * codes, and every other row an int64 accumulator.
+ * branch-matching weight pack (W_lo dense, W_hi protected), whose
+ * k-pair pack (QuantizedMatrix::packPairs) must be built: it is read,
+ * never built, here. Each branch picks its accumulator once per call
+ * from K and the two qmax values (the accumulator contract above).
+ * Rows of one branch run together in register tiles of 16 columns, k
+ * dense: per code pair (x[k], x[k+1]), one pmaddwd against the pack
+ * row gives exact int32 pair sums (at most 2 · 32767² < 2^31), added
+ * into int32 lanes, or sign-extended into int64 lanes past the bound.
+ * Each output is float(rowScale · scale_w · sum), its one rounding.
  */
 Matrix qmatmulRowScaled(const RowQuantizedMatrix &x,
                         const QuantizedMatrix &w_lo,

@@ -220,6 +220,20 @@ QuantizedMatrix::toMatrix() const
     return x;
 }
 
+void
+QuantizedMatrix::packPairs()
+{
+    pairStride_ = (cols_ + kPairColumns - 1) / kPairColumns * kPairColumns;
+    const int64_t pairRows = (rows_ + 1) / 2;
+    pairs_.assign(size_t(pairRows * pairStride_), 0);
+    for (int64_t k = 0; k < rows_; ++k) {
+        int32_t *dst = pairs_.data() + (k / 2) * pairStride_;
+        const int shift = k % 2 == 0 ? 0 : 16;
+        for (int64_t j = 0; j < cols_; ++j)
+            dst[j] |= int32_t(uint32_t(uint16_t(at(k, j))) << shift);
+    }
+}
+
 double
 QuantizedMatrix::payloadBytes() const
 {

@@ -216,6 +216,27 @@ class QuantizedMatrix
     const std::vector<int8_t> &codes8() const { return q8_; }
     const std::vector<int16_t> &codes16() const { return q16_; }
 
+    /**
+     * Build the k-pair pack the integer GEMM reads (qmatmulRowScaled,
+     * which requires it): pair row p holds, per column j, one int32
+     * whose low int16 is the code at (2p, j) and whose high int16 is
+     * the code at (2p + 1, j), 0 past rows(). A pair row is cols()
+     * rounded up to kPairColumns int32 long, zero-padded, so the
+     * kernels' column tiles never run short. Derived state, built once
+     * per GEMM weight and never serialized; a copy carries it.
+     */
+    void packPairs();
+    /** Whether packPairs() has run. */
+    bool hasPairs() const { return pairStride_ > 0 || cols_ == 0; }
+    /** Pair row @p p (codes 2p and 2p + 1) of the k-pair pack. */
+    const int32_t *pairRow(int64_t p) const
+    {
+        return pairs_.data() + p * pairStride_;
+    }
+
+    /** Column alignment of the k-pair pack: the GEMM tile width. */
+    static constexpr int64_t kPairColumns = 16;
+
   private:
     /** Pack @p n rows: rows (*rows)[i], or rows 0..n-1 when null. */
     QuantizedMatrix(const Matrix &x, const std::vector<int32_t> *rows,
@@ -226,6 +247,8 @@ class QuantizedMatrix
     QuantParams qp_;
     std::vector<int8_t> q8_;
     std::vector<int16_t> q16_;
+    int64_t pairStride_ = 0;
+    std::vector<int32_t> pairs_;
 };
 
 /**

@@ -132,6 +132,8 @@ TEST(QuantKernelsTest, RowScaledGemmIsExactPerRowAndStitchesBitIdentically)
     branch[3] = 1;
     branch[17] = 1;
     QuantizedMatrix wLo(w, 8), wHi(w, 16);
+    wLo.packPairs();
+    wHi.packPairs();
     RowQuantizedMatrix rx = rowQuantize(x, branch, 8, 16);
     Matrix full = qmatmulRowScaled(rx, wLo, wHi);
 

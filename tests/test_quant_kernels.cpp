@@ -18,6 +18,7 @@
 #include "graph/graph.hpp"
 #include "nn/quant_exec.hpp"
 #include "sim/parallel.hpp"
+#include "tensor/gemm_isa.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qops.hpp"
 
@@ -176,12 +177,15 @@ TEST(FastQuantizeTest, MixedQuantizePacksBranchRowsLikeASplitCopy)
 
 // -------------------------------------------------------- integer GEMM
 
+/** The row-scaled GEMM oracle test's depths and widths. */
+const int64_t kQgemmK[] = {0, 1, 5, 64};
+const int64_t kQgemmN[] = {1, 7, 16, 17, 33};
+
 TEST(FastQuantKernelsTest, RowScaledGemmMatchesInt64OracleAcrossShapes)
 {
     Rng rng(17);
-    for (int64_t k : {int64_t(0), int64_t(1), int64_t(5), int64_t(64)})
-        for (int64_t n : {int64_t(1), int64_t(7), int64_t(16), int64_t(17),
-                          int64_t(33)}) {
+    for (int64_t k : kQgemmK)
+        for (int64_t n : kQgemmN) {
             Matrix x = activations(11, k, rng);
             Matrix w = activations(k, n, rng);
             auto branch = alternatingBranches(x.rows());
@@ -189,6 +193,8 @@ TEST(FastQuantKernelsTest, RowScaledGemmMatchesInt64OracleAcrossShapes)
                 for (int hi = 2; hi <= 16; hi += 2) {
                     RowQuantizedMatrix rx = rowQuantize(x, branch, lo, hi);
                     QuantizedMatrix wlo(w, lo), whi(w, hi);
+                    wlo.packPairs();
+                    whi.packPairs();
                     Matrix want = oracleQmatmulRowScaled(rx, wlo, whi);
                     ASSERT_TRUE(
                         sameBytes(qmatmulRowScaled(rx, wlo, whi), want))
@@ -216,6 +222,7 @@ TEST(FastQuantKernelsTest, RowScaledGemmInt32BoundAndOnePast)
             std::vector<uint8_t> branch = {0, 1};
             RowQuantizedMatrix rx = rowQuantize(x, branch, 8, 8);
             QuantizedMatrix w8(w, 8);
+            w8.packPairs();
             Matrix got = qmatmulRowScaled(rx, w8, w8);
             ASSERT_TRUE(sameBytes(got, oracleQmatmulRowScaled(rx, w8, w8)))
                 << "k=" << k << " n=" << n;
@@ -225,6 +232,52 @@ TEST(FastQuantKernelsTest, RowScaledGemmInt32BoundAndOnePast)
             EXPECT_EQ(got(0, 0), want);
             EXPECT_EQ(got(1, n - 1), want);
         }
+}
+
+/**
+ * The baseline (SSE2) and AVX2 bodies give the same bytes on every
+ * shape of the oracle test, both branches at every width 2..16, at row
+ * counts on and off both bodies' tile heights, and at the int32 bound
+ * and one term past it.
+ */
+TEST(FastQuantKernelsTest, RowScaledGemmBaselineAndAvx2BodiesAgree)
+{
+    if (hostGemmIsa() != GemmIsa::Avx2)
+        GTEST_SKIP() << "no AVX2 on this CPU";
+    auto same = [](const RowQuantizedMatrix &rx, const QuantizedMatrix &lo,
+                   const QuantizedMatrix &hi) {
+        return sameBytes(qmatmulRowScaledOn(GemmIsa::Avx2, rx, lo, hi),
+                         qmatmulRowScaledOn(GemmIsa::Baseline, rx, lo, hi));
+    };
+    Rng rng(41);
+    for (int64_t rows : {int64_t(1), int64_t(3), int64_t(6), int64_t(11)})
+        for (int64_t k : kQgemmK)
+            for (int64_t n : kQgemmN) {
+                Matrix x = activations(rows, k, rng);
+                Matrix w = activations(k, n, rng);
+                auto branch = alternatingBranches(x.rows());
+                for (int lo = 2; lo <= 16; ++lo)
+                    for (int hi = 2; hi <= 16; hi += 2) {
+                        RowQuantizedMatrix rx =
+                            rowQuantize(x, branch, lo, hi);
+                        QuantizedMatrix wlo(w, lo), whi(w, hi);
+                        wlo.packPairs();
+                        whi.packPairs();
+                        ASSERT_TRUE(same(rx, wlo, whi))
+                            << "rows=" << rows << " k=" << k << " n=" << n
+                            << " bits " << lo << "/" << hi;
+                    }
+            }
+    const int64_t kmax = int64_t(INT32_MAX) / (127 * 127);
+    for (int64_t k : {kmax, kmax + 1}) {
+        Matrix x(5, k, 1.0f);
+        Matrix w(k, 17, 1.0f);
+        std::vector<uint8_t> branch = {0, 1, 0, 0, 1};
+        RowQuantizedMatrix rx = rowQuantize(x, branch, 8, 8);
+        QuantizedMatrix w8(w, 8);
+        w8.packPairs();
+        ASSERT_TRUE(same(rx, w8, w8)) << "k=" << k;
+    }
 }
 
 // -------------------------------------------------------- integer SpMM
@@ -307,14 +360,33 @@ TEST(FastQuantKernelsTest, MixedSpmmInt32RowBoundAndOnePast)
 
 // ------------------------------------------------------------ fp32 GEMM
 
+/** The fp32 GEMM oracle test's depths and widths. */
+const int64_t kMatmulK[] = {0, 1, 9, 130};
+/** n = 150: two column stripes, the second ending in a ragged tile. */
+const int64_t kMatmulN[] = {1, 5, 16, 17, 48, 70, 150};
+
+/** a · b through runOp's row-set form: one compact level of every row. */
+Matrix
+levelGemm(const Matrix &a, const Matrix &b)
+{
+    ForwardRecipe m;
+    m.weights = {&b};
+    OpStep gemm;
+    gemm.kind = OpKind::GEMM;
+    gemm.weight = 0;
+    RowSetLevel lv;
+    for (NodeId r = 0; r < NodeId(a.rows()); ++r)
+        lv.rows.push_back(r);
+    Matrix out;
+    runOp(m, nullptr, gemm, a, nullptr, OpPack(), out, &lv);
+    return out;
+}
+
 TEST(FastMatmulTest, MatchesIkjOracleAcrossShapes)
 {
     Rng rng(23);
-    for (int64_t k : {int64_t(0), int64_t(1), int64_t(9), int64_t(130)})
-        for (int64_t n : {int64_t(1), int64_t(5), int64_t(16), int64_t(17),
-                          int64_t(48), int64_t(70), int64_t(150)}) {
-            // n = 150: two column stripes, the second ending in a
-            // ragged tile.
+    for (int64_t k : kMatmulK)
+        for (int64_t n : kMatmulN) {
             Matrix a = activations(13, k, rng);
             Matrix b = activations(k, n, rng);
             Matrix want = oracleMatmul(a, b);
@@ -323,15 +395,67 @@ TEST(FastMatmulTest, MatchesIkjOracleAcrossShapes)
                 ASSERT_TRUE(sameBytes(matmul(a, b), want))
                     << "k=" << k << " n=" << n << " threads=" << t;
             }
-            std::vector<float> row(static_cast<size_t>(n));
-            for (int64_t i = 0; i < a.rows(); ++i) {
-                matmulRowInto(a.row(i), b, row.data());
-                ASSERT_EQ(std::memcmp(row.data(), want.row(i),
-                                      size_t(n) * sizeof(float)),
-                          0);
-            }
+            ASSERT_TRUE(sameBytes(matmulSerial(a, b), want));
+            ASSERT_TRUE(sameBytes(levelGemm(a, b), want));
         }
     setThreads(0);
+}
+
+/**
+ * inf, -inf and NaN weights at a k where the activation is +0, -0 or
+ * nonzero, in every combination across the rows: a skipped zero
+ * activation never meets them (0 · inf would be NaN), so each output
+ * keeps the oracle's bytes, through every entry point and body.
+ */
+TEST(FastMatmulTest, NonFiniteWeightsKeepTheOracleBytes)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float special[] = {inf, -inf, std::nanf("")};
+    const float act[] = {0.0f, -0.0f, 1.5f};
+    Rng rng(31);
+    for (int64_t rows : {int64_t(1), int64_t(6), int64_t(9)}) {
+        Matrix a = activations(rows, 12, rng);
+        Matrix b = activations(12, 21, rng);
+        for (int64_t s = 0; s < 3; ++s) {
+            const int64_t k = 2 + 4 * s;
+            b(k, s) = special[s];
+            b(k, 16 + s) = special[s];
+            for (int64_t r = 0; r < rows; ++r)
+                a(r, k) = act[(r + s) % 3];
+        }
+        const Matrix want = oracleMatmul(a, b);
+        for (int t : {1, 3}) {
+            setThreads(t);
+            ASSERT_TRUE(sameBytes(matmul(a, b), want))
+                << "rows=" << rows << " threads=" << t;
+            ASSERT_TRUE(sameBytes(levelGemm(a, b), want));
+        }
+        ASSERT_TRUE(sameBytes(matmulOn(GemmIsa::Baseline, a, b), want));
+        if (hostGemmIsa() == GemmIsa::Avx2)
+            ASSERT_TRUE(sameBytes(matmulOn(GemmIsa::Avx2, a, b), want));
+    }
+    setThreads(0);
+}
+
+/**
+ * The baseline and AVX2 bodies give the same bytes on every shape of
+ * the oracle test, at row counts on and off the register tile heights.
+ */
+TEST(FastMatmulTest, BaselineAndAvx2BodiesAgree)
+{
+    if (hostGemmIsa() != GemmIsa::Avx2)
+        GTEST_SKIP() << "no AVX2 on this CPU";
+    Rng rng(37);
+    for (int64_t rows : {int64_t(1), int64_t(2), int64_t(3), int64_t(5),
+                         int64_t(13)})
+        for (int64_t k : kMatmulK)
+            for (int64_t n : kMatmulN) {
+                Matrix a = activations(rows, k, rng);
+                Matrix b = activations(k, n, rng);
+                ASSERT_TRUE(sameBytes(matmulOn(GemmIsa::Avx2, a, b),
+                                      matmulOn(GemmIsa::Baseline, a, b)))
+                    << "rows=" << rows << " k=" << k << " n=" << n;
+            }
 }
 
 TEST(FastMaxAggTest, MatchesIfChainOracleOnSpecialValues)
